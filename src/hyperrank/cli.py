@@ -38,6 +38,8 @@ from .errors import (
     NoErgodicSubgroupFound,
     NotExpanding,
     ParseError,
+    PrecisionExhausted,
+    RootFindingFailure,
 )
 from .exact import QMat
 from .spectra import (
@@ -124,8 +126,16 @@ def _get_number(obj, key, where, default=None, positive=False):
     v = obj[key]
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ParseError(f"{where}: {key} must be a number")
+    v = _finite(v, f"{where}: {key}")
     if positive and not v > 0:
         raise ParseError(f"{where}: {key} must be positive")
+    return v
+
+
+def _finite(v, where):
+    """float(v), refusing NaN, infinities and integers beyond float range."""
+    if not abs(v) <= sys.float_info.max:
+        raise ParseError(f"{where}: {v!r} is not a finite number")
     return float(v)
 
 
@@ -168,7 +178,7 @@ def _complex_pair(v, where):
             or any(isinstance(t, bool) or not isinstance(t, (int, float))
                    for t in v)):
         raise ParseError(f"{where}: expected [re, im]")
-    return complex(v[0], v[1])
+    return complex(_finite(v[0], where), _finite(v[1], where))
 
 
 def _observable_terms(obj, where):
@@ -371,8 +381,10 @@ def cmd_analyze(args):
                     }
                     report["verdict"] = "inconclusive"
                     exit_code = EXIT_INCONCLUSIVE
-    except FactorSearchInconclusive as exc:
-        # a factorization budget ran out mid-pipeline; ship what exists
+    except (FactorSearchInconclusive, PrecisionExhausted,
+            RootFindingFailure) as exc:
+        # a factorization budget or the working precision ran out
+        # mid-pipeline on valid input; ship what exists
         report["verdict"] = "inconclusive"
         report["error"] = str(exc)
         exit_code = EXIT_INCONCLUSIVE
@@ -497,6 +509,8 @@ def cmd_conjugate(args):
     tol = args.tol
     if tol is None:
         tol = _get_number(config, "tol", where, default=1e-8, positive=True)
+    elif not _finite(tol, "--tol") > 0:
+        raise ParseError("--tol must be positive")
     budget = _get_int(config, "budget", where, default=200, low=1)
     verify_samples = _get_int(config, "verify_samples", where,
                               default=400, low=1)

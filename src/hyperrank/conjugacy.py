@@ -286,11 +286,10 @@ def holder_estimate(field: ConjugacyField, pairs=3000, seed=0,
     exponent.  The confidence interval is the 95 percent band of the
     regression slope.
     """
-    flat_lo = min(min(c) for c in field.values)
-    flat_hi = max(max(c) for c in field.values)
-    # constant up to the solver's own convergence noise is still constant
+    # constant up to the solver's own convergence noise is still constant;
+    # each component is judged on its own range
     floor = 1e-15 + 10.0 * (field.residuals[-1] if field.residuals else 0.0)
-    if flat_hi - flat_lo <= floor:
+    if all(max(c) - min(c) <= floor for c in field.values):
         raise DegenerateField("displacement field is constant")
     if bins < 3:
         raise ValueError("need at least 3 scale bins")

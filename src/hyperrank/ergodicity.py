@@ -16,6 +16,7 @@ rigidity argument.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,14 +47,16 @@ def is_ergodic(matrix) -> ErgodicityCertificate:
     if not m.is_square():
         raise ValueError("ergodicity is defined for square matrices")
     d = m.shape[0]
-    if m.det() == 0:
-        raise RankDeficient("singular matrix: no invertible dual action")
     cp = m.charpoly()
+    if cp[0] == 0:
+        raise RankDeficient("singular matrix: no invertible dual action")
     for idx in cyclotomic_indices_up_to_degree(d):
         if poly_gcd(cp, cyclotomic(idx)).degree > 0:
             fixed = m.transpose().power(idx) - QMat.identity(d)
             kern = fixed.kernel()
-            assert kern, "cyclotomic divisor without fixed dual vector"
+            if not kern:
+                raise RankDeficient(
+                    "cyclotomic divisor without fixed dual vector")
             z = tuple(int(x) for x in kern[0])
             return ErgodicityCertificate(ergodic=False, period=idx, witness=z)
     return ErgodicityCertificate(ergodic=True)
@@ -137,7 +140,8 @@ def rational_splitting(obj, seed=0):
                 sat = _saturate_rows(sub)
                 nxt.append((sat, [_restrict_rows(sat, m) for m in mats]))
         blocks = nxt
-    assert sum(b.shape[0] for b, _ in blocks) == d
+    if sum(b.shape[0] for b, _ in blocks) != d:
+        raise RankDeficient("invariant blocks do not span Q^d")
     out = []
     for basis, mats in sorted(blocks, key=lambda bm: (bm[0].shape[0],
                                                       bm[0].rows)):
@@ -199,19 +203,6 @@ def _canonical_sign(a):
     return False
 
 
-def _gcd_all(a):
-    g = 0
-    for x in a:
-        g = gcd2(abs(x), g)
-    return g
-
-
-def gcd2(a, b):
-    while b:
-        a, b = b, a % b
-    return a
-
-
 def ergodic_element(action: ActionSpec, bound=5):
     """First a in norm-then-lex order with rho(a) ergodic."""
     for a in _norm_lex(action.rank, bound):
@@ -231,7 +222,7 @@ def non_ergodic_primitive_triples(action: ActionSpec, bound=10,
     """
     out = []
     for a in _norm_lex(action.rank, bound):
-        if not _canonical_sign(a) or _gcd_all(a) != 1:
+        if not _canonical_sign(a) or math.gcd(*a) != 1:
             continue
         cert = is_ergodic(action.element(a))
         if not cert.ergodic:
@@ -271,7 +262,7 @@ def ergodic_z2_subgroup(action: ActionSpec, pair_bound=2, combo_bound=20,
         return cache[key]
 
     candidates = [a for a in _norm_lex(action.rank, pair_bound)
-                  if _canonical_sign(a) and _gcd_all(a) == 1]
+                  if _canonical_sign(a) and math.gcd(*a) == 1]
     obstructions = []
     for ai in range(len(candidates)):
         for bi in range(ai + 1, len(candidates)):
@@ -288,7 +279,7 @@ def ergodic_z2_subgroup(action: ActionSpec, pair_bound=2, combo_bound=20,
             checked = 0
             bad = None
             for ij in _norm_lex(2, combo_bound):
-                if not _canonical_sign(ij) or _gcd_all(ij) != 1:
+                if not _canonical_sign(ij) or math.gcd(*ij) != 1:
                     continue
                 i, j = ij
                 vec = tuple(i * x + j * y for x, y in zip(a, b))

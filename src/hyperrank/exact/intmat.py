@@ -1,9 +1,11 @@
-"""Exact matrices over Q (Fraction entries) plus modular kernels.
+"""Exact matrices over Q (Fraction entries) plus integer kernels.
 
 QMat is a small immutable dense matrix type: desk scale (dim <= ~10), so the
 cubic algorithms with exact arithmetic are the right trade.  Integer-only
-helpers (HNF, modular powers, Berkowitz charpoly) live alongside because the
-spectra machinery needs them on the same objects.
+helpers (HNF, modular powers) live alongside, and so does the one
+characteristic polynomial routine: Berkowitz's division-free recurrence, run
+exactly over Z for QMat.charpoly (after clearing denominators) and mod q for
+the p-adic refinement.
 """
 
 from __future__ import annotations
@@ -80,9 +82,18 @@ class QMat:
         k2, n = other.shape
         if k != k2:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
-        bt = list(zip(*other.rows))
-        return QMat([[sum(a * b for a, b in zip(row, col)) for col in bt]
-                     for row in self.rows])
+        la, a = self._scaled()
+        lb, b = other._scaled()
+        den = la * lb
+        bt = list(zip(*b))
+        return QMat([[Fraction(sum(x * y for x, y in zip(row, col)), den)
+                      for col in bt] for row in a])
+
+    def _scaled(self):
+        """(L, L * rows as ints) with L the lcm of the entry denominators."""
+        lcm = math.lcm(*(c.denominator for r in self.rows for c in r))
+        return lcm, [[c.numerator * (lcm // c.denominator) for c in r]
+                     for r in self.rows]
 
     def matvec(self, v):
         return tuple(sum(a * Fraction(x) for a, x in zip(row, v))
@@ -91,49 +102,20 @@ class QMat:
     def transpose(self):
         return QMat(list(zip(*self.rows)))
 
-    def trace(self):
-        return sum(self.rows[i][i] for i in range(len(self.rows)))
-
     def det(self):
-        """Gaussian elimination over Fraction with partial pivoting by nonzero."""
+        """(-1)^n times the constant term of the characteristic polynomial."""
         if not self.is_square():
             raise ValueError("det of non-square matrix")
-        n = len(self.rows)
-        a = [list(r) for r in self.rows]
-        out = Fraction(1)
-        for col in range(n):
-            piv = next((i for i in range(col, n) if a[i][col] != 0), None)
-            if piv is None:
-                return Fraction(0)
-            if piv != col:
-                a[col], a[piv] = a[piv], a[col]
-                out = -out
-            out *= a[col][col]
-            inv = 1 / a[col][col]
-            for i in range(col + 1, n):
-                if a[i][col] != 0:
-                    f = a[i][col] * inv
-                    for j in range(col, n):
-                        a[i][j] -= f * a[col][j]
-        return out
+        return self.charpoly()[0] * (-1) ** len(self.rows)
 
     def inverse(self):
         if not self.is_square():
             raise ValueError("inverse of non-square matrix")
         n = len(self.rows)
-        a = [list(r) + [Fraction(int(i == j)) for j in range(n)]
-             for i, r in enumerate(self.rows)]
-        for col in range(n):
-            piv = next((i for i in range(col, n) if a[i][col] != 0), None)
-            if piv is None:
-                raise RankDeficient("matrix is singular")
-            a[col], a[piv] = a[piv], a[col]
-            inv = 1 / a[col][col]
-            a[col] = [x * inv for x in a[col]]
-            for i in range(n):
-                if i != col and a[i][col] != 0:
-                    f = a[i][col]
-                    a[i] = [x - f * y for x, y in zip(a[i], a[col])]
+        a, pivots = QMat([list(r) + [int(i == j) for j in range(n)]
+                          for i, r in enumerate(self.rows)])._rref()
+        if pivots != list(range(n)):
+            raise RankDeficient("matrix is singular")
         return QMat([r[n:] for r in a])
 
     def adjugate(self):
@@ -158,49 +140,24 @@ class QMat:
         return out
 
     def charpoly(self) -> QPoly:
-        """det(xI - A), monic, by Faddeev-LeVerrier (exact over Fraction)."""
+        """det(xI - A), monic: Berkowitz over Z on L*A, L the lcm of the
+        denominators, then the x^k coefficient is divided by L^(n-k)."""
         if not self.is_square():
             raise ValueError("charpoly of non-square matrix")
         n = len(self.rows)
-        coeffs_desc = [Fraction(1)]
-        M = QMat.identity(n)
-        for k in range(1, n + 1):
-            M = self @ M
-            ck = -M.trace() / k
-            coeffs_desc.append(ck)
-            if k < n:
-                M = M + QMat.identity(n).scalar(ck)
-        return QPoly(list(reversed(coeffs_desc)))
+        lcm, ints = self._scaled()
+        coeffs = berkowitz_charpoly_mod(ints, None)
+        return QPoly([Fraction(c, lcm ** (n - k))
+                      for k, c in enumerate(coeffs)])
 
-    def rank(self):
+    def _rref(self):
+        """Reduced row echelon form (Gauss-Jordan over Fraction): (rows,
+        pivot columns).  It is unique, so every caller's result is too."""
         a = [list(r) for r in self.rows]
         m, n = self.shape
-        r = 0
-        for col in range(n):
-            piv = next((i for i in range(r, m) if a[i][col] != 0), None)
-            if piv is None:
-                continue
-            a[r], a[piv] = a[piv], a[r]
-            inv = 1 / a[r][col]
-            for i in range(r + 1, m):
-                if a[i][col] != 0:
-                    f = a[i][col] * inv
-                    for j in range(col, n):
-                        a[i][j] -= f * a[r][j]
-            r += 1
-            if r == m:
-                break
-        return r
-
-    def solve(self, rhs: "QMat") -> "QMat":
-        """Solve self @ X = rhs exactly; raises RankDeficient if inconsistent
-        or underdetermined (callers here always have unique solutions)."""
-        m, n = self.shape
-        _, k = rhs.shape
-        a = [list(r) + list(b) for r, b in zip(self.rows, rhs.rows)]
         pivots = []
-        r = 0
         for col in range(n):
+            r = len(pivots)
             piv = next((i for i in range(r, m) if a[i][col] != 0), None)
             if piv is None:
                 continue
@@ -212,43 +169,36 @@ class QMat:
                     f = a[i][col]
                     a[i] = [x - f * y for x, y in zip(a[i], a[r])]
             pivots.append(col)
-            r += 1
-        for i in range(r, m):
-            if any(x != 0 for x in a[i][n:]):
-                raise RankDeficient("inconsistent system")
-        if r < n:
+            if len(pivots) == m:
+                break
+        return a, pivots
+
+    def rank(self):
+        return len(self._rref()[1])
+
+    def solve(self, rhs: "QMat") -> "QMat":
+        """Solve self @ X = rhs exactly; raises RankDeficient if inconsistent
+        or underdetermined (callers here always have unique solutions)."""
+        n = self.shape[1]
+        a, pivots = QMat([list(r) + list(b)
+                          for r, b in zip(self.rows, rhs.rows)])._rref()
+        if pivots and pivots[-1] >= n:
+            raise RankDeficient("inconsistent system")
+        if len(pivots) < n:
             raise RankDeficient("underdetermined system")
-        sol = [[Fraction(0)] * k for _ in range(n)]
-        for row_i, col in enumerate(pivots):
-            sol[col] = a[row_i][n:]
-        return QMat(sol)
+        return QMat([r[n:] for r in a[:n]])
 
     def kernel(self):
         """Primitive integer basis of the rational null space (list of tuples)."""
-        m, n = self.shape
-        a = [list(r) for r in self.rows]
-        pivots = {}
-        r = 0
-        for col in range(n):
-            piv = next((i for i in range(r, m) if a[i][col] != 0), None)
-            if piv is None:
-                continue
-            a[r], a[piv] = a[piv], a[r]
-            inv = 1 / a[r][col]
-            a[r] = [x * inv for x in a[r]]
-            for i in range(m):
-                if i != r and a[i][col] != 0:
-                    f = a[i][col]
-                    a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-            pivots[col] = r
-            r += 1
+        n = self.shape[1]
+        a, pivots = self._rref()
         basis = []
         for col in range(n):
             if col in pivots:
                 continue
             v = [Fraction(0)] * n
             v[col] = Fraction(1)
-            for pcol, prow in pivots.items():
+            for prow, pcol in enumerate(pivots):
                 v[pcol] = -a[prow][col]
             basis.append(primitive_vector(v))
         return basis
@@ -334,32 +284,28 @@ def mat_pow_mod(a, e, q):
 
 
 def berkowitz_charpoly_mod(a, q):
-    """Characteristic polynomial det(xI - A) mod q, division-free (Berkowitz).
+    """Characteristic polynomial det(xI - A), division-free (Berkowitz).
 
-    Works over Z/q for any modulus q, which Faddeev-LeVerrier cannot (it
-    divides by k <= dim).  Returns ascending coefficients, length dim+1.
+    Exact over Z when q is None, else over Z/q for any modulus q.  Returns
+    ascending coefficients, length dim+1.
     """
+    def red(v):
+        return v if q is None else [x % q for x in v]
+
     n = len(a)
-    a = mat_mod(a, q)
-    coeffs = [1 % q, (-a[0][0]) % q]  # descending
-    for i in range(1, n):
+    a = [[int(x) for x in r] for r in a] if q is None else mat_mod(a, q)
+    coeffs = red([1])  # descending, the charpoly of the empty leading block
+    for i in range(n):
         R = a[i][:i]
-        S = [a[j][i] for j in range(i)]
         M = [row[:i] for row in a[:i]]
-        t = [1 % q, (-a[i][i]) % q]
-        v = S[:]
+        t = [1, -a[i][i]]
+        v = [a[j][i] for j in range(i)]
         for k in range(i):
-            dot = sum(x * y for x, y in zip(R, v)) % q
-            t.append((-dot) % q)
+            t.append(-sum(x * y for x, y in zip(R, v)))
             if k < i - 1:
-                v = [sum(M[r][c] * v[c] for c in range(i)) % q for r in range(i)]
-        new = [0] * (len(coeffs) + 1)
-        for idx in range(len(new)):
-            s = 0
-            for k in range(len(t)):
-                j = idx - k
-                if 0 <= j < len(coeffs):
-                    s += t[k] * coeffs[j]
-            new[idx] = s % q
-        coeffs = new
+                v = red([sum(x * y for x, y in zip(row, v)) for row in M])
+        t = red(t)
+        coeffs = red([sum(t[k] * coeffs[idx - k]
+                          for k in range(max(0, idx - i), min(idx, i + 1) + 1))
+                      for idx in range(i + 2)])
     return list(reversed(coeffs))

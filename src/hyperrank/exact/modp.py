@@ -243,25 +243,6 @@ def factor(f, p, seed=0):
 # --- Hensel ----------------------------------------------------------------
 
 
-def _divmod_q(f, g, q):
-    # g monic; coefficients mod q (q a prime power)
-    f = [c % q for c in f]
-    dg, df = deg(trim(list(g))), deg(trim(list(f)))
-    if dg < 0:
-        raise ZeroPolynomial("division by zero")
-    assert g[dg] % q == 1, "divisor must be monic for mod-q division"
-    if df < dg:
-        return [], trim(f)
-    quo = [0] * (df - dg + 1)
-    for k in range(df - dg, -1, -1):
-        c = f[dg + k] % q
-        quo[k] = c
-        if c:
-            for j in range(dg + 1):
-                f[j + k] = (f[j + k] - c * g[j]) % q
-    return trim(quo), trim(f[:dg])
-
-
 def _mul_q(f, g, q):
     if not f or not g:
         return []

@@ -207,10 +207,7 @@ class QPoly:
     # --- integer normal forms ---
 
     def denominator_lcm(self):
-        d = 1
-        for c in self.coeffs:
-            d = d * c.denominator // math.gcd(d, c.denominator)
-        return d
+        return math.lcm(*(c.denominator for c in self.coeffs))
 
     def int_coeffs(self):
         """Primitive integer coefficient list with positive leading coefficient.
@@ -220,10 +217,8 @@ class QPoly:
         if not self.coeffs:
             raise ZeroPolynomial("zero polynomial has no primitive part")
         d = self.denominator_lcm()
-        ints = [int(c * d) for c in self.coeffs]
-        g = 0
-        for v in ints:
-            g = math.gcd(g, v)
+        ints = [c.numerator * (d // c.denominator) for c in self.coeffs]
+        g = math.gcd(*ints)
         ints = [v // g for v in ints]
         if ints[-1] < 0:
             ints = [-v for v in ints]
@@ -237,13 +232,40 @@ def _coerce(x):
 
 
 def poly_gcd(f: QPoly, g: QPoly) -> QPoly:
-    """Monic gcd over Q; gcd(f, 0) = monic f; gcd(0, 0) raises BothZero."""
+    """Monic gcd over Q; gcd(f, 0) = monic f; gcd(0, 0) raises BothZero.
+
+    Fraction-free: Euclid with pseudo-remainders on integer primitive parts,
+    each remainder reduced to its primitive part (primitive PRS).
+    """
     if f.is_zero() and g.is_zero():
         raise BothZero("gcd(0, 0) is undefined")
-    a, b = f, g
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic()
+    if g.is_zero():
+        return f.monic()
+    if f.is_zero():
+        return g.monic()
+    a, b = f.int_coeffs(), g.int_coeffs()
+    while b:
+        r = _pseudo_rem(a, b)
+        content = math.gcd(*r)
+        a, b = b, [x // content for x in r]
+    return QPoly(a).monic()
+
+
+def _pseudo_rem(a, b):
+    """Remainder of lc(b)^k * a by b, k <= deg a - deg b + 1; ascending int
+    lists."""
+    a = list(a)
+    lead, tail = b[-1], b[:-1]
+    while len(a) >= len(b):
+        c = a.pop()
+        shift = len(a) - len(tail)
+        if lead != 1:
+            a = [lead * x for x in a]
+        for j, y in enumerate(tail):
+            a[shift + j] -= c * y
+        while a and a[-1] == 0:
+            a.pop()
+    return a
 
 
 def squarefree_part(f: QPoly) -> QPoly:

@@ -509,5 +509,6 @@ def uvs_decompose(structure: NilStructure, triple, g: NilElement):
             "this element; elimination through the step-2 formula fails")
     gu, gv, gs = (nil_element(structure, part) for part in parts)
     recomposed = nil_mul(gu, nil_mul(gv, gs))
-    assert recomposed.coords == g.coords
+    if recomposed.coords != g.coords:
+        raise NotDirectSum("the u v s factors do not recompose the element")
     return gu, gv, gs

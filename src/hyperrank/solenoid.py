@@ -23,6 +23,7 @@ from __future__ import annotations
 import cmath
 import csv
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -194,7 +195,9 @@ def apply_inverse(a: QMat, pt: SolenoidPoint) -> SolenoidPoint:
         for i in range(pt.dim):
             w = sum(adjr[i][j] * (res[j] - n[j]) for j in range(pt.dim))
             w = w * uinv % q
-            assert w % p ** l == 0, "branch translate failed to clear the level"
+            if w % p ** l:
+                raise PrecisionExhausted(
+                    "branch translate failed to clear the level")
             new_res.append((w // p ** l + carry[i]) % qn)
         xi.append((p, new_prec, tuple(new_res)))
     return SolenoidPoint(x=x, xi=tuple(xi))
@@ -483,13 +486,21 @@ def clt_check(f: TrigFunction, a: QMat, n=1024, orbits=200, seed=0,
     den = 1 << bits
     rng = random.Random(seed)
     center = f.mean()
-    # precompiled integer phase evaluation: mode terms as (num vec, den, coeff)
+    # precompiled integer phase evaluation, loop invariants hoisted: mode
+    # terms as (integer vector, modulus l * den, p-adic fibres, coeff)
     compiled = []
     for mode, coeff in f.terms:
-        l = 1
-        for c in mode:
-            l = l * c.denominator // math.gcd(l, c.denominator)
-        compiled.append((tuple(int(c * l) for c in mode), l, coeff))
+        l = math.lcm(*(c.denominator for c in mode))
+        fibres = []   # (p, p^t, (l / p^t)^-1 mod p^t) for p^t || l
+        for p in f.primes:
+            if l % p == 0:
+                qq = p ** vp_int(l, p)
+                fibres.append((p, qq, pow(l // qq, -1, qq)))
+        compiled.append((tuple(int(c * l) for c in mode), l * den, fibres,
+                         coeff))
+    tau = 2j * math.pi
+    mask = den - 1
+    modulus = {p: p ** prec for p in f.primes}
     sums = []
     for _ in range(orbits):
         num = [rng.randrange(den) for _ in range(d)]
@@ -498,28 +509,19 @@ def clt_check(f: TrigFunction, a: QMat, n=1024, orbits=200, seed=0,
         total = 0.0
         for _ in range(n):
             val = 0j
-            for ivec, l, coeff in compiled:
-                q = l * den
-                r = sum(iv * x for iv, x in zip(ivec, num)) % q
-                theta = r / q
-                for p in f.primes:
-                    t = vp_int(l, p) if l % p == 0 else 0
-                    if t == 0:
-                        continue
-                    qq = p ** t
-                    rest = l // p ** t
-                    s = sum(iv * x for iv, x in zip(ivec, xi[p]))
-                    s = s * pow(rest, -1, qq) % qq
-                    theta += s / qq
-                val += coeff * cmath.exp(2j * math.pi * theta)
+            for ivec, q, fibres, coeff in compiled:
+                theta = sum(map(operator.mul, ivec, num)) % q / q
+                for p, qq, inv in fibres:
+                    s = sum(map(operator.mul, ivec, xi[p]))
+                    theta += s * inv % qq / qq
+                val += coeff * cmath.exp(tau * theta)
             total += (val - center).real
-            w = [sum(rows[i][j] * num[j] for j in range(d)) for i in range(d)]
-            kv = [wi // den for wi in w]
-            num = [wi - ki * den for wi, ki in zip(w, kv)]
-            for p in f.primes:
-                q = p ** prec
-                xi[p] = [(sum(rows[i][j] * xi[p][j] for j in range(d)) + kv[i])
-                         % q for i in range(d)]
+            w = [sum(map(operator.mul, row, num)) for row in rows]
+            kv = [wi >> bits for wi in w]
+            num = [wi & mask for wi in w]
+            for p, q in modulus.items():
+                xi[p] = [(sum(map(operator.mul, row, xi[p])) + k) % q
+                         for row, k in zip(rows, kv)]
         sums.append(total / math.sqrt(n))
     arr = np.array(sums)
     corr = exact_correlation(f, f, a, min(ref_terms, n - 1))

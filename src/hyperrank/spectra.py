@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -58,6 +58,8 @@ class ActionSpec:
     its solenoid extension when determinants are not +-1)."""
 
     generators: tuple
+    _powers: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)   # (generator index, exponent) -> power
 
     def __post_init__(self):
         gens = tuple(g if isinstance(g, QMat) else QMat(g) for g in self.generators)
@@ -96,14 +98,26 @@ class ActionSpec:
         return sorted(out)
 
     def element(self, a):
-        """rho(a) = prod generators[i]^a[i]; rational when any a[i] < 0."""
+        """rho(a) = prod generators[i]^a[i]; rational when any a[i] < 0.
+
+        Generator powers are memoized per (generator, exponent).  A new one
+        costs one matmul when g^(e -+ 1) and g^(+-1) are known.
+        """
         if len(a) != self.rank:
             raise ValueError(f"element vector must have length {self.rank}")
-        out = QMat.identity(self.dim)
-        for g, e in zip(self.generators, a):
+        out = None
+        for i, (g, e) in enumerate(zip(self.generators, a)):
             if e:
-                out = out @ g.power(int(e))
-        return out
+                key, step = (i, int(e)), (i, 1 if e > 0 else -1)
+                prev = (i, key[1] - step[1])
+                if key not in self._powers:
+                    self._powers[key] = (
+                        self._powers[prev] @ self._powers[step]
+                        if prev in self._powers and step in self._powers
+                        else g.power(key[1]))
+                power = self._powers[key]
+                out = power if out is None else out @ power
+        return QMat.identity(self.dim) if out is None else out
 
 
 @dataclass(frozen=True)
@@ -224,7 +238,8 @@ def _real_refine(action: ActionSpec, tol):
                 nxt.append((Qg, vals + [float(np.mean(logm[grp]))]))
         blocks = nxt
     out = [(tuple(vals), Q.shape[1]) for Q, vals in blocks]
-    assert sum(m for _, m in out) == d
+    if sum(m for _, m in out) != d:
+        raise RootFindingFailure("real blocks do not span R^d")
     return out
 
 
@@ -444,21 +459,30 @@ def _padic_refine(action: ActionSpec, p, prec):
             nxt.extend(_split_block(blk, gi, p))
         blocks = nxt
     out = [(tuple(blk["vals"]), len(blk["gens"][0])) for blk in blocks]
-    assert sum(m for _, m in out) == action.dim
+    if sum(m for _, m in out) != action.dim:
+        raise PrecisionExhausted(f"p = {p}: blocks do not span Q_p^d")
     return out
 
 
-def _padic_functionals(action, p, base_prec, retries=4):
+def _padic_functionals(action, p, base_prec):
+    """p-adic refinement, doubling the precision from base_prec until it
+    succeeds or has run at a bound from the determinants.  Per generator g,
+    with e the lcm of the slope denominators, the slope shifts need up to
+    dim e v_p(det g) spare digits, and the shifts and saturation pivots use
+    up to (dim + 1) e v_p(det g).  The bound takes e <= dim, which fails only
+    when one block mixes slope denominators with a larger lcm."""
+    dim = action.dim
+    need = _MIN_PREC + (2 * dim + 1) * dim * sum(
+        vp_int(det, p) for det in action.dets())
     prec = base_prec
-    last = None
-    for _ in range(retries):
+    while True:
         try:
             return _padic_refine(action, p, prec)
         except PrecisionExhausted as exc:
-            last = exc
+            if prec >= need:
+                raise PrecisionExhausted(
+                    f"p = {p}: still failing at {prec} digits: {exc}")
             prec *= 2
-    raise PrecisionExhausted(
-        f"p = {p}: still failing at {prec // 2} digits: {last}")
 
 
 # --- the joint spectrum -----------------------------------------------------

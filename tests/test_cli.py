@@ -13,7 +13,9 @@ from pathlib import Path
 
 import pytest
 
+from hyperrank import spectra
 from hyperrank.cli import main
+from hyperrank.errors import PrecisionExhausted, RootFindingFailure
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -130,6 +132,61 @@ class TestAnalyze:
         assert code == 0
         assert json.loads(out)["verdict"] == "ok"
 
+    def test_padic_precision_doubles_past_the_old_retry_cap(self, capsys,
+                                                            tmp_path):
+        # v_2(det) = 40 needs more than the 4 -> 32 of four doublings; the
+        # pair is a product of two rank-one factors, so the verdict is 2
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(
+            {"format": 1, "padic_precision": 4,
+             "generators": [[[2 ** 40, 0], [0, 1]], [[1, 0], [0, 3]]]}))
+        out = tmp_path / "report.json"
+        code, _, _ = run(capsys, "analyze", str(cfg), "--out", str(out))
+        assert code == 2
+        report = json.loads(out.read_text())
+        assert report["verdict"] == "rank_one_factor"
+        exact = [f["exact"] for f in report["lyapunov"]["functionals"]
+                 if f["place"] == 2]
+        assert ["40", "0"] in exact
+
+    def test_padic_precision_rank_one_action_exit_zero(self, capsys, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(
+            {"format": 1, "padic_precision": 4,
+             "generators": [[[2 ** 40, 0], [0, 3]]]}))
+        code, out, _ = run(capsys, "analyze", str(cfg))
+        assert code == 0
+        assert json.loads(out)["verdict"] == "ok"
+
+    @pytest.mark.parametrize("target, exc", [
+        ("_padic_refine", PrecisionExhausted("no digits left")),
+        ("_real_refine", RootFindingFailure("clusters not separated")),
+    ])
+    def test_numerical_failure_exit_three_with_partial_report(
+            self, capsys, tmp_path, monkeypatch, target, exc):
+        def fail(*args, **kwargs):
+            raise exc
+        monkeypatch.setattr(spectra, target, fail)
+        cfg = tmp_path / "c.json"      # det 5: one p-adic place
+        cfg.write_text(json.dumps(
+            {"format": 1, "generators": [[[3, 1], [1, 2]]]}))
+        out = tmp_path / "report.json"
+        code, _, _ = run(capsys, "analyze", str(cfg), "--out", str(out))
+        assert code == 3
+        report = json.loads(out.read_text())
+        assert report["verdict"] == "inconclusive"
+        assert str(exc) in report["error"]
+        assert report["ergodicity"][0]["ergodic"] is True
+
+    @pytest.mark.parametrize("tol", ["NaN", "Infinity"])
+    def test_non_finite_tol_exit_one(self, capsys, tmp_path, tol):
+        cfg = tmp_path / "c.json"
+        cfg.write_text('{"format": 1, "generators": [[[2, 1], [1, 1]]], '
+                       f'"tol": {tol}}}')
+        code, _, err = run(capsys, "analyze", str(cfg))
+        assert code == 1
+        assert "tol" in err
+
     def test_byte_identical_reruns(self, capsys, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         run(capsys, "analyze", fixture("cubic_units_z2.json"),
@@ -214,6 +271,17 @@ class TestMixing:
         assert code == 1
         assert "HYPERRANK_SEED" in err
 
+    @pytest.mark.parametrize("coeff", ["[NaN, 0]", "[0.5, Infinity]",
+                                       "[-Infinity, 0]", "[1e999, 0]"])
+    def test_non_finite_coefficient_exit_one(self, capsys, tmp_path, coeff):
+        cfg = tmp_path / "c.json"
+        cfg.write_text('{"format": 1, "primes": [2], "matrix": [[2]], '
+                       f'"f": [{{"mode": [1], "coeff": {coeff}}}]}}')
+        code, out, err = run(capsys, "mixing", str(cfg), "--mc", "10")
+        assert code == 1
+        assert "finite" in err
+        assert out == ""
+
     def test_nmax_flag_overrides_config(self, capsys, tmp_path):
         csv_path = tmp_path / "curve.csv"
         code, _, _ = run(capsys, "mixing", fixture("doubling_mixing.json"),
@@ -273,6 +341,48 @@ class TestConjugate:
         assert s["residual"] == 0.0
         assert s["holder"] is None
         assert s["verify"]["sup"] < 1e-12
+
+    def test_constant_field_with_distinct_components(self, capsys, tmp_path):
+        # q = delta constant: h = (A - I)^-1 delta, flat in each component
+        # but with two different levels
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(
+            {"format": 1, "matrix": [[3, 1], [1, 2]], "grid": 16,
+             "perturbation": [{"mode": [0, 0],
+                               "coeff": [[-0.122, 0], [0.143, 0]]}]}))
+        summary = tmp_path / "s.json"
+        code, _, _ = run(capsys, "conjugate", str(cfg),
+                         "--out", str(tmp_path / "f.csv"),
+                         "--summary", str(summary))
+        assert code == 0
+        assert json.loads(summary.read_text())["holder"] is None
+
+    @pytest.mark.parametrize("where", ["re", "im", "tol"])
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_config_number_exit_one(self, capsys, tmp_path,
+                                               where, value):
+        re_, im_, tol = ("-0.1", "0", "1e-8")
+        if where == "re":
+            re_ = value
+        elif where == "im":
+            im_ = value
+        else:
+            tol = value
+        cfg = tmp_path / "c.json"
+        cfg.write_text('{"format": 1, "matrix": [[2]], "tol": ' + tol
+                       + ', "perturbation": [{"mode": [1], "coeff": [['
+                       + re_ + ', ' + im_ + ']]}]}')
+        code, out, err = run(capsys, "conjugate", str(cfg))
+        assert code == 1
+        assert out == ""
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1e-8"])
+    def test_bad_tol_flag_exit_one(self, capsys, tol):
+        code, out, err = run(capsys, "conjugate",
+                             fixture("doubling_conjugate.json"),
+                             f"--tol={tol}")
+        assert code == 1
+        assert out == ""
 
     def test_budget_exhaustion_exit_three(self, capsys, tmp_path):
         cfg = tmp_path / "c.json"
