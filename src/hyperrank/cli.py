@@ -150,6 +150,8 @@ def _int_matrix(obj, where):
         for v in row:
             if isinstance(v, bool) or not isinstance(v, int):
                 raise ParseError(f"{where}: entries must be integers")
+            # the float engines and the real spectrum convert entries
+            _finite(v, where)
     return tuple(tuple(row) for row in obj)
 
 

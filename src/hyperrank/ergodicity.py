@@ -82,13 +82,19 @@ def _poly_at(f: QPoly, m: QMat) -> QMat:
 
 
 def _saturate_rows(v: QMat) -> QMat:
-    """Basis (HNF rows) of rowspan(v) intersected with the integer lattice."""
+    """HNF basis of rowspan(v) intersected with Z^n (the saturated lattice).
+
+    That lattice is the integer kernel of the complement C = v.kernel(): the
+    rows of hnf_rows([C^T | I]) whose C^T part is zero carry a basis of it in
+    their I part, already in HNF (H. Cohen, A Course in Computational
+    Algebraic Number Theory, 1993, ch. 2).
+    """
+    n = v.shape[1]
     comp = v.kernel()
-    if not comp:
-        return QMat(hnf_rows([[int(i == j) for j in range(v.shape[1])]
-                              for i in range(v.shape[1])]))
-    sat = QMat(comp).kernel()
-    return QMat(hnf_rows([[int(x) for x in row] for row in sat]))
+    k = len(comp)
+    rows = [[c[j] for c in comp] + [int(i == j) for i in range(n)]
+            for j in range(n)]
+    return QMat([row[k:] for row in hnf_rows(rows) if not any(row[:k])])
 
 
 def _restrict_rows(basis: QMat, m: QMat) -> QMat:

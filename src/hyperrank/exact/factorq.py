@@ -17,16 +17,8 @@ from fractions import Fraction
 from ..errors import FactorSearchInconclusive
 from . import modp
 from .modp import hensel_lift
+from .padic import factor_int
 from .poly import QPoly, squarefree_decomposition
-
-
-def _is_prime(n):
-    if n < 2:
-        return False
-    for p in range(2, int(n ** 0.5) + 1):
-        if n % p == 0:
-            return False
-    return True
 
 
 def _usable_primes(ints, count=3, limit=500):
@@ -34,7 +26,7 @@ def _usable_primes(ints, count=3, limit=500):
     out = []
     p = 2
     while len(out) < count and p < limit:
-        if _is_prime(p) and ints[-1] % p != 0:
+        if factor_int(p) == {p: 1} and ints[-1] % p != 0:
             fbar = modp.reduce_mod(ints, p)
             if modp.deg(fbar) == len(ints) - 1:
                 if modp.is_one(modp.gcd(fbar, modp.derivative(fbar, p), p)):
@@ -102,7 +94,7 @@ def _factor_squarefree_monic_int(ints, seed=0):
                 continue
             prod = [1]
             for i in subset:
-                prod = modp._mul_q(prod, lifted[i], q)
+                prod = modp.mul(prod, lifted[i], q)
             cand = QPoly([_symmetric(c, q) for c in prod])
             quo, rem = divmod(current, cand)
             if rem.is_zero():

@@ -209,13 +209,9 @@ def primitive_vector(v):
     v = [Fraction(x) for x in v]
     if all(x == 0 for x in v):
         raise ValueError("zero vector has no primitive form")
-    den = 1
-    for x in v:
-        den = den * x.denominator // math.gcd(den, x.denominator)
+    den = math.lcm(*(x.denominator for x in v))
     ints = [int(x * den) for x in v]
-    g = 0
-    for x in ints:
-        g = math.gcd(g, x)
+    g = math.gcd(*ints)
     ints = [x // g for x in ints]
     lead = next(x for x in ints if x != 0)
     if lead < 0:
@@ -265,7 +261,6 @@ def mat_mod(rows, q):
 
 
 def mat_mul_mod(a, b, q):
-    n, k, m = len(a), len(b), len(b[0])
     bt = list(zip(*b))
     return [[sum(x * y for x, y in zip(row, col)) % q for col in bt]
             for row in a]

@@ -42,13 +42,7 @@ def add(f, g, p):
 
 
 def sub(f, g, p):
-    n = max(len(f), len(g))
-    out = [0] * n
-    for i in range(n):
-        a = f[i] if i < len(f) else 0
-        b = g[i] if i < len(g) else 0
-        out[i] = (a - b) % p
-    return trim(out)
+    return add(f, [-c for c in g], p)
 
 
 def mul(f, g, p):
@@ -243,17 +237,6 @@ def factor(f, p, seed=0):
 # --- Hensel ----------------------------------------------------------------
 
 
-def _mul_q(f, g, q):
-    if not f or not g:
-        return []
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] = (out[i + j] + a * b) % q
-    return trim(out)
-
-
 def _hensel_pair(f, g, h, s, t, p, K):
     """Lift f = g h from mod p to mod p^K; g, h monic coprime, s g + t h = 1 mod p.
 
@@ -264,7 +247,7 @@ def _hensel_pair(f, g, h, s, t, p, K):
     q = p
     for _ in range(K - 1):
         qn = q * p
-        prod = _mul_q(g, h, qn)
+        prod = mul(g, h, qn)
         e = [0] * max(len(f), len(prod))
         for i in range(len(e)):
             a = f[i] if i < len(f) else 0

@@ -30,9 +30,6 @@ class NewtonPolygon:
             out.extend([v] * m)
         return out
 
-    def total_degree(self):
-        return self.zero_roots + sum(m for _, m in self.slopes)
-
 
 def lower_hull(points):
     """Monotone-chain lower hull of (x, y) points with distinct ascending x."""

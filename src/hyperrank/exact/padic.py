@@ -1,4 +1,9 @@
-"""Truncated p-adic integers and valuation helpers.
+"""Truncated p-adic integers and the integer helpers of the exact core.
+
+The helpers are the package's one copy of each integer job: the p-adic
+valuation of an integer or a rational (vp_int, vp_fraction), the prime
+factorization by trial division (factor_int) and the integer Chinese
+remainder solve (crt_integers).
 
 A PadicTruncated value is a residue mod p^K together with the convention that
 valuation() == K means "valuation at least K" (the residue is 0, so the true
@@ -17,7 +22,8 @@ from ..errors import NonUnitInverse
 
 
 def vp_int(n: int, p: int) -> int:
-    """p-adic valuation of a nonzero integer; raises on 0."""
+    """p-adic valuation of a nonzero integer (0 when p does not divide it);
+    raises on 0."""
     if n == 0:
         raise ValueError("valuation of 0 is infinite")
     v = 0
@@ -33,6 +39,22 @@ def vp_fraction(x, p: int):
     if x == 0:
         raise ValueError("valuation of 0 is infinite")
     return vp_int(x.numerator, p) - vp_int(x.denominator, p)
+
+
+def factor_int(n: int):
+    """Prime factorization {p: e} of |n| by trial division (desk-scale
+    determinants and denominators); {} for |n| <= 1."""
+    n = abs(n)
+    out = {}
+    p = 2
+    while p * p <= n:
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+        p += 1 if p == 2 else 2
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
 
 
 def crt_integers(residues_moduli):

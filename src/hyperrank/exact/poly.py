@@ -182,12 +182,6 @@ class QPoly:
             acc = acc * x + c
         return acc
 
-    def compose(self, other):
-        acc = QPoly.zero()
-        for c in reversed(self.coeffs):
-            acc = acc * other + QPoly((c,))
-        return acc
-
     def reverse(self):
         """x^deg * f(1/x); zero constant term is preserved as a dropped leading zero."""
         return QPoly(tuple(reversed(self.coeffs)))
@@ -302,22 +296,9 @@ def squarefree_decomposition(f: QPoly):
     return out
 
 
-def _mobius(n):
-    m, out = n, 1
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            m //= p
-            if m % p == 0:
-                return 0
-            out = -out
-        p += 1
-    if m > 1:
-        out = -out
-    return out
-
-
 def euler_phi(n):
+    # a loop of its own, not padic.factor_int: every is_ergodic call reaches
+    # it, and building the factor dict makes it about twice as slow
     out, m = n, n
     p = 2
     while p * p <= m:

@@ -95,9 +95,7 @@ def nil_structure(dim, entries, scaling=None) -> NilStructure:
         vecs = [tuple(c[i][j][k] for k in range(dim))
                 for i in range(dim) for j in range(i + 1, dim)
                 if any(c[i][j][k] != 0 for k in range(dim))]
-        span = QMat(vecs)
-        rank = len(vecs) - len(span.transpose().kernel())
-        if rank != len(hit):
+        if QMat(vecs).rank() != len(hit):
             raise ValueError("derived subalgebra is not spanned by basis "
                              "vectors; re-coordinate the structure")
     half = []
@@ -352,16 +350,9 @@ def _col_matrix(vectors) -> QMat:
                            for v in vectors])))
 
 
-def _rank(vectors) -> int:
-    if not vectors:
-        return 0
-    m = QMat([tuple(Fraction(c) for c in v) for v in vectors])
-    return len(vectors) - len(m.transpose().kernel())
-
-
 def _in_span(vectors, v) -> bool:
     base = list(vectors)
-    return _rank(base) == _rank(base + [tuple(v)])
+    return QMat(base).rank() == QMat(base + [tuple(v)]).rank()
 
 
 def _is_subalgebra(structure, basis) -> bool:
@@ -393,14 +384,14 @@ def bracket_inclusion_check(structure: NilStructure,
         basis = tuple(tuple(Fraction(c) for c in v) for v in basis)
         if not basis:
             raise SplittingNotDirect(f"empty subspace tagged {tag}")
-        if _rank(list(basis)) != len(basis):
+        if QMat(basis).rank() != len(basis):
             raise SplittingNotDirect(f"subspace tagged {tag} is dependent")
         if any(t == tag for t, _ in tagged):
             raise SplittingNotDirect(f"duplicate tag {tag}")
         tagged.append((tag, basis))
     everything = [v for _, basis in tagged for v in basis]
     if len(everything) != structure.dim or \
-            _rank(everything) != structure.dim:
+            QMat(everything).rank() != structure.dim:
         raise SplittingNotDirect("subspaces do not split the algebra")
     lookup = dict(tagged)
     failures = []
@@ -452,7 +443,7 @@ def uvs_decompose(structure: NilStructure, triple, g: NilElement):
             raise NotSubalgebra(f"{name} part is not closed under brackets")
     d = structure.dim
     everything = [v for basis in bases for v in basis]
-    if len(everything) != d or _rank(everything) != d:
+    if len(everything) != d or QMat(everything).rank() != d:
         raise NotDirectSum("the three parts do not split the algebra")
     basis_mat = _col_matrix(everything)
     sizes = [len(b) for b in bases]

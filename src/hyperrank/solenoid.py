@@ -32,8 +32,7 @@ import numpy as np
 
 from .errors import (DegenerateFit, LeavesDualLattice, NotAnAutomorphism,
                      PrecisionExhausted)
-from .exact import QMat, crt_integers, vp_int
-from .spectra import _factor_int
+from .exact import QMat, crt_integers, factor_int, vp_int
 
 
 # --- points -----------------------------------------------------------------
@@ -137,7 +136,7 @@ def inverse_levels(a: QMat):
     det = int(a.det())
     adj = a.adjugate()
     out = {}
-    for p in _factor_int(det):
+    for p in factor_int(det):
         d = vp_int(det, p)
         m0 = min(vp_int(int(c), p) if c != 0 else d
                  for row in adj.rows for c in row)
@@ -156,7 +155,7 @@ def apply_inverse(a: QMat, pt: SolenoidPoint) -> SolenoidPoint:
     if det == 0:
         raise NotAnAutomorphism("singular matrix")
     have = set(pt.primes)
-    for p in _factor_int(det):
+    for p in factor_int(det):
         if p not in have:
             raise NotAnAutomorphism(
                 f"determinant prime {p} is not inverted in this solenoid")
@@ -183,7 +182,7 @@ def apply_inverse(a: QMat, pt: SolenoidPoint) -> SolenoidPoint:
     xi = []
     for p, prec, res in pt.xi:
         l = levels.get(p, 0)
-        dv = vp_int(det, p) if det % p == 0 else 0
+        dv = vp_int(det, p)
         m0 = dv - l
         adjr = [[int(c) // p ** m0 for c in row] for row in adj.rows]
         u = det // p ** dv
@@ -209,7 +208,7 @@ def apply_inverse(a: QMat, pt: SolenoidPoint) -> SolenoidPoint:
 def _mode_primes(mode):
     out = set()
     for c in mode:
-        out.update(_factor_int(Fraction(c).denominator))
+        out.update(factor_int(Fraction(c).denominator))
     return out
 
 
@@ -219,9 +218,7 @@ def character_phase(mode, pt: SolenoidPoint) -> Fraction:
     for p, prec, res in pt.xi:
         t = 0
         for m in mode:
-            den = Fraction(m).denominator
-            if den % p == 0:
-                t = max(t, vp_int(den, p))
+            t = max(t, vp_int(Fraction(m).denominator, p))
         if t == 0:
             continue
         if prec < t:
@@ -231,7 +228,7 @@ def character_phase(mode, pt: SolenoidPoint) -> Fraction:
         num = 0
         for m, r in zip(mode, res):
             m = Fraction(m)
-            tp = vp_int(m.denominator, p) if m.denominator % p == 0 else 0
+            tp = vp_int(m.denominator, p)
             rest = m.denominator // p ** tp
             num += m.numerator * pow(rest, -1, q) * p ** (t - tp) * r
         theta += Fraction(num % q, q)

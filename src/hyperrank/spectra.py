@@ -30,26 +30,11 @@ import numpy as np
 
 from .errors import (CommutativityViolated, PrecisionExhausted, RankDeficient,
                      RootFindingFailure)
-from .exact import QMat, primitive_vector, vp_int
+from .exact import QMat, QPoly, factor_int, primitive_vector, vp_int
 from .exact.intmat import (berkowitz_charpoly_mod, mat_mod, mat_mul_mod,
                            mat_pow_mod)
 from .exact.modp import hensel_lift
-from .exact.newton import lower_hull, newton_polygon
-
-
-def _factor_int(n: int):
-    """Prime factorization of |n| by trial division (desk-scale determinants)."""
-    n = abs(n)
-    out = {}
-    p = 2
-    while p * p <= n:
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-        p += 1 if p == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
+from .exact.newton import newton_polygon
 
 
 @dataclass(frozen=True)
@@ -94,7 +79,7 @@ class ActionSpec:
         """Primes dividing any generator determinant, ascending."""
         out = set()
         for det in self.dets():
-            out.update(_factor_int(det))
+            out.update(factor_int(det))
         return sorted(out)
 
     def element(self, a):
@@ -133,11 +118,6 @@ class LyapunovFunctional:
 
     def value_at(self, a):
         return sum(v * float(e) for v, e in zip(self.values, a))
-
-    def exact_at(self, a):
-        if self.exact is None:
-            raise ValueError("real functionals carry no exact valuations")
-        return sum(v * int(e) for v, e in zip(self.exact, a))
 
 
 @dataclass(frozen=True)
@@ -253,42 +233,24 @@ def _polygon_classes(coeffs, p, W):
     """Slope classes [(valuation Fraction >= 0, multiplicity)] of a monic
     polynomial known mod p^W.  Raises PrecisionExhausted when a coefficient
     indistinguishable from zero could cut the hull."""
-    degree = len(coeffs) - 1
-    pts, skipped = [], []
-    for i, c in enumerate(coeffs):
-        if c == 0:
-            if i == 0:
-                raise PrecisionExhausted(
-                    "constant term is 0 mod p^W; determinant valuation >= precision")
-            if i < degree:
-                skipped.append(i)
+    if coeffs[0] == 0:
+        raise PrecisionExhausted(
+            "constant term is 0 mod p^W; determinant valuation >= precision")
+    poly = newton_polygon(QPoly(coeffs), p)
+    hull = poly.vertices
+    for i, c in enumerate(coeffs[1:-1], 1):
+        if c != 0:
             continue
-        pts.append((i, Fraction(vp_int(c, p))))
-    hull = lower_hull(pts)
-
-    def hull_height(i):
         for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
             if x1 <= i <= x2:
-                return y1 + Fraction(y2 - y1, x2 - x1) * (i - x1)
-        return None
-
-    for i in skipped:
-        h = hull_height(i)
-        if h is not None and h >= W:
-            raise PrecisionExhausted(
-                f"hull at index {i} reaches the precision ceiling {W}")
-    classes = []
-    for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
-        val = Fraction(-(y2 - y1), x2 - x1)
-        if classes and classes[-1][0] == val:
-            classes[-1] = (val, classes[-1][1] + (x2 - x1))
-        else:
-            classes.append((val, x2 - x1))
-    classes.reverse()
-    if any(v < 0 for v, _ in classes):
+                if y1 + Fraction(y2 - y1, x2 - x1) * (i - x1) >= W:
+                    raise PrecisionExhausted(
+                        f"hull at index {i} reaches the precision ceiling {W}")
+                break
+    if any(v < 0 for v, _ in poly.slopes):
         raise PrecisionExhausted("negative slope from a p-integral matrix: "
                                  "precision artifact")
-    return classes
+    return list(poly.slopes)
 
 
 def _eval_poly_mat(coeffs, M, q):
@@ -505,7 +467,7 @@ def joint_spectrum(action: ActionSpec, tol=1e-9, padic_prec=32) -> LyapunovSpect
         blocks = _padic_functionals(action, p, padic_prec)
         for g in range(action.rank):
             total = sum(v[g] * mult for v, mult in blocks)
-            expected = vp_int(action.dets()[g], p) if action.dets()[g] % p == 0 else 0
+            expected = vp_int(action.dets()[g], p)
             if total != expected:
                 raise RootFindingFailure(
                     f"p = {p}: valuation sum {total} != v_p(det) = {expected} "

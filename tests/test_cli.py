@@ -187,6 +187,29 @@ class TestAnalyze:
         assert code == 1
         assert "tol" in err
 
+    def test_unsaturated_split_rank_one_exit_two(self, capsys, tmp_path):
+        # generators M and M^2; M has the eigenvalue 1, so a rank-one factor.
+        # Splitting M's charpoly gives a kernel-of-kernel lattice of index 2
+        # in its rational span, which used to end in exit 1.
+        out = tmp_path / "report.json"
+        code, _, err = run(capsys, "analyze",
+                           fixture("unsaturated_split.json"),
+                           "--out", str(out))
+        assert code == 2, err
+        report = json.loads(out.read_text())
+        assert report["verdict"] == "rank_one_factor"
+        assert report["rank_one"]["blocks"] == [[1, 0], [2, 1]]
+        assert report["rank_one"]["culprit_dim"] == 1
+
+    def test_entry_beyond_float_range_exit_one(self, capsys, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text('{"format": 1, "generators": '
+                       f'[[[{10 ** 320 + 1}, 1], [1, 1]]]}}')
+        code, out, err = run(capsys, "analyze", str(cfg))
+        assert code == 1
+        assert "generators[0]" in err and "finite" in err
+        assert out == ""
+
     def test_byte_identical_reruns(self, capsys, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         run(capsys, "analyze", fixture("cubic_units_z2.json"),
@@ -280,6 +303,17 @@ class TestMixing:
         code, out, err = run(capsys, "mixing", str(cfg), "--mc", "10")
         assert code == 1
         assert "finite" in err
+        assert out == ""
+
+    def test_matrix_entry_beyond_float_range_exit_one(self, capsys,
+                                                      tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text('{"format": 1, "primes": [2], '
+                       f'"matrix": [[{2 * 10 ** 320}]], '
+                       '"f": [{"mode": [1], "coeff": [1, 0]}]}')
+        code, out, err = run(capsys, "mixing", str(cfg), "--mc", "10")
+        assert code == 1
+        assert "matrix" in err and "finite" in err
         assert out == ""
 
     def test_nmax_flag_overrides_config(self, capsys, tmp_path):

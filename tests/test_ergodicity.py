@@ -17,7 +17,7 @@ from hyperrank.errors import (HypothesisViolated, NoErgodicSubgroupFound,
                               NonErgodic, NotFound)
 from hyperrank.exact import QMat, QPoly
 from hyperrank.ergodicity import (ErgodicityCertificate, Z2SubgroupCertificate,
-                                  ergodic_element, ergodic_z2_subgroup,
+                                  _saturate_rows, ergodic_element, ergodic_z2_subgroup,
                                   has_rank_one_factor, is_ergodic,
                                   non_ergodic_primitive_triples,
                                   rational_splitting, require_ergodic)
@@ -131,6 +131,25 @@ class TestRationalSplitting:
         blocks = rational_splitting(QMat([[0, 2], [-3, 5]]))
         assert [b.basis.rows for b in blocks] == [((1, 1),), ((2, 3),)]
         assert [b.matrices[0].rows for b in blocks] == [((2,),), ((3,),)]
+
+    def test_saturate_rows_returns_the_saturated_lattice(self):
+        # the kernel-of-kernel basis of this span has index 2 in the lattice
+        # {2 x1 + x2 + x3 = 0}, which contains (0, 1, -1)
+        sat = _saturate_rows(QMat([[0, 1, -1], [1, -2, 0]]))
+        assert sat == QMat([[1, 0, -2], [0, 1, -1]])
+        assert _saturate_rows(QMat([[2, 4, 6]])) == QMat([[1, 2, 3]])
+        assert _saturate_rows(QMat([[2, 0], [0, 3]])) == QMat.identity(2)
+
+    def test_random_matrices_restrict_to_integer_blocks(self):
+        rng = random.Random(1)
+        for _ in range(300):
+            m = QMat([[rng.randint(-3, 3) for _ in range(3)]
+                      for _ in range(3)])
+            blocks = rational_splitting(m)
+            assert sum(b.dim for b in blocks) == 3
+            for blk in blocks:
+                bt = blk.basis.transpose()
+                assert m @ bt == bt @ blk.matrices[0]
 
     def test_block_diagonal_action(self):
         eye = [[1, 0], [0, 1]]

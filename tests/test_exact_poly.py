@@ -9,10 +9,11 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from hyperrank.errors import BothZero, ZeroPolynomial
 from hyperrank.exact import cyclotomic, euler_phi, poly_gcd, squarefree_part
-from hyperrank.exact.poly import (QPoly, _mobius, cyclotomic_indices_up_to_degree,
+from hyperrank.exact.poly import (QPoly, cyclotomic_indices_up_to_degree,
                                   squarefree_decomposition)
 
 
@@ -32,7 +33,7 @@ def cyclotomic_oracle(m):
     for d in range(1, m + 1):
         if m % d:
             continue
-        mu = _mobius(d)
+        mu = int(sympy.mobius(d))
         f = QPoly.monomial(m // d) - QPoly.one()
         if mu == 1:
             num = num * f

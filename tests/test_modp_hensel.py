@@ -133,7 +133,7 @@ def test_hensel_random_roundtrip():
             prod = [1]
             for g in lifted:
                 assert g[-1] == 1
-                prod = modp._mul_q(prod, g, q)
+                prod = modp.mul(prod, g, q)
             assert prod == [c % q for c in f]
             for orig, lift in zip(facs, lifted):
                 assert [c % p for c in lift] == orig
