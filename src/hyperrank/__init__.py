@@ -27,8 +27,17 @@ from .solenoid import (SolenoidPoint, TrigFunction, apply, apply_inverse,
 from .nilpotent import (NilElement, NilStructure, automorphism_action,
                         bracket_inclusion_check, heisenberg, nil_crt,
                         nil_element, nil_element_padic, nil_inv, nil_mul,
-                        nil_structure, nil_structure_from_json,
-                        uvs_decompose)
+                        nil_structure, uvs_decompose)
 from .conjugacy import (ConjugacyField, PerturbedMap, holder_estimate,
                         perturbed_map, solve_conjugacy, trig_perturbation,
                         verify_conjugacy)
+
+
+def __getattr__(name):
+    # The structure-file reader belongs to the CLI's input layer.  It is
+    # imported on first use: importing hyperrank.cli here would load it
+    # before `python -m hyperrank.cli` runs it, which makes runpy warn.
+    if name == "nil_structure_from_json":
+        from .cli import nil_structure_from_json
+        return nil_structure_from_json
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -41,7 +41,7 @@ from .errors import (
     PrecisionExhausted,
     RootFindingFailure,
 )
-from .exact import QMat
+from .exact import QMat, factor_int
 from .spectra import (
     ActionSpec,
     coarse_classes,
@@ -65,7 +65,7 @@ from .conjugacy import (
     trig_perturbation,
     verify_conjugacy,
 )
-from .nilpotent import nil_crt, nil_element_padic, nil_structure_from_json
+from .nilpotent import nil_crt, nil_element_padic, nil_structure
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -75,162 +75,172 @@ EXIT_DUAL_LATTICE = 4
 EXIT_NOT_EXPANDING = 5
 
 
-# --- config plumbing --------------------------------------------------------
+# --- input layer ------------------------------------------------------------
+#
+# Every value from a config file, a flag or HYPERRANK_SEED passes one of the
+# validators below before any work starts.  A validator takes the raw value
+# and the name its error message quotes, and returns the checked value.
 
 
-def _load_config(path):
+def _load_json(path):
     try:
         with open(path, "r", encoding="ascii") as fobj:
-            obj = json.load(fobj)
+            return json.load(fobj)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}")
     except (ValueError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}")
-    if not isinstance(obj, dict):
-        raise ParseError(f"{path}: top level must be an object")
-    return obj
 
 
-def _check_keys(obj, allowed, required, where):
-    unknown = sorted(set(obj) - set(allowed))
+def _object(v, name, allowed=None, required=()):
+    """A JSON object with all required keys and, when allowed is given, no
+    other keys than those."""
+    if not isinstance(v, dict):
+        raise ParseError(f"{name} must be an object")
+    unknown = [] if allowed is None else sorted(set(v) - set(allowed))
     if unknown:
-        raise ParseError(f"{where}: unknown keys {unknown}")
-    missing = sorted(set(required) - set(obj))
+        raise ParseError(f"{name}: unknown keys {unknown}")
+    missing = sorted(set(required) - set(v))
     if missing:
-        raise ParseError(f"{where}: missing keys {missing}")
+        raise ParseError(f"{name}: missing keys {missing}")
+    return v
 
 
-def _check_format(obj, where):
-    _check_keys(obj, set(obj) | {"format"}, ["format"], where)
-    if obj["format"] != 1:
-        raise ParseError(f"{where}: unsupported format {obj['format']!r} "
+def _config(v, name, allowed, required):
+    """A config object of format 1 with the given keys besides "format"."""
+    if _int(_object(v, name, required=["format"])["format"],
+            f"{name}: format") != 1:
+        raise ParseError(f"{name}: unsupported format {v['format']!r} "
                          "(this tool reads format 1)")
+    return _object(v, name, ["format", *allowed], required)
 
 
-def _get_int(obj, key, where, default=None, low=None, high=None):
-    if key not in obj:
-        return default
-    v = obj[key]
+def _get(obj, key, where, validate, default=None, flag=(None, None),
+         **bounds):
+    """obj[key] through validate, or default when the key is absent.  A
+    command-line flag, given as (name, value), overrides the key when its
+    value is not None, and passes the same validator and bounds."""
+    value = (validate(obj[key], f"{where}: {key}", **bounds) if key in obj
+             else default)
+    name, given = flag
+    return value if given is None else validate(given, name, **bounds)
+
+
+def _int(v, name, low=None, high=None):
     if isinstance(v, bool) or not isinstance(v, int):
-        raise ParseError(f"{where}: {key} must be an integer")
+        raise ParseError(f"{name} must be an integer")
     if low is not None and v < low:
-        raise ParseError(f"{where}: {key} must be >= {low}")
+        raise ParseError(f"{name} must be >= {low}")
     if high is not None and v > high:
-        raise ParseError(f"{where}: {key} must be <= {high}")
+        raise ParseError(f"{name} must be <= {high}")
     return v
 
 
-def _get_number(obj, key, where, default=None, positive=False):
-    if key not in obj:
-        return default
-    v = obj[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ParseError(f"{where}: {key} must be a number")
-    v = _finite(v, f"{where}: {key}")
-    if positive and not v > 0:
-        raise ParseError(f"{where}: {key} must be positive")
-    return v
-
-
-def _finite(v, where):
+def _number(v, name, positive=False):
     """float(v), refusing NaN, infinities and integers beyond float range."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ParseError(f"{name} must be a number")
     if not abs(v) <= sys.float_info.max:
-        raise ParseError(f"{where}: {v!r} is not a finite number")
+        raise ParseError(f"{name}: {v!r} is not a finite number")
+    if positive and not v > 0:
+        raise ParseError(f"{name} must be positive")
     return float(v)
 
 
-def _int_matrix(obj, where):
-    if (not isinstance(obj, list) or not obj
-            or not all(isinstance(row, list) for row in obj)):
-        raise ParseError(f"{where}: expected a list of integer rows")
-    width = len(obj[0])
-    for row in obj:
-        if len(row) != width:
-            raise ParseError(f"{where}: ragged rows")
-        for v in row:
-            if isinstance(v, bool) or not isinstance(v, int):
-                raise ParseError(f"{where}: entries must be integers")
+def _prime(v, name):
+    p = _int(v, name, low=2)
+    if factor_int(p) != {p: 1}:
+        raise ParseError(f"{name}: {p} is not a prime")
+    return p
+
+
+def _list(v, name, length=None, each=None, nonempty=False, **bounds):
+    """A JSON list as a tuple, of the given length when set, with each entry
+    passed through the validator each (and its bounds) when given."""
+    if (not isinstance(v, list) or (nonempty and not v)
+            or length is not None and len(v) != length):
+        want = ("a nonempty list" if nonempty else "a list" if length is None
+                else f"a list of length {length}")
+        raise ParseError(f"{name} must be {want}")
+    if each is None:
+        return tuple(v)
+    return tuple(each(t, f"{name}[{i}]", **bounds) for i, t in enumerate(v))
+
+
+def _int_list(v, name, length=None, **bounds):
+    return _list(v, name, length, _int, **bounds)
+
+
+def _int_matrix(v, name):
+    """A square integer matrix as a tuple of rows."""
+    rows = _list(v, name, nonempty=True)
+    rows = tuple(_int_list(row, f"{name}[{i}]", len(rows))
+                 for i, row in enumerate(rows))
+    for row in rows:
+        for t in row:
             # the float engines and the real spectrum convert entries
-            _finite(v, where)
-    return tuple(tuple(row) for row in obj)
+            _number(t, name)
+    return rows
 
 
-def _fraction(v, where):
+def _fraction(v, name):
     # accepted spellings: 3, "3/2", [3, 2]
-    if isinstance(v, bool):
-        raise ParseError(f"{where}: not a rational")
-    if isinstance(v, int):
-        return Fraction(v)
     if isinstance(v, str):
         try:
             return Fraction(v)
         except (ValueError, ZeroDivisionError):
-            raise ParseError(f"{where}: cannot parse rational {v!r}")
-    if (isinstance(v, list) and len(v) == 2
-            and all(isinstance(t, int) and not isinstance(t, bool)
-                    for t in v)):
-        if v[1] == 0:
-            raise ParseError(f"{where}: zero denominator")
-        return Fraction(v[0], v[1])
-    raise ParseError(f"{where}: cannot parse rational {v!r}")
+            raise ParseError(f"{name}: cannot parse rational {v!r}")
+    if isinstance(v, list):
+        num, den = _int_list(v, name, 2)
+        if den == 0:
+            raise ParseError(f"{name}: zero denominator")
+        return Fraction(num, den)
+    return Fraction(_int(v, name))
 
 
-def _complex_pair(v, where):
-    if (not isinstance(v, list) or len(v) != 2
-            or any(isinstance(t, bool) or not isinstance(t, (int, float))
-                   for t in v)):
-        raise ParseError(f"{where}: expected [re, im]")
-    return complex(_finite(v[0], where), _finite(v[1], where))
+def _complex_pair(v, name):
+    return complex(*_list(v, name, 2, _number))
 
 
-def _observable_terms(obj, where):
-    if not isinstance(obj, list) or not obj:
-        raise ParseError(f"{where}: expected a nonempty list of terms")
-    terms = []
-    for i, term in enumerate(obj):
-        here = f"{where}[{i}]"
-        if not isinstance(term, dict):
-            raise ParseError(f"{here}: expected an object")
-        _check_keys(term, ["mode", "coeff"], ["mode", "coeff"], here)
-        if not isinstance(term["mode"], list) or not term["mode"]:
-            raise ParseError(f"{here}: mode must be a nonempty list")
-        mode = tuple(_fraction(v, f"{here}.mode") for v in term["mode"])
-        terms.append((mode, _complex_pair(term["coeff"], f"{here}.coeff")))
-    return terms
-
-
-def _perturbation_terms(obj, dim, where):
-    if not isinstance(obj, list):
-        raise ParseError(f"{where}: expected a list of terms")
-    terms = []
-    for i, term in enumerate(obj):
-        here = f"{where}[{i}]"
-        if not isinstance(term, dict):
-            raise ParseError(f"{here}: expected an object")
-        _check_keys(term, ["mode", "coeff"], ["mode", "coeff"], here)
-        mode = term["mode"]
-        if (not isinstance(mode, list) or len(mode) != dim
-                or any(isinstance(v, bool) or not isinstance(v, int)
-                       for v in mode)):
-            raise ParseError(f"{here}: mode must be {dim} integers")
-        coeff = term["coeff"]
-        if not isinstance(coeff, list) or len(coeff) != dim:
-            raise ParseError(f"{here}: coeff must list {dim} [re, im] pairs")
-        coeffs = tuple(_complex_pair(c, f"{here}.coeff") for c in coeff)
-        terms.append((tuple(mode), coeffs))
-    return terms
+def _terms(v, name, mode, coeff, nonempty=False):
+    """A list of {"mode": ..., "coeff": ...} objects as (mode, coeff) pairs,
+    each part passed through its validator."""
+    out = []
+    for i, term in enumerate(_list(v, name, nonempty=nonempty)):
+        here = f"{name}[{i}]"
+        term = _object(term, here, ["mode", "coeff"], ["mode", "coeff"])
+        out.append((mode(term["mode"], f"{here}.mode"),
+                    coeff(term["coeff"], f"{here}.coeff")))
+    return out
 
 
 def _resolve_seed(config, where):
-    seed = _get_int(config, "seed", where, default=0, low=0)
     env = os.environ.get("HYPERRANK_SEED")
-    if env is not None:
-        try:
-            seed = int(env)
-        except ValueError:
-            raise ParseError(f"HYPERRANK_SEED must be an integer, "
-                             f"got {env!r}")
-    return seed
+    try:
+        env = None if env is None else int(env)
+    except ValueError:
+        raise ParseError(f"HYPERRANK_SEED must be an integer, got {env!r}")
+    return _get(config, "seed", where, _int, 0, low=0,
+                flag=("HYPERRANK_SEED", env))
+
+
+def nil_structure_from_json(obj, where="structure"):
+    """The step-2 structure of a structure file: {"format": 1, "dim": d,
+    "brackets": [[i, j, k, num, den], ...], "lattice_scaling": [s_1, ...,
+    s_d]}, scaling entries spelled as rationals; unknown keys are rejected."""
+    obj = _config(obj, where, ["dim", "brackets", "lattice_scaling"],
+                  ["dim"])
+    dim = _int(obj["dim"], f"{where}: dim", low=1)
+    entries = []
+    for n, row in enumerate(_get(obj, "brackets", where, _list, ())):
+        here = f"{where}: bracket row {n}"
+        i, j, k, num, den = _int_list(row, here, 5)
+        entries.append((i, j, k, _fraction([num, den], here)))
+    scaling = _get(obj, "lattice_scaling", where, _list, each=_fraction)
+    try:
+        return nil_structure(dim, entries, scaling)
+    except ValueError as exc:
+        raise ParseError(f"{where}: {exc}") from exc
 
 
 def _write_text(path, text):
@@ -290,32 +300,20 @@ def _serialize_obstructions(obstructions):
 
 
 def cmd_analyze(args):
-    config = _load_config(args.config)
     where = args.config
-    _check_format(config, where)
-    _check_keys(config,
-                ["format", "generators", "padic_precision", "tol", "z2"],
-                ["format", "generators"], where)
-    if not isinstance(config["generators"], list) or not config["generators"]:
-        raise ParseError(f"{where}: generators must be a nonempty list")
-    gens = tuple(_int_matrix(g, f"{where}: generators[{i}]")
-                 for i, g in enumerate(config["generators"]))
-    prec = _get_int(config, "padic_precision", where, default=32, low=4)
-    tol = _get_number(config, "tol", where, default=1e-9, positive=True)
-
-    z2_pair = _Z2_DEFAULT_PAIR
-    z2_combo = _Z2_DEFAULT_COMBO
-    if "z2" in config:
-        z2cfg = config["z2"]
-        if not isinstance(z2cfg, dict):
-            raise ParseError(f"{where}: z2 must be an object")
-        _check_keys(z2cfg, ["pair_bound", "combo_bound"], [], f"{where}: z2")
-        z2_pair = _get_int(z2cfg, "pair_bound", f"{where}: z2",
-                           default=z2_pair, low=0)
-        z2_combo = _get_int(z2cfg, "combo_bound", f"{where}: z2",
-                            default=z2_combo, low=1)
-    if args.bound is not None:
-        z2_pair = args.bound
+    config = _config(_load_json(where), where,
+                     ["generators", "padic_precision", "tol", "z2"],
+                     ["generators"])
+    gens = _list(config["generators"], f"{where}: generators",
+                 each=_int_matrix, nonempty=True)
+    prec = _get(config, "padic_precision", where, _int, 32, low=4)
+    tol = _get(config, "tol", where, _number, 1e-9, positive=True)
+    z2 = _get(config, "z2", where, _object, {},
+              allowed=["pair_bound", "combo_bound"])
+    z2_pair = _get(z2, "pair_bound", f"{where}: z2", _int, _Z2_DEFAULT_PAIR,
+                   low=0, flag=("--bound", args.bound))
+    z2_combo = _get(z2, "combo_bound", f"{where}: z2", _int,
+                    _Z2_DEFAULT_COMBO, low=1)
 
     try:
         action = ActionSpec(gens)
@@ -399,69 +397,49 @@ def cmd_analyze(args):
 
 
 def cmd_mixing(args):
-    config = _load_config(args.config)
     where = args.config
-    _check_format(config, where)
-    _check_keys(config,
-                ["format", "primes", "matrix", "f", "g", "n_max",
-                 "fit_range", "mc", "seed"],
-                ["format", "primes", "matrix", "f"], where)
-    primes = config["primes"]
-    if (not isinstance(primes, list)
-            or any(isinstance(p, bool) or not isinstance(p, int) or p < 2
-                   for p in primes)):
-        raise ParseError(f"{where}: primes must be a list of primes")
+    config = _config(_load_json(where), where,
+                     ["primes", "matrix", "f", "g", "n_max", "fit_range",
+                      "mc", "seed"],
+                     ["primes", "matrix", "f"])
+    primes = _list(config["primes"], f"{where}: primes", each=_prime)
     matrix = _int_matrix(config["matrix"], f"{where}: matrix")
-    f = TrigFunction.build(_observable_terms(config["f"], f"{where}: f"),
-                           primes)
-    if "g" in config:
-        g = TrigFunction.build(_observable_terms(config["g"], f"{where}: g"),
-                               primes)
-    else:
-        g = f
-    n_max = args.n_max
-    if n_max is None:
-        n_max = _get_int(config, "n_max", where, default=12, low=1)
+
+    def observable(key):
+        terms = _terms(config[key], f"{where}: {key}",
+                       lambda v, name: _list(v, name, len(matrix), _fraction),
+                       _complex_pair, nonempty=True)
+        return TrigFunction.build(terms, primes)
+
+    f = observable("f")
+    g = observable("g") if "g" in config else f
+    n_max = _get(config, "n_max", where, _int, 12, low=1,
+                 flag=("--nmax", args.n_max))
     fit_range = None
     if "fit_range" in config:
-        fr = config["fit_range"]
-        if (not isinstance(fr, list) or len(fr) != 2
-                or any(isinstance(v, bool) or not isinstance(v, int)
-                       for v in fr)):
-            raise ParseError(f"{where}: fit_range must be [first, last]")
-        fit_range = (fr[0], fr[1])
+        # the inclusive lags first..last
+        first, last = _int_list(config["fit_range"], f"{where}: fit_range",
+                                2, low=0, high=n_max)
+        if first > last:
+            raise ParseError(f"{where}: fit_range must be [first, last] "
+                             "with first <= last")
+        fit_range = range(first, last + 1)
     seed = _resolve_seed(config, where)
+    mc = _get(config, "mc", where, _object, {}, allowed=["lags", "samples"])
+    mc_lags = _get(mc, "lags", f"{where}: mc", _int_list,
+                   range(n_max + 1), low=0)
+    # Monte Carlo rows only when the config has "mc" or the flag is given
+    mc_samples = _get(mc, "samples", f"{where}: mc", _int,
+                      10000 if "mc" in config else None, low=1,
+                      flag=("--mc", args.mc))
 
-    mc_samples = args.mc
-    mc_lags = None
-    if "mc" in config:
-        mccfg = config["mc"]
-        if not isinstance(mccfg, dict):
-            raise ParseError(f"{where}: mc must be an object")
-        _check_keys(mccfg, ["lags", "samples"], [], f"{where}: mc")
-        if "lags" in mccfg:
-            lags = mccfg["lags"]
-            if (not isinstance(lags, list)
-                    or any(isinstance(v, bool) or not isinstance(v, int)
-                           or v < 0 for v in lags)):
-                raise ParseError(f"{where}: mc lags must be lags >= 0")
-            mc_lags = list(lags)
-        if mc_samples is None:
-            mc_samples = _get_int(mccfg, "samples", f"{where}: mc",
-                                  default=10000, low=1)
-
-    try:
-        amat = QMat(matrix)
-        curve = mixing_curve(f, g, amat, n_max, fit_range=fit_range)
-    except ValueError as exc:
-        raise ParseError(f"{where}: {exc}")
+    amat = QMat(matrix)
+    curve = mixing_curve(f, g, amat, n_max, fit_range=fit_range)
 
     rows = [CorrelationRow(n=n, value=v, method="exact")
             for n, v in enumerate(curve.values)]
     mc_report = []
     if mc_samples is not None:
-        if mc_lags is None:
-            mc_lags = list(range(n_max + 1))
         for lag in mc_lags:
             est = monte_carlo_correlation(f, g, amat, lag,
                                           samples=mc_samples, seed=seed)
@@ -494,44 +472,27 @@ def cmd_mixing(args):
 
 
 def cmd_conjugate(args):
-    config = _load_config(args.config)
     where = args.config
-    _check_format(config, where)
-    _check_keys(config,
-                ["format", "matrix", "perturbation", "grid", "tol", "budget",
-                 "verify_samples", "holder_pairs", "seed"],
-                ["format", "matrix", "perturbation"], where)
+    config = _config(_load_json(where), where,
+                     ["matrix", "perturbation", "grid", "tol", "budget",
+                      "verify_samples", "holder_pairs", "seed"],
+                     ["matrix", "perturbation"])
     matrix = _int_matrix(config["matrix"], f"{where}: matrix")
     dim = len(matrix)
-    terms = _perturbation_terms(config["perturbation"], dim,
-                                f"{where}: perturbation")
-    grid = args.grid
-    if grid is None:
-        grid = _get_int(config, "grid", where, default=1024, low=2)
-    tol = args.tol
-    if tol is None:
-        tol = _get_number(config, "tol", where, default=1e-8, positive=True)
-    elif not _finite(tol, "--tol") > 0:
-        raise ParseError("--tol must be positive")
-    budget = _get_int(config, "budget", where, default=200, low=1)
-    verify_samples = _get_int(config, "verify_samples", where,
-                              default=400, low=1)
-    holder_pairs = _get_int(config, "holder_pairs", where,
-                            default=2000, low=1)
+    terms = _terms(config["perturbation"], f"{where}: perturbation",
+                   lambda v, name: _int_list(v, name, dim),
+                   lambda v, name: _list(v, name, dim, _complex_pair))
+    grid = _get(config, "grid", where, _int, 1024, low=2,
+                flag=("--grid", args.grid))
+    tol = _get(config, "tol", where, _number, 1e-8, positive=True,
+               flag=("--tol", args.tol))
+    budget = _get(config, "budget", where, _int, 200, low=1)
+    verify_samples = _get(config, "verify_samples", where, _int, 400, low=1)
+    holder_pairs = _get(config, "holder_pairs", where, _int, 2000, low=1)
     seed = _resolve_seed(config, where)
 
-    try:
-        q = trig_perturbation(dim, terms)
-        pmap = perturbed_map(matrix, q)
-    except ValueError as exc:
-        raise ParseError(f"{where}: {exc}")
-
-    try:
-        field = solve_conjugacy(pmap, grid, tol=tol, budget=budget)
-    except NoConvergence as exc:
-        sys.stderr.write(f"inconclusive: {exc}\n")
-        return EXIT_INCONCLUSIVE
-
+    pmap = perturbed_map(matrix, trig_perturbation(dim, terms))
+    field = solve_conjugacy(pmap, grid, tol=tol, budget=budget)
     _write_text(args.out, field_to_csv(field))
 
     check = verify_conjugacy(pmap, field, samples=verify_samples, seed=seed)
@@ -561,52 +522,36 @@ def cmd_conjugate(args):
 
 
 def _load_crt_targets(path, structure):
-    config = _load_config(path)
-    _check_format(config, path)
-    _check_keys(config, ["format", "targets"], ["format", "targets"], path)
-    if not isinstance(config["targets"], dict) or not config["targets"]:
+    config = _config(_load_json(path), path, ["targets"], ["targets"])
+    table = _object(config["targets"], f"{path}: targets")
+    if not table:
         raise ParseError(f"{path}: targets must map primes to targets")
     targets, levels = {}, {}
-    for key in sorted(config["targets"]):
+    for key in sorted(table):
         here = f"{path}: targets[{key!r}]"
         try:
-            p = int(key)
+            p = _prime(int(key), here)
         except ValueError:
             raise ParseError(f"{here}: key must be a prime written in "
                              "decimal")
-        if p < 2:
-            raise ParseError(f"{here}: {p} is not a prime")
-        entry = config["targets"][key]
-        if not isinstance(entry, dict):
-            raise ParseError(f"{here}: expected an object")
-        _check_keys(entry, ["coords", "precision", "level"],
-                    ["coords", "level"], here)
-        coords = entry["coords"]
-        if (not isinstance(coords, list) or len(coords) != structure.dim
-                or any(isinstance(v, bool) or not isinstance(v, int)
-                       for v in coords)):
-            raise ParseError(f"{here}: coords must be {structure.dim} "
-                             "integers")
-        level = _get_int(entry, "level", here, low=1)
-        prec = _get_int(entry, "precision", here, default=max(level + 2, 8),
-                        low=1)
-        if prec < level:
-            raise ParseError(f"{here}: precision below the level")
-        try:
-            targets[p] = nil_element_padic(structure, coords, p, prec)
-        except (ValueError, HyperrankError) as exc:
-            raise ParseError(f"{here}: {exc}")
+        if p in targets:
+            raise ParseError(f"{here}: a second target for p = {p}")
+        entry = _object(table[key], here, ["coords", "precision", "level"],
+                        ["coords", "level"])
+        coords = _int_list(entry["coords"], f"{here}: coords", structure.dim)
+        level = _get(entry, "level", here, _int, low=1)
+        prec = _get(entry, "precision", here, _int, max(level + 2, 8),
+                    low=level)
+        targets[p] = nil_element_padic(structure, coords, p, prec)
         levels[p] = level
     return targets, levels
 
 
 def cmd_crt(args):
-    structure = nil_structure_from_json(_load_config(args.structure))
+    structure = nil_structure_from_json(_load_json(args.structure),
+                                        args.structure)
     targets, levels = _load_crt_targets(args.targets, structure)
-    try:
-        sol = nil_crt(structure, targets, levels)
-    except (ValueError, HyperrankError) as exc:
-        raise ParseError(f"{args.targets}: {exc}")
+    sol = nil_crt(structure, targets, levels)
 
     out = []
     out.append(f"structure: dim {structure.dim}, derived coordinates "
@@ -692,29 +637,25 @@ def build_parser():
     return parser
 
 
+# exception class -> (exit code, stderr label); the first match wins
+_EXITS = (
+    (LeavesDualLattice, EXIT_DUAL_LATTICE, "error"),
+    (NotExpanding, EXIT_NOT_EXPANDING, "error"),
+    (FactorSearchInconclusive, EXIT_INCONCLUSIVE, "inconclusive"),
+    (NoConvergence, EXIT_INCONCLUSIVE, "inconclusive"),
+    ((HyperrankError, OSError), EXIT_PARSE, "error"),  # ParseError too
+)
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_PARSE
-    except LeavesDualLattice as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_DUAL_LATTICE
-    except NotExpanding as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_NOT_EXPANDING
-    except FactorSearchInconclusive as exc:
-        sys.stderr.write(f"inconclusive: {exc}\n")
-        return EXIT_INCONCLUSIVE
-    except HyperrankError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_PARSE
-    except OSError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_PARSE
+    except (HyperrankError, OSError) as exc:
+        code, label = next((code, label) for cls, code, label in _EXITS
+                           if isinstance(exc, cls))
+        sys.stderr.write(f"{label}: {exc}\n")
+        return code
 
 
 if __name__ == "__main__":

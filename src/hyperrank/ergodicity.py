@@ -116,7 +116,7 @@ class SplitBlock:
         return self.basis.shape[0]
 
 
-def rational_splitting(obj, seed=0):
+def rational_splitting(obj):
     """Finest common splitting of Q^d into rational invariant subspaces.
 
     Blocks are primary components (kernels of f(M)^e over the irreducible
@@ -135,7 +135,7 @@ def rational_splitting(obj, seed=0):
         nxt = []
         for basis, mats in blocks:
             r = mats[gi]
-            facs = factor_over_q(r.charpoly(), seed=seed)
+            facs = factor_over_q(r.charpoly())
             if len(facs) == 1:
                 nxt.append((basis, mats))
                 continue
@@ -144,7 +144,7 @@ def rational_splitting(obj, seed=0):
                 kern = p.kernel()
                 sub = QMat(kern) @ basis
                 sat = _saturate_rows(sub)
-                nxt.append((sat, [_restrict_rows(sat, m) for m in mats]))
+                nxt.append((sat, [_restrict_rows(sat, g) for g in gens]))
         blocks = nxt
     if sum(b.shape[0] for b, _ in blocks) != d:
         raise RankDeficient("invariant blocks do not span Q^d")

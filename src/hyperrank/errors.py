@@ -37,7 +37,8 @@ class PrecisionExhausted(HyperrankError):
 
 
 class FactorSearchInconclusive(HyperrankError):
-    """Rational factor reconstruction ran out of budget."""
+    """Factoring a polynomial over Q or an integer ran out of budget, or an
+    integer factorization could not be certified."""
 
 
 # --- spectra ---------------------------------------------------------------

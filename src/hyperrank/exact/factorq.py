@@ -53,7 +53,7 @@ def _symmetric(c, q):
     return c - q if c > q // 2 else c
 
 
-def _factor_squarefree_monic_int(ints, seed=0):
+def _factor_squarefree_monic_int(ints):
     """Irreducible monic integer factors of a squarefree monic integer poly."""
     deg = len(ints) - 1
     if deg <= 1:
@@ -65,7 +65,7 @@ def _factor_squarefree_monic_int(ints, seed=0):
     trials = []
     degree_sets = []
     for p in primes:
-        _, factors = modp.factor(ints, p, seed=seed)
+        _, factors = modp.factor(ints, p)
         pattern = [modp.deg(list(g)) for g, _ in factors]
         trials.append((p, [list(g) for g, _ in factors]))
         degree_sets.append(_attainable_degrees(pattern, deg))
@@ -113,7 +113,7 @@ def _factor_squarefree_monic_int(ints, seed=0):
     return out
 
 
-def factor_over_q(f: QPoly, seed=0):
+def factor_over_q(f: QPoly):
     """[(monic irreducible QPoly, multiplicity)], canonically sorted.
 
     Accepts any nonzero rational polynomial; the unit content is dropped.
@@ -123,7 +123,7 @@ def factor_over_q(f: QPoly, seed=0):
         den = g.denominator_lcm()
         gint = g.scale_root(den)  # monic with integer coefficients
         ints = [int(c) for c in gint.coeffs]
-        for fac in _factor_squarefree_monic_int(ints, seed=seed):
+        for fac in _factor_squarefree_monic_int(ints):
             h = QPoly(fac)
             if den != 1:
                 h = h.scale_root(Fraction(1, den))

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (NonUnitInverse, NotAnAutomorphism, NotDirectSum,
-                     NotSubalgebra, ParseError, RankDeficient, ScalarMismatch,
+                     NotSubalgebra, RankDeficient, ScalarMismatch,
                      SplittingNotDirect)
 from .exact import PadicTruncated, QMat, crt_integers
 
@@ -121,49 +121,6 @@ def heisenberg() -> NilStructure:
     """The 3-dim Heisenberg lattice with [e_0, e_1] = 2 e_2, so that
     (1,0,0)(0,1,0) = (1,1,1) and the half-bracket is integral."""
     return nil_structure(3, [(0, 1, 2, 2)])
-
-
-def nil_structure_from_json(obj) -> NilStructure:
-    """{"format": 1, "dim": d, "brackets": [[i, j, k, num, den], ...],
-    "lattice_scaling": [s_1, ..., s_d]} with scaling entries either integers
-    or [num, den] pairs; unknown keys are rejected."""
-    if not isinstance(obj, dict):
-        raise ParseError("structure file must be a JSON object")
-    if obj.get("format") != 1:
-        raise ParseError(f"unsupported format {obj.get('format')!r}")
-    allowed = {"format", "dim", "brackets", "lattice_scaling"}
-    unknown = set(obj) - allowed
-    if unknown:
-        raise ParseError(f"unknown structure keys: {sorted(unknown)}")
-    dim = obj.get("dim")
-    if not isinstance(dim, int) or dim < 1:
-        raise ParseError("dim must be a positive integer")
-    entries = []
-    for row in obj.get("brackets", []):
-        if not (isinstance(row, list) and len(row) == 5
-                and all(isinstance(t, int) for t in row)):
-            raise ParseError(f"bad bracket row {row!r}; "
-                             "expected [i, j, k, num, den]")
-        i, j, k, num, den = row
-        if den == 0:
-            raise ParseError("bracket denominator is zero")
-        entries.append((i, j, k, Fraction(num, den)))
-    scaling = obj.get("lattice_scaling")
-    if scaling is not None:
-        parsed = []
-        for t in scaling:
-            if isinstance(t, int):
-                parsed.append(Fraction(t))
-            elif isinstance(t, list) and len(t) == 2 \
-                    and all(isinstance(u, int) for u in t) and t[1] != 0:
-                parsed.append(Fraction(t[0], t[1]))
-            else:
-                raise ParseError(f"bad scaling entry {t!r}")
-        scaling = parsed
-    try:
-        return nil_structure(dim, entries, scaling)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
 
 
 # --- elements ---------------------------------------------------------------

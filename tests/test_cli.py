@@ -9,6 +9,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -210,6 +211,70 @@ class TestAnalyze:
         assert "generators[0]" in err and "finite" in err
         assert out == ""
 
+    def test_later_generator_resplits_a_block_exit_two(self, capsys,
+                                                      tmp_path):
+        # diag(2, 1, 1) splits off e_0; diag(1, 1, 3) then splits the
+        # remaining plane, which used to end in a shape-mismatch traceback
+        out = tmp_path / "report.json"
+        code, _, err = run(capsys, "analyze", fixture("double_split.json"),
+                           "--out", str(out))
+        assert code == 2, err
+        report = json.loads(out.read_text())
+        assert report["verdict"] == "rank_one_factor"
+        assert report["rank_one"]["blocks"] == [[1, 1], [1, 0], [1, 1]]
+
+    def test_bound_flag_obeys_the_pair_bound_limits(self, capsys):
+        code, out, err = run(capsys, "analyze", fixture("z2_budget.json"),
+                             "--bound", "-1")
+        assert code == 1
+        assert "--bound must be >= 0" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("value", ["1.0", "true"])
+    def test_format_must_be_the_integer_one(self, capsys, tmp_path, value):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(f'{{"format": {value}, '
+                       '"generators": [[[2, 1], [1, 1]]]}')
+        code, out, err = run(capsys, "analyze", str(cfg))
+        assert code == 1
+        assert "format" in err
+        assert out == ""
+
+    def test_non_square_generator_exit_one(self, capsys, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(
+            {"format": 1, "generators": [[[2, 1, 0], [1, 1, 0]]]}))
+        code, _, err = run(capsys, "analyze", str(cfg))
+        assert code == 1
+        assert "generators[0][0] must be a list of length 2" in err
+
+    @pytest.mark.parametrize("det", [10 ** 16 + 61, 10 ** 24 + 7])
+    def test_large_prime_determinant_exit_zero(self, capsys, tmp_path, det):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(
+            {"format": 1, "generators": [[[det, 0], [0, 1]]]}))
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "analyze", str(cfg))
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        places = [f["place"] for f in json.loads(out)["lyapunov"]
+                  ["functionals"]]
+        assert det in places
+
+    def test_unsplittable_determinant_exit_three(self, capsys, tmp_path):
+        # two 21-digit prime factors: beyond Pollard rho's step budget
+        det = (10 ** 20 + 39) * (3 * 10 ** 20 + 53)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(
+            {"format": 1, "generators": [[[det, 0], [0, 1]]]}))
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "analyze", str(cfg))
+        assert time.perf_counter() - start < 5.0
+        assert code == 3
+        report = json.loads(out)
+        assert report["verdict"] == "inconclusive"
+        assert str(det) in report["error"]
+
     def test_byte_identical_reruns(self, capsys, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         run(capsys, "analyze", fixture("cubic_units_z2.json"),
@@ -316,6 +381,98 @@ class TestMixing:
         assert "matrix" in err and "finite" in err
         assert out == ""
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--mc", "0", "--mc must be >= 1"),
+        ("--mc", "-5", "--mc must be >= 1"),
+        ("--nmax", "0", "--nmax must be >= 1"),
+        ("--nmax", "-1", "--nmax must be >= 1"),
+    ])
+    def test_flags_obey_the_limits_of_their_keys(self, capsys, flag, value,
+                                                 message):
+        code, out, err = run(capsys, "mixing", fixture("doubling_mixing.json"),
+                             flag, value)
+        assert code == 1
+        assert message in err
+        assert out == ""
+
+    def test_negative_seed_env_exit_one(self, capsys, monkeypatch):
+        monkeypatch.setenv("HYPERRANK_SEED", "-1")
+        code, out, err = run(capsys, "mixing", fixture("doubling_mixing.json"),
+                             "--mc", "10")
+        assert code == 1
+        assert "HYPERRANK_SEED must be >= 0" in err
+        assert out == ""
+
+    def test_primes_must_be_prime(self, capsys, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(
+            {"format": 1, "primes": [4], "matrix": [[2]],
+             "f": [{"mode": ["1/4"], "coeff": [1, 0]}]}))
+        code, out, err = run(capsys, "mixing", str(cfg))
+        assert code == 1
+        assert "primes[0]: 4 is not a prime" in err
+        assert out == ""
+
+    def _with(self, tmp_path, **changes):
+        config = json.loads((FIXTURES / "doubling_mixing.json").read_text())
+        config.update(changes)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(config))
+        return str(cfg)
+
+    def test_fit_range_is_inclusive(self, capsys, tmp_path):
+        summary = tmp_path / "s.json"
+        code, _, _ = run(capsys, "mixing",
+                         self._with(tmp_path, fit_range=[1, 6]),
+                         "--out", str(tmp_path / "c.csv"),
+                         "--summary", str(summary))
+        assert code == 0
+        assert json.loads(summary.read_text())["fit_points"] == 6
+
+    @pytest.mark.parametrize("fit_range", [[1, 40], [3, 1], [-1, 2]])
+    def test_fit_range_outside_the_lags_exit_one(self, capsys, tmp_path,
+                                                 fit_range):
+        code, out, err = run(capsys, "mixing",
+                             self._with(tmp_path, fit_range=fit_range))
+        assert code == 1
+        assert "fit_range" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("mode", [[1], [1, 0, 0]])
+    def test_mode_length_must_match_the_matrix(self, capsys, tmp_path,
+                                               mode):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(
+            {"format": 1, "primes": [], "matrix": [[2, 1], [1, 1]],
+             "f": [{"mode": [1, 0], "coeff": [1, 0]}],
+             "g": [{"mode": mode, "coeff": [1, 0]}]}))
+        code, out, err = run(capsys, "mixing", str(cfg))
+        assert code == 1
+        assert "g[0].mode must be a list of length 2" in err
+        assert out == ""
+
+    def test_unsplittable_mode_denominator_exit_three(self, capsys,
+                                                      tmp_path):
+        den = (10 ** 20 + 39) * (3 * 10 ** 20 + 53)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(
+            {"format": 1, "primes": [2], "matrix": [[2]],
+             "f": [{"mode": [f"1/{den}"], "coeff": [1, 0]}]}))
+        code, out, err = run(capsys, "mixing", str(cfg))
+        assert code == 3
+        assert err.startswith("inconclusive:")
+        assert out == ""
+
+    def test_non_square_matrix_exit_one(self, capsys, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(
+            {"format": 1, "primes": [], "matrix": [[2, 1]],
+             "f": [{"mode": [1, 0], "coeff": [1, 0]}]}))
+        code, out, err = run(capsys, "mixing", str(cfg))
+        assert code == 1
+        assert "matrix[0] must be a list of length 1" in err
+        assert out == ""
+
     def test_nmax_flag_overrides_config(self, capsys, tmp_path):
         csv_path = tmp_path / "curve.csv"
         code, _, _ = run(capsys, "mixing", fixture("doubling_mixing.json"),
@@ -355,6 +512,24 @@ class TestConjugate:
                          "--summary", str(tmp_path / "s.json"))
         assert code == 0
         assert len(csv_path.read_text().splitlines()) == 1 + 256
+
+    def test_grid_flag_obeys_the_grid_limits(self, capsys):
+        code, out, err = run(capsys, "conjugate",
+                             fixture("doubling_conjugate.json"),
+                             "--grid", "1")
+        assert code == 1
+        assert "--grid must be >= 2" in err
+        assert out == ""
+
+    def test_non_square_matrix_exit_one(self, capsys, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(
+            {"format": 1, "matrix": [[2, 0], [0, 2], [1, 1]],
+             "perturbation": []}))
+        code, out, err = run(capsys, "conjugate", str(cfg))
+        assert code == 1
+        assert "matrix[0] must be a list of length 3" in err
+        assert out == ""
 
     def test_cat_linear_part_exit_five(self, capsys):
         code, _, err = run(capsys, "conjugate", fixture("not_expanding.json"))
@@ -490,6 +665,41 @@ class TestCrt:
         code, _, err = run(capsys, "crt", fixture("heisenberg_structure.json"),
                            str(tg))
         assert code == 1
+
+    @pytest.mark.parametrize("keys, message", [
+        (["4"], "4 is not a prime"),
+        (["3", "03"], "a second target for p = 3"),
+    ])
+    def test_target_keys_name_distinct_primes(self, capsys, tmp_path, keys,
+                                              message):
+        tg = tmp_path / "tg.json"
+        tg.write_text(json.dumps(
+            {"format": 1,
+             "targets": {k: {"coords": [1, 5, 3], "level": 1}
+                         for k in keys}}))
+        code, out, err = run(capsys, "crt",
+                             fixture("heisenberg_structure.json"), str(tg))
+        assert code == 1
+        assert message in err
+        assert out == ""
+
+    @pytest.mark.parametrize("structure, message", [
+        ({"format": 1, "dim": 3, "brackets": 0}, "brackets must be a list"),
+        ({"format": 1, "dim": 3, "lattice_scaling": 5},
+         "lattice_scaling must be a list"),
+        ({"format": 1, "dim": True}, "dim must be an integer"),
+        ({"format": 1, "dim": 3, "brackets": [[0, True, 2, 2, 1]]},
+         "bracket row 0[1] must be an integer"),
+    ])
+    def test_malformed_structure_exit_one(self, capsys, tmp_path, structure,
+                                          message):
+        st = tmp_path / "st.json"
+        st.write_text(json.dumps(structure))
+        code, out, err = run(capsys, "crt", str(st),
+                             fixture("heisenberg_targets.json"))
+        assert code == 1
+        assert message in err
+        assert out == ""
 
     def test_transcript_deterministic(self, capsys):
         _, first, _ = run(capsys, "crt", fixture("heisenberg_structure.json"),

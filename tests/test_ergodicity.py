@@ -162,6 +162,29 @@ class TestRationalSplitting:
         one_sq = QPoly((1, -2, 1))
         assert polys == {(cat_cp, one_sq), (one_sq, other_cp)}
 
+    def test_later_generator_splits_an_earlier_block(self):
+        # g1 = A + I splits off the identity part, and g2 = I + B splits that
+        # block again whenever B's charpoly is reducible; the restriction must
+        # start from the ambient generators, not from the restricted ones
+        rng = random.Random(3)
+        eye = [[1, 0], [0, 1]]
+        resplit = 0
+        for _ in range(300):
+            a, b = ([[rng.randint(-3, 3) for _ in range(2)] for _ in range(2)]
+                    for _ in range(2))
+            if QMat(a).det() == 0 or QMat(b).det() == 0:
+                continue
+            g1, g2 = QMat(blockdiag(a, eye)), QMat(blockdiag(eye, b))
+            gens = (g1, g2, (g1 @ g2).power(2))
+            blocks = rational_splitting(ActionSpec(gens))
+            assert sum(blk.dim for blk in blocks) == 4
+            resplit += len(blocks) >= 3
+            for blk in blocks:
+                bt = blk.basis.transpose()
+                for g, m in zip(gens, blk.matrices):
+                    assert m.is_integer() and g @ bt == bt @ m
+        assert resplit > 50
+
     def test_invariance_identity(self):
         rng = random.Random(92)
         s = QMat([[1, 1, 0], [0, 1, 1], [0, 0, 1]])

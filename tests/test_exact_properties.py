@@ -3,7 +3,8 @@ as a test-only oracle.
 
 hnf_rows must return the canonical Hermite basis of the input's row lattice,
 _saturate_rows the saturated lattice (rational row span intersected with
-Z^n), and factor_over_q the same irreducible factors as sympy.  Two integer
+Z^n), factor_over_q the same irreducible factors as sympy, and factor_int
+primes that multiply back to its input.  Two integer
 lattices of the same rank with one inside the other are equal exactly when
 the gcds of their maximal minors agree; a lattice is saturated exactly when
 that gcd is 1.
@@ -13,12 +14,14 @@ import itertools
 import math
 from fractions import Fraction
 
+import pytest
 import sympy
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from hyperrank.ergodicity import _saturate_rows
-from hyperrank.exact import QMat, QPoly, hnf_rows
+from hyperrank.errors import FactorSearchInconclusive
+from hyperrank.exact import QMat, QPoly, factor_int, hnf_rows
 from hyperrank.exact.factorq import factor_over_q
 
 X = sympy.Symbol("x")
@@ -137,3 +140,28 @@ def test_factor_over_q_matches_sympy(factors):
         prod = prod * QPoly(f)
     ints = [int(c) for c in prod.coeffs]
     assert factor_over_q(prod) == sympy_monic_factors(ints)
+
+
+# --- factor_int -------------------------------------------------------------
+
+
+@SETTINGS
+@given(st.lists(st.integers(1, 10 ** 9), max_size=4),
+       st.integers(0, 10 ** 24), st.sampled_from([1, -1]))
+def test_factor_int_multiplies_back_to_primes(parts, big, sign):
+    # every prime factor but the one from nextprime is within Pollard rho's
+    # reach, and that one lies where Miller-Rabin is exact
+    n = sign * math.prod(parts) * (sympy.nextprime(big) if big else 1)
+    got = factor_int(n)
+    assert math.prod(p ** e for p, e in got.items()) == abs(n)
+    assert all(sympy.isprime(p) for p in got)
+    assert list(got) == sorted(got)
+
+
+@pytest.mark.parametrize("n", [
+    (10 ** 20 + 39) * (3 * 10 ** 20 + 53),    # two factors beyond rho's reach
+    sympy.nextprime(10 ** 25),                # prime beyond exact Miller-Rabin
+])
+def test_factor_int_refuses_what_it_cannot_certify(n):
+    with pytest.raises(FactorSearchInconclusive):
+        factor_int(n)

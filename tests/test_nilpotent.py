@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+from hyperrank import nil_structure_from_json
 from hyperrank.errors import (NotAnAutomorphism, NotDirectSum, NotSubalgebra,
                               ParseError, ScalarMismatch, SplittingNotDirect)
 from hyperrank.exact import PadicTruncated, QMat
@@ -19,8 +20,7 @@ from hyperrank.nilpotent import (BracketReport, CrtSolution, NilElement,
                                  bracket_inclusion_check, derived_series,
                                  heisenberg, nil_crt, nil_element,
                                  nil_element_padic, nil_identity, nil_inv,
-                                 nil_mul, nil_structure,
-                                 nil_structure_from_json, uvs_decompose)
+                                 nil_mul, nil_structure, uvs_decompose)
 
 H = heisenberg()
 ABELIAN1 = nil_structure(1, [])

@@ -46,3 +46,20 @@ def test_no_private_names_imported_across_modules():
                 found.append(f"{where}:{node.lineno} "
                              f"{node.value.id}.{node.attr}")
     assert not found, f"private names used across modules: {found}"
+
+
+def test_only_the_cli_parses_json():
+    # every config value passes the CLI's one input layer; a second JSON
+    # reader elsewhere would grow a second set of checks
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        where = path.relative_to(SRC)
+        if where == Path("hyperrank/cli.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.Attribute)
+                    and node.attr in ("load", "loads")
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "json"):
+                found.append(f"{where}:{node.lineno}")
+    assert not found, f"json parsed outside cli.py: {found}"
