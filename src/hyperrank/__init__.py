@@ -14,16 +14,14 @@ Subpackages/modules:
 __version__ = "0.1.0"
 
 from .spectra import (ActionSpec, LyapunovFunctional, LyapunovSpectrum,
-                      coarse_classes, expanding_elements, joint_spectrum,
-                      min_expansion_rate, padic_lyapunov, real_lyapunov,
-                      weyl_chambers)
+                      coarse_classes, joint_spectrum, min_expansion_rate,
+                      real_lyapunov, weyl_chambers)
 from .ergodicity import (ErgodicityCertificate, RankOneReport,
-                         Z2SubgroupCertificate, ergodic_element,
-                         ergodic_z2_subgroup, has_rank_one_factor,
-                         is_ergodic, rational_splitting)
+                         Z2SubgroupCertificate, ergodic_z2_subgroup,
+                         has_rank_one_factor, is_ergodic, rational_splitting)
 from .solenoid import (SolenoidPoint, TrigFunction, apply, apply_inverse,
-                       clt_check, cosine, exact_correlation, haar_sample,
-                       mixing_curve, monte_carlo_correlation, solenoid_point)
+                       clt_check, exact_correlation, haar_sample,
+                       mixing_curve, monte_carlo_correlation)
 from .nilpotent import (NilElement, NilStructure, automorphism_action,
                         bracket_inclusion_check, heisenberg, nil_crt,
                         nil_element, nil_element_padic, nil_inv, nil_mul,

@@ -26,6 +26,7 @@ import argparse
 import io
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -184,12 +185,15 @@ def _int_matrix(v, name):
 
 
 def _fraction(v, name):
-    # accepted spellings: 3, "3/2", [3, 2]
+    # accepted spellings: 3, "3", "3/2", [3, 2]; Fraction would also take
+    # decimals and exponents, and expands "1e10000000" digit by digit
     if isinstance(v, str):
         try:
-            return Fraction(v)
+            if re.fullmatch(r"-?\d+(/\d+)?", v, re.ASCII):
+                return Fraction(v)
         except (ValueError, ZeroDivisionError):
-            raise ParseError(f"{name}: cannot parse rational {v!r}")
+            pass
+        raise ParseError(f"{name}: cannot parse rational {v!r}")
     if isinstance(v, list):
         num, den = _int_list(v, name, 2)
         if den == 0:

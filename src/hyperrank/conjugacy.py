@@ -276,14 +276,18 @@ class HolderEstimate:
     moduli: tuple
 
 
-def holder_estimate(field: ConjugacyField, pairs=3000, seed=0,
-                    bins=12, span=10.0) -> HolderEstimate:
+_HOLDER_BINS = 12
+_HOLDER_SPAN = 10.0
+
+
+def holder_estimate(field: ConjugacyField, pairs=3000,
+                    seed=0) -> HolderEstimate:
     """Regularity exponent of h from the modulus of continuity.
 
-    Distances are confined to the resolution band [delta, span*delta] with
-    delta the grid step; per log-spaced scale the largest sampled increment
-    estimates omega(t), and the slope of log omega against log t is the
-    exponent.  The confidence interval is the 95 percent band of the
+    Distances are confined to the resolution band [delta, 10 delta] with
+    delta the grid step; at each of 12 log-spaced scales the largest sampled
+    increment estimates omega(t), and the slope of log omega against log t
+    is the exponent.  The confidence interval is the 95 percent band of the
     regression slope.
     """
     # constant up to the solver's own convergence noise is still constant;
@@ -291,15 +295,13 @@ def holder_estimate(field: ConjugacyField, pairs=3000, seed=0,
     floor = 1e-15 + 10.0 * (field.residuals[-1] if field.residuals else 0.0)
     if all(max(c) - min(c) <= floor for c in field.values):
         raise DegenerateField("displacement field is constant")
-    if bins < 3:
-        raise ValueError("need at least 3 scale bins")
     rng = random.Random(seed)
     d = field.dim
     delta = 1.0 / field.grid
-    per_bin = max(8, pairs // bins)
+    per_bin = max(8, pairs // _HOLDER_BINS)
     scales, moduli = [], []
-    for b in range(bins):
-        t = delta * span ** (b / (bins - 1))
+    for b in range(_HOLDER_BINS):
+        t = delta * _HOLDER_SPAN ** (b / (_HOLDER_BINS - 1))
         best = 0.0
         for _ in range(per_bin):
             x = tuple(rng.random() for _ in range(d))

@@ -21,8 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (HypothesisViolated, NoErgodicSubgroupFound, NonErgodic,
-                     NotFound, RankDeficient)
+from .errors import NoErgodicSubgroupFound, RankDeficient
 from .exact import (QMat, QPoly, cyclotomic, cyclotomic_indices_up_to_degree,
                     hnf_rows, poly_gcd)
 from .exact.factorq import factor_over_q
@@ -60,15 +59,6 @@ def is_ergodic(matrix) -> ErgodicityCertificate:
             z = tuple(int(x) for x in kern[0])
             return ErgodicityCertificate(ergodic=False, period=idx, witness=z)
     return ErgodicityCertificate(ergodic=True)
-
-
-def require_ergodic(matrix):
-    cert = is_ergodic(matrix)
-    if not cert.ergodic:
-        raise NonErgodic(
-            f"dual vector {cert.witness} has period {cert.period}",
-            certificate=cert)
-    return cert
 
 
 # --- rational splitting -----------------------------------------------------
@@ -189,7 +179,7 @@ def has_rank_one_factor(action: ActionSpec, tol=1e-8) -> RankOneReport:
                          culprit=culprit)
 
 
-# --- element and subgroup search --------------------------------------------
+# --- subgroup search ---------------------------------------------------------
 
 
 def _norm_lex(k, bound):
@@ -207,38 +197,6 @@ def _canonical_sign(a):
         if x < 0:
             return False
     return False
-
-
-def ergodic_element(action: ActionSpec, bound=5):
-    """First a in norm-then-lex order with rho(a) ergodic."""
-    for a in _norm_lex(action.rank, bound):
-        cert = is_ergodic(action.element(a))
-        if cert.ergodic:
-            return a, cert
-    raise NotFound(f"no ergodic element with sup norm <= {bound}", budget=bound)
-
-
-def non_ergodic_primitive_triples(action: ActionSpec, bound=10,
-                                  expect_none=False):
-    """All (a, period, witness) for primitive non-ergodic a, |a|_inf <= bound.
-
-    Antipodes are deduplicated (only the representative with positive leading
-    sign is reported; rho(-a) fails with the same period).  With expect_none
-    the first find raises HypothesisViolated instead.
-    """
-    out = []
-    for a in _norm_lex(action.rank, bound):
-        if not _canonical_sign(a) or math.gcd(*a) != 1:
-            continue
-        cert = is_ergodic(action.element(a))
-        if not cert.ergodic:
-            triple = (a, cert.period, cert.witness)
-            if expect_none:
-                raise HypothesisViolated(
-                    f"primitive element {a} is not ergodic "
-                    f"(period {cert.period})", witness=triple)
-            out.append(triple)
-    return out
 
 
 @dataclass(frozen=True)

@@ -59,22 +59,6 @@ class RootFindingFailure(HyperrankError):
 
 # --- ergodicity ------------------------------------------------------------
 
-class NotFound(HyperrankError):
-    """Search exhausted its budget without a hit (inconclusive, not a certificate)."""
-
-    def __init__(self, message, budget=None):
-        super().__init__(message)
-        self.budget = budget
-
-
-class HypothesisViolated(HyperrankError):
-    """A stated hypothesis of a search routine failed; carries the witness."""
-
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
-
-
 class NoErgodicSubgroupFound(HyperrankError):
     def __init__(self, obstructions, budget):
         super().__init__(
@@ -92,14 +76,6 @@ class LeavesDualLattice(HyperrankError):
 
 class DegenerateFit(HyperrankError):
     """Too few nonzero correlation entries to fit a rate."""
-
-
-class NonErgodic(HyperrankError):
-    """Operation requires an ergodic matrix; carries the certificate."""
-
-    def __init__(self, message, certificate=None):
-        super().__init__(message)
-        self.certificate = certificate
 
 
 # --- nilpotent -------------------------------------------------------------

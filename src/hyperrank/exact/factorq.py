@@ -130,8 +130,3 @@ def factor_over_q(f: QPoly):
             out.append((h, m))
     out.sort(key=lambda t: (t[0].degree, t[0].coeffs))
     return out
-
-
-def is_irreducible_over_q(f: QPoly) -> bool:
-    facs = factor_over_q(f)
-    return len(facs) == 1 and facs[0][1] == 1

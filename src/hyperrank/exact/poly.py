@@ -262,16 +262,6 @@ def _pseudo_rem(a, b):
     return a
 
 
-def squarefree_part(f: QPoly) -> QPoly:
-    """f / gcd(f, f'), monic.  Characteristic zero, so this is squarefree."""
-    if f.is_zero():
-        raise ZeroPolynomial("zero polynomial")
-    if f.degree == 0:
-        return QPoly.one()
-    g = poly_gcd(f, f.derivative())
-    return f.exact_div(g).monic()
-
-
 def squarefree_decomposition(f: QPoly):
     """Yun's algorithm over Q: returns [(g_i, i)] with f = lc * prod g_i^i, g_i monic squarefree."""
     if f.is_zero():

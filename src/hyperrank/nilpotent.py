@@ -155,10 +155,6 @@ def nil_element_padic(structure, coords, p, prec) -> NilElement:
     return NilElement(structure=structure, coords=packed)
 
 
-def nil_identity(structure) -> NilElement:
-    return nil_element(structure, [0] * structure.dim)
-
-
 def _compatible(g: NilElement, h: NilElement):
     if g.structure != h.structure:
         raise ScalarMismatch("elements of different structures")

@@ -35,6 +35,13 @@ from .errors import (DegenerateFit, LeavesDualLattice, NotAnAutomorphism,
 from .exact import QMat, crt_integers, factor_int, vp_int
 
 
+_GRID_BITS = 32         # sampled torus coordinates lie on 2^-32 Z
+_MIN_DIGITS = 32        # the fewest p-adic digits a sampled fiber carries
+_ESCAPE_CAP = 200       # dual-orbit steps _escape_index may take
+_CLT_REF_TERMS = 64     # lags in clt_check's exact series variance
+_CLT_BINS = 16          # bins of clt_check's histogram
+
+
 # --- points -----------------------------------------------------------------
 
 
@@ -58,39 +65,11 @@ class SolenoidPoint:
         raise KeyError(f"no fiber coordinate for p = {p}")
 
 
-def solenoid_point(x, xi=None, primes=(), prec=32):
-    """Build a point; without explicit fibers, embeds the rational torus
-    coordinate (denominators must then avoid the primes in S)."""
-    xs = tuple(Fraction(c) % 1 for c in x)
-    if xi is None:
-        xi = {}
-        for p in primes:
-            q = p ** prec
-            res = []
-            for c in xs:
-                if c.denominator % p == 0:
-                    raise ValueError(
-                        f"cannot embed denominator {c.denominator} at p = {p}; "
-                        "pass the fiber coordinate explicitly")
-                # fibers carry the negative of the p-adic value of x, so the
-                # embedded point pairs with characters the same way the torus
-                # point does
-                res.append(-c.numerator * pow(c.denominator, -1, q) % q)
-            xi[p] = (prec, tuple(res))
-    packed = []
-    for p in sorted(xi):
-        pr, res = xi[p]
-        packed.append((p, pr, tuple(int(r) % p ** pr for r in res)))
-        if len(packed[-1][2]) != len(xs):
-            raise ValueError("fiber dimension disagrees with the torus part")
-    return SolenoidPoint(x=xs, xi=tuple(packed))
-
-
-def haar_sample(count, dim, primes=(), seed=0, prec=32, grid_bits=32):
-    """Haar-distributed points: uniform 2^-grid_bits torus coordinates and
+def haar_sample(count, dim, primes=(), seed=0, prec=_MIN_DIGITS):
+    """Haar-distributed points: uniform 2^-32 torus coordinates and
     independent uniform residues in each fiber."""
     rng = random.Random(seed)
-    den = 1 << grid_bits
+    den = 1 << _GRID_BITS
     out = []
     for _ in range(count):
         xs = tuple(Fraction(rng.randrange(den), den) for _ in range(dim))
@@ -102,11 +81,6 @@ def haar_sample(count, dim, primes=(), seed=0, prec=32, grid_bits=32):
 
 
 # --- the action and its inverse ---------------------------------------------
-
-
-def dual_action(a: QMat) -> QMat:
-    """The action on modes: m -> a^T m."""
-    return a.transpose()
 
 
 def apply(a: QMat, pt: SolenoidPoint) -> SolenoidPoint:
@@ -273,6 +247,12 @@ class TrigFunction:
     def dim(self):
         return len(self.terms[0][0]) if self.terms else 0
 
+    def fiber_digits(self):
+        """The largest exponent of a prime of S in a mode denominator: the
+        fiber digits a point needs to evaluate every character."""
+        return max((vp_int(c.denominator, p) for m, _ in self.terms
+                    for c in m for p in self.primes), default=0)
+
     def mean(self):
         for mode, coeff in self.terms:
             if all(c == 0 for c in mode):
@@ -293,13 +273,6 @@ class TrigFunction:
     def evaluate(self, pt: SolenoidPoint) -> complex:
         return sum((coeff * character_value(m, pt) for m, coeff in self.terms),
                    0j)
-
-
-def cosine(mode, primes=()):
-    """cos(2 pi <m, .>) as a TrigFunction."""
-    mode = tuple(Fraction(c) for c in mode)
-    return TrigFunction.build([(mode, 0.5),
-                               (tuple(-c for c in mode), 0.5)], primes)
 
 
 # --- exact correlation and mixing curves ------------------------------------
@@ -324,14 +297,14 @@ def exact_correlation(f: TrigFunction, g: TrigFunction, a: QMat, n_max):
     return out
 
 
-def _escape_index(a: QMat, modes, radius, cap=200):
+def _escape_index(a: QMat, modes, radius):
     """First n from which every dual orbit (a^T)^n k certifiably stays outside
     the closed sup-norm ball of the given radius.
 
     Float eigen-splitting with a conservative margin: once the expanding
     coordinates of the orbit carry enough mass, they grow monotonically and
     bound the sup norm from below.  Returns None when a^T has (numerically)
-    unimodular eigenvalues or the budget runs out.
+    unimodular eigenvalues or _ESCAPE_CAP steps do not suffice.
     """
     at = np.array(a.transpose().int_rows(), dtype=float)
     eigvals, eigvecs = np.linalg.eig(at)
@@ -355,7 +328,7 @@ def _escape_index(a: QMat, modes, radius, cap=200):
             if np.max(np.abs(coords[expanding])) > threshold:
                 break
             n += 1
-            if n > cap:
+            if n > _ESCAPE_CAP:
                 return None
             w = [sum(rows[i][j] * w[j] for j in range(d)) for i in range(d)]
         worst = max(worst, n)
@@ -422,31 +395,23 @@ class McCorrelation:
     value: complex
     stderr: float
     samples: int
-    conjugated: bool
 
 
 def monte_carlo_correlation(f: TrigFunction, g: TrigFunction, a: QMat, n,
-                            samples=10000, seed=0, conjugate_g=False,
-                            prec=32, grid_bits=32) -> McCorrelation:
-    """Haar-sampled estimate of the same functional exact_correlation computes
-    (with conjugate_g, of int (f o rho(a)^n) conj(g) instead)."""
+                            samples=10000, seed=0) -> McCorrelation:
+    """Haar-sampled estimate of the same functional exact_correlation
+    computes; fibers carry as many digits as the modes evaluated need."""
     if f.primes != g.primes:
         raise ValueError("observables live on different solenoids")
-    pts = haar_sample(samples, f.dim, primes=f.primes, seed=seed, prec=prec,
-                      grid_bits=grid_bits)
     fn = f.pushforward(a.power(n)) if n else f
-    vals = []
-    for pt in pts:
-        gv = g.evaluate(pt)
-        if conjugate_g:
-            gv = gv.conjugate()
-        vals.append(fn.evaluate(pt) * gv)
+    prec = max(_MIN_DIGITS, fn.fiber_digits(), g.fiber_digits())
+    pts = haar_sample(samples, f.dim, primes=f.primes, seed=seed, prec=prec)
+    vals = [fn.evaluate(pt) * g.evaluate(pt) for pt in pts]
     mean = sum(vals) / samples
-    gm = g.mean().conjugate() if conjugate_g else g.mean()
-    est = mean - f.mean() * gm
+    est = mean - f.mean() * g.mean()
     var = sum(abs(v - mean) ** 2 for v in vals) / max(samples - 1, 1)
     return McCorrelation(n=n, value=est, stderr=math.sqrt(var / samples),
-                         samples=samples, conjugated=conjugate_g)
+                         samples=samples)
 
 
 # --- central limit diagnostics ----------------------------------------------
@@ -468,14 +433,15 @@ def _orbit_sampler_bits(a: QMat, n):
     return n * max(1, math.ceil(math.log2(max(growth, 2)))) + 64
 
 
-def clt_check(f: TrigFunction, a: QMat, n=1024, orbits=200, seed=0,
-              ref_terms=64, bins=16, prec=32) -> CltReport:
+def clt_check(f: TrigFunction, a: QMat, n=1024, orbits=200,
+              seed=0) -> CltReport:
     """Distribution of Birkhoff sums S_n / sqrt(n) for the real part of the
     centered observable, against the exact series variance.
 
     Orbits start on a dyadic grid fine enough (orbit-length times the matrix
     growth rate, plus slack) that n steps of the exact integer dynamics do
-    not collapse onto a coarse invariant subgrid.
+    not collapse onto a coarse invariant subgrid, and their fibers carry as
+    many digits as the modes of f need.
     """
     d = f.dim
     rows = a.int_rows()
@@ -497,6 +463,7 @@ def clt_check(f: TrigFunction, a: QMat, n=1024, orbits=200, seed=0,
                          coeff))
     tau = 2j * math.pi
     mask = den - 1
+    prec = max(_MIN_DIGITS, f.fiber_digits())
     modulus = {p: p ** prec for p in f.primes}
     sums = []
     for _ in range(orbits):
@@ -521,10 +488,11 @@ def clt_check(f: TrigFunction, a: QMat, n=1024, orbits=200, seed=0,
                          for row, k in zip(rows, kv)]
         sums.append(total / math.sqrt(n))
     arr = np.array(sums)
-    corr = exact_correlation(f, f, a, min(ref_terms, n - 1))
+    corr = exact_correlation(f, f, a, min(_CLT_REF_TERMS, n - 1))
     sigma2 = corr[0].real + 2 * sum(c.real for c in corr[1:])
     spread = max(1.0, 4.0 * math.sqrt(abs(sigma2)))
-    counts, edges = np.histogram(arr, bins=bins, range=(-spread, spread))
+    counts, edges = np.histogram(arr, bins=_CLT_BINS,
+                                 range=(-spread, spread))
     return CltReport(n=n, orbits=orbits,
                      variance=float(arr.var(ddof=1)),
                      sigma2_ref=float(sigma2),

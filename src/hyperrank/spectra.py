@@ -159,16 +159,6 @@ def real_lyapunov(matrix, tol=1e-9):
     return [(float(v), m_) for v, m_ in out]
 
 
-def padic_lyapunov(matrix, p):
-    """[(valuation, multiplicity)] of the eigenvalues in Q_p-bar, exact,
-    ascending by valuation.  Newton polygon of the characteristic polynomial."""
-    m = matrix if isinstance(matrix, QMat) else QMat(matrix)
-    cp = m.charpoly()
-    if cp[0] == 0:
-        raise RankDeficient("singular matrix has an eigenvalue 0")
-    return list(newton_polygon(cp, p).slopes)
-
-
 # --- real joint refinement --------------------------------------------------
 
 
@@ -610,18 +600,6 @@ def _integer_direction_in_sector(mid, a0, a1):
 # --- expansion --------------------------------------------------------------
 
 
-def expanding_elements(spectrum: LyapunovSpectrum, bound, margin=1e-9):
-    """Elements a with every real functional strictly positive, |a|_inf <= bound."""
-    reals = spectrum.by_place("real")
-    out = []
-    for a in itertools.product(range(-bound, bound + 1), repeat=spectrum.rank):
-        if all(v == 0 for v in a):
-            continue
-        if all(f.value_at(a) > margin for f in reals):
-            out.append(a)
-    return out
-
-
 def min_expansion_rate(spectrum: LyapunovSpectrum):
     """min over the unit sup-norm sphere of max_chi |chi(a)| (all places).
 
@@ -668,21 +646,4 @@ def min_expansion_rate(spectrum: LyapunovSpectrum):
                 a[i] = float(x)
             val = objective(a)
             best = val if best is None else min(best, val)
-    return best
-
-
-def diophantine_profile(w, L, B):
-    """min over integer 0 < |z|_inf <= B of |<z, w>| * |z|_inf^L.
-
-    Exhaustive; returns (c, z_attaining).  Sup norm throughout.
-    """
-    w = [float(x) for x in w]
-    best = None
-    for z in itertools.product(range(-B, B + 1), repeat=len(w)):
-        norm = max(abs(x) for x in z)
-        if norm == 0:
-            continue
-        c = abs(sum(x * y for x, y in zip(z, w))) * norm ** L
-        if best is None or c < best[0]:
-            best = (c, z)
     return best

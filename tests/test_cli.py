@@ -451,6 +451,41 @@ class TestMixing:
         assert "g[0].mode must be a list of length 2" in err
         assert out == ""
 
+    def test_deep_mode_monte_carlo_exit_zero(self, capsys, tmp_path):
+        # the mode 2^-40 needs 40 fiber digits at p = 2, more than the 32 a
+        # sampled point carries at least
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(
+            {"format": 1, "primes": [2], "matrix": [[2]], "n_max": 3,
+             "f": [{"mode": [f"1/{2 ** 40}"], "coeff": [0.5, 0]},
+                   {"mode": [f"-1/{2 ** 40}"], "coeff": [0.5, 0]}]}))
+        summary = tmp_path / "s.json"
+        code, _, err = run(capsys, "mixing", str(cfg), "--mc", "10",
+                           "--out", str(tmp_path / "c.csv"),
+                           "--summary", str(summary))
+        assert code == 0, err
+        lines = (tmp_path / "c.csv").read_text().splitlines()
+        mc = json.loads(summary.read_text())["mc"]
+        assert len(mc) == 4
+        for row, exact in zip(mc, lines[1:5]):
+            ev = float(exact.split(",")[1])
+            assert abs(row["re"] - ev) <= 5 * row["stderr"] + 1e-12
+
+    @pytest.mark.parametrize("spelling", ["1e10000000", "1e1000000", "0.5",
+                                          "1/2 ", "+1", "1_0"])
+    def test_rational_spellings_beyond_p_over_q_exit_one(self, capsys,
+                                                         tmp_path, spelling):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(
+            {"format": 1, "primes": [2], "matrix": [[2]],
+             "f": [{"mode": [spelling], "coeff": [1, 0]}]}))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "mixing", str(cfg))
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert f"f[0].mode[0]: cannot parse rational {spelling!r}" in err
+        assert out == ""
+
     def test_unsplittable_mode_denominator_exit_three(self, capsys,
                                                       tmp_path):
         den = (10 ** 20 + 39) * (3 * 10 ** 20 + 53)

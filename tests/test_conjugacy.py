@@ -224,11 +224,6 @@ class TestHolder:
         with pytest.raises(DegenerateField):
             holder_estimate(z, pairs=200, seed=9)
 
-    def test_bin_validation(self):
-        f = solve_conjugacy(DOUBLING_SIN, 256, tol=1e-8)
-        with pytest.raises(ValueError):
-            holder_estimate(f, pairs=100, bins=2)
-
 
 class TestEquivariance:
     def test_doubled_time_constant_exact(self):

@@ -13,14 +13,12 @@ from fractions import Fraction
 
 import pytest
 
-from hyperrank.errors import (HypothesisViolated, NoErgodicSubgroupFound,
-                              NonErgodic, NotFound)
+from hyperrank.errors import NoErgodicSubgroupFound
 from hyperrank.exact import QMat, QPoly
 from hyperrank.ergodicity import (ErgodicityCertificate, Z2SubgroupCertificate,
-                                  _saturate_rows, ergodic_element, ergodic_z2_subgroup,
+                                  _saturate_rows, ergodic_z2_subgroup,
                                   has_rank_one_factor, is_ergodic,
-                                  non_ergodic_primitive_triples,
-                                  rational_splitting, require_ergodic)
+                                  rational_splitting)
 from hyperrank.spectra import ActionSpec
 
 CAT = [[2, 1], [1, 1]]
@@ -108,12 +106,6 @@ class TestIsErgodic:
             if not cert.ergodic:
                 check_certificate(rows, cert)
             done += 1
-
-    def test_require_ergodic_raises(self):
-        with pytest.raises(NonErgodic) as ei:
-            require_ergodic([[1, 1], [0, 1]])
-        assert ei.value.certificate.period == 1
-        assert require_ergodic(CAT).ergodic
 
 
 class TestRationalSplitting:
@@ -213,36 +205,6 @@ class TestRankOne:
 
 
 class TestSearch:
-    def test_ergodic_element_product_action(self):
-        a, cert = ergodic_element(ActionSpec(PRODUCT_GENS), bound=2)
-        assert a == (-1, -1)
-        assert cert.ergodic
-
-    def test_ergodic_element_not_found(self):
-        with pytest.raises(NotFound) as ei:
-            ergodic_element(ActionSpec(([[1, 1], [0, 1]],)), bound=3)
-        assert ei.value.budget == 3
-
-    def test_non_ergodic_primitives_product_action(self):
-        triples = non_ergodic_primitive_triples(ActionSpec(PRODUCT_GENS),
-                                                bound=2)
-        assert [(t[0], t[1]) for t in triples] == [((0, 1), 1), ((1, 0), 1)]
-        for vec, period, witness in triples:
-            act = ActionSpec(PRODUCT_GENS)
-            check_certificate(act.element(vec).rows,
-                              ErgodicityCertificate(False, period, witness))
-
-    def test_hypothesis_violation_raises_with_witness(self):
-        with pytest.raises(HypothesisViolated) as ei:
-            non_ergodic_primitive_triples(ActionSpec(PRODUCT_GENS), bound=2,
-                                          expect_none=True)
-        assert ei.value.witness[0] == (0, 1)
-
-    def test_cubic_units_all_primitives_ergodic(self):
-        act = ActionSpec((CUBIC, CUBIC_PLUS))
-        assert non_ergodic_primitive_triples(act, bound=4) == []
-        non_ergodic_primitive_triples(act, bound=3, expect_none=True)
-
     def test_z2_subgroup_cubic_units_frozen(self):
         cert = ergodic_z2_subgroup(ActionSpec((CUBIC, CUBIC_PLUS)),
                                    pair_bound=1, combo_bound=6)

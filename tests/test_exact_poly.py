@@ -12,7 +12,7 @@ import pytest
 import sympy
 
 from hyperrank.errors import BothZero, ZeroPolynomial
-from hyperrank.exact import cyclotomic, euler_phi, poly_gcd, squarefree_part
+from hyperrank.exact import cyclotomic, euler_phi, poly_gcd
 from hyperrank.exact.poly import (QPoly, cyclotomic_indices_up_to_degree,
                                   squarefree_decomposition)
 
@@ -80,13 +80,6 @@ def test_gcd_properties():
 def test_gcd_both_zero_raises():
     with pytest.raises(BothZero):
         poly_gcd(QPoly.zero(), QPoly.zero())
-
-
-def test_squarefree_part_kills_multiplicity():
-    x = QPoly.x()
-    f = (x - 1) ** 3 * (x + 2) ** 2 * (x ** 2 + 1)
-    sf = squarefree_part(f)
-    assert sf == ((x - 1) * (x + 2) * (x ** 2 + 1)).monic()
 
 
 def test_squarefree_decomposition_rebuilds():

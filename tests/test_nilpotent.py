@@ -19,8 +19,10 @@ from hyperrank.nilpotent import (BracketReport, CrtSolution, NilElement,
                                  NilStructure, automorphism_action,
                                  bracket_inclusion_check, derived_series,
                                  heisenberg, nil_crt, nil_element,
-                                 nil_element_padic, nil_identity, nil_inv,
-                                 nil_mul, nil_structure, uvs_decompose)
+                                 nil_element_padic, nil_inv, nil_mul,
+                                 nil_structure, uvs_decompose)
+
+from helpers import nil_identity
 
 H = heisenberg()
 ABELIAN1 = nil_structure(1, [])

@@ -63,3 +63,62 @@ def test_only_the_cli_parses_json():
                     and node.value.id == "json"):
                 found.append(f"{where}:{node.lineno}")
     assert not found, f"json parsed outside cli.py: {found}"
+
+
+# Reached by no command yet; ROADMAP item 5 wires them into `analyze`.
+NOT_YET_WIRED = {
+    "derived_series",           # ROADMAP item 5
+    "automorphism_action",      # ROADMAP item 5
+    "bracket_inclusion_check",  # ROADMAP item 5
+    "BracketReport",            # ROADMAP item 5
+    "uvs_decompose",            # ROADMAP item 5
+    "SplittingNotDirect",       # ROADMAP item 5
+    "NotSubalgebra",            # ROADMAP item 5
+    "NotDirectSum",             # ROADMAP item 5
+}
+
+
+def _imported_from_hyperrank(tree):
+    return {alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            and (node.module or "").startswith("hyperrank")
+            for alias in node.names}
+
+
+def test_every_public_name_is_reached():
+    # a public function or class that no command, no acceptance criterion
+    # and no documented example reaches is dead weight in the library
+    uses = {}                  # module-level name -> names its body uses
+    public = []                # (module path, name) of functions and classes
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+                if not node.name.startswith("_"):
+                    public.append((path.relative_to(SRC), node.name))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            used = {n.id if isinstance(n, ast.Name) else n.attr
+                    for n in ast.walk(node)
+                    if isinstance(n, (ast.Name, ast.Attribute))}
+            for name in names:
+                uses.setdefault(name, set()).update(used)
+    root = SRC.parent
+    roots = {"main"} | _imported_from_hyperrank(
+        ast.parse((root / "tests" / "test_acceptance.py").read_text()))
+    readme = (root / "README.md").read_text()
+    for block in readme.split("```python\n")[1:]:
+        roots |= _imported_from_hyperrank(ast.parse(block.split("```")[0]))
+    reached, todo = set(), list(roots)
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo.extend(uses.get(name, ()))
+    dead = [f"{where}:{name}" for where, name in public
+            if name not in reached and name not in NOT_YET_WIRED]
+    assert not dead, f"public names nothing reaches: {dead}"

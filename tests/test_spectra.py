@@ -14,10 +14,11 @@ import pytest
 from hyperrank.errors import CommutativityViolated, RankDeficient
 from hyperrank.exact import QMat
 from hyperrank.spectra import (ActionSpec, LyapunovFunctional, LyapunovSpectrum,
-                               coarse_classes, diophantine_profile,
-                               expanding_elements, joint_spectrum,
-                               min_expansion_rate, padic_lyapunov,
-                               real_lyapunov, weyl_chambers)
+                               coarse_classes, joint_spectrum,
+                               min_expansion_rate, real_lyapunov,
+                               weyl_chambers)
+
+from helpers import padic_lyapunov
 
 CAT = [[2, 1], [1, 1]]
 FIB = [[1, 1], [1, 0]]
@@ -262,14 +263,6 @@ class TestConesAndRates:
         with pytest.raises(ValueError):
             weyl_chambers(spectrum_of([[2]]))
 
-    def test_expanding_elements_automorphisms_never(self):
-        spec = spectrum_of(CAT, FIB)
-        assert expanding_elements(spec, 5) == []
-
-    def test_expanding_elements_doubling(self):
-        spec = spectrum_of([[2]])
-        assert expanding_elements(spec, 2) == [(1,), (2,)]
-
     def test_min_rate_axis_pair(self):
         spec = synthetic(2, [("real", (1, 0), None), ("real", (0, 1), None)])
         assert abs(min_expansion_rate(spec) - 1.0) < 1e-9
@@ -286,25 +279,3 @@ class TestConesAndRates:
         base = synthetic(2, [("real", (1, 0), None), ("real", (0, 1), None)])
         doubled = synthetic(2, [("real", (2, 0), None), ("real", (0, 2), None)])
         assert abs(min_expansion_rate(doubled) - 2 * min_expansion_rate(base)) < 1e-9
-
-
-class TestDiophantine:
-    def test_golden_ratio_profile_frozen(self):
-        phi = (1 + math.sqrt(5)) / 2
-        c, z = diophantine_profile((1.0, phi), 1, 12)
-        assert abs(c - (phi - 1)) < 1e-9
-        assert sorted(map(abs, z)) == [1, 1]
-
-    def test_matches_independent_brute_force(self):
-        w = (1.0, math.sqrt(2))
-        c, z = diophantine_profile(w, 2, 8)
-        best = None
-        for z1 in range(-8, 9):
-            for z2 in range(-8, 9):
-                if z1 == 0 and z2 == 0:
-                    continue
-                n = max(abs(z1), abs(z2))
-                val = abs(z1 * w[0] + z2 * w[1]) * n ** 2
-                if best is None or val < best:
-                    best = val
-        assert abs(c - best) < 1e-12
