@@ -75,6 +75,10 @@ EXIT_INCONCLUSIVE = 3
 EXIT_DUAL_LATTICE = 4
 EXIT_NOT_EXPANDING = 5
 
+# sizes the float engines allocate up front
+_MAX_MC_SAMPLES = 10 ** 6
+_MAX_GRID_POINTS = 1 << 20
+
 
 # --- input layer ------------------------------------------------------------
 #
@@ -435,7 +439,7 @@ def cmd_mixing(args):
     # Monte Carlo rows only when the config has "mc" or the flag is given
     mc_samples = _get(mc, "samples", f"{where}: mc", _int,
                       10000 if "mc" in config else None, low=1,
-                      flag=("--mc", args.mc))
+                      high=_MAX_MC_SAMPLES, flag=("--mc", args.mc))
 
     amat = QMat(matrix)
     curve = mixing_curve(f, g, amat, n_max, fit_range=fit_range)
@@ -486,7 +490,14 @@ def cmd_conjugate(args):
     terms = _terms(config["perturbation"], f"{where}: perturbation",
                    lambda v, name: _int_list(v, name, dim),
                    lambda v, name: _list(v, name, dim, _complex_pair))
-    grid = _get(config, "grid", where, _int, 1024, low=2,
+    # at most _MAX_GRID_POINTS grid points; the default grid obeys it too
+    top = int(_MAX_GRID_POINTS ** (1 / dim)) + 1
+    while top ** dim > _MAX_GRID_POINTS:
+        top -= 1
+    if top < 2:
+        raise ParseError(f"{where}: matrix: a {dim}-dimensional grid has "
+                         f"more than {_MAX_GRID_POINTS} points")
+    grid = _get(config, "grid", where, _int, min(1024, top), low=2, high=top,
                 flag=("--grid", args.grid))
     tol = _get(config, "tol", where, _number, 1e-8, positive=True,
                flag=("--tol", args.tol))

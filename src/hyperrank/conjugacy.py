@@ -17,10 +17,12 @@ residuals are measured, logged, and re-verified off-grid.
 
 from __future__ import annotations
 
-import cmath
 import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 from .errors import DegenerateField, NoConvergence, NotExpanding
 from .exact import QMat
@@ -38,12 +40,23 @@ class TrigPerturbation:
     terms: tuple          # ((k tuple of ints, coeffs tuple of complex), ...)
 
     def __call__(self, x):
-        out = [0.0] * self.dim
+        return _point(self.at(_column(x)))
+
+    def at(self, xs):
+        """q at the columns of a (dim, count) array, as a (dim, count)
+        array; rounded as the scalar sum of Re(c e^{2 pi i <k, x>}) over
+        the terms in order, with <k, x> summed left to right."""
+        out = np.zeros((self.dim, xs.shape[1]))
         for k, coeffs in self.terms:
-            phase = cmath.exp(2j * math.pi * sum(a * b for a, b in zip(k, x)))
+            s = np.zeros(xs.shape[1])
+            for a, row in zip(k, xs):
+                s = s + a * row
+            z = np.zeros(xs.shape[1], dtype=complex)
+            z.imag = TWO_PI * s
+            e = np.exp(z)
             for j, c in enumerate(coeffs):
-                out[j] += (c * phase).real
-        return tuple(out)
+                out[j] = out[j] + (c.real * e.real - c.imag * e.imag)
+        return out
 
     def sup_bound(self):
         """Componentwise-max bound on ||q||_inf: sum of |c| per component."""
@@ -106,10 +119,11 @@ class PerturbedMap:
                 f"the expansion margin {lam - 1.0:.6g}")
 
     def tau(self, x):
-        lin = [sum(float(c) * t for c, t in zip(row, x))
-               for row in self.lin.rows]
-        qv = self.q(x)
-        return tuple((a + b) % 1.0 for a, b in zip(lin, qv))
+        return _point(self.tau_at(_column(x)))
+
+    def tau_at(self, xs):
+        """tau at the columns of a (dim, count) array."""
+        return (_linear(self.lin, xs) + _q_at(self.q, xs)) % 1.0
 
 
 def perturbed_map(lin, q=None, q_bound=None, dq_bound=None) -> PerturbedMap:
@@ -139,6 +153,70 @@ def perturbed_map(lin, q=None, q_bound=None, dq_bound=None) -> PerturbedMap:
     return PerturbedMap(lin=m, q=q, q_bound=q_bound, dq_bound=dq_bound)
 
 
+# --- array helpers ----------------------------------------------------------
+#
+# Points travel as the columns of a (dim, count) float array.  Every routine
+# below rounds each point exactly as the scalar formula it replaces: sums run
+# left to right from 0.0, and numpy's elementwise float operations are the
+# IEEE ones CPython uses.
+
+
+def _column(x):
+    return np.array(x, dtype=float).reshape(-1, 1)
+
+
+def _point(arr):
+    return tuple(arr[:, 0].tolist())
+
+
+def _linear(m: QMat, xs):
+    """m x at every column of xs, each row summed left to right."""
+    out = np.zeros((len(m.rows), xs.shape[1]))
+    for i, row in enumerate(m.rows):
+        for c, t in zip(row, xs):
+            out[i] = out[i] + float(c) * t
+    return out
+
+
+def _q_at(q, xs):
+    if isinstance(q, TrigPerturbation):
+        return q.at(xs)
+    # any other periodic callable is called point by point
+    return np.array([q(tuple(x)) for x in xs.T.tolist()],
+                    dtype=float).reshape(xs.shape[1], len(xs)).T
+
+
+def _corners(xs, n):
+    """The 2^dim corners of multilinear periodic interpolation on the
+    n-grid at every column of xs: per corner the flat row-major grid index
+    and the weight, the product of frac or 1 - frac over the axes in order.
+    A zero weight needs no skipping: times a finite value it adds +-0.0 to
+    a sum that starts at +0.0, which changes no partial sum."""
+    s = xs * n
+    base = np.floor(s)
+    frac = s - base
+    base = base.astype(np.int64)
+    out = []
+    for corner in range(1 << len(xs)):
+        w = np.ones(xs.shape[1])
+        idx = np.zeros(xs.shape[1], dtype=np.int64)
+        for axis in range(len(xs)):
+            bit = (corner >> axis) & 1
+            w = w * (frac[axis] if bit else 1.0 - frac[axis])
+            idx = idx * n + (base[axis] + bit) % n
+        out.append((idx, w))
+    return out
+
+
+def _interpolate(values, corners):
+    """The field with grid values (dim, n^dim) at the points the corners
+    were built for, as a (dim, count) array, corners summed in order."""
+    out = np.zeros((len(values), len(corners[0][0])))
+    for idx, w in corners:
+        out = out + w * values[:, idx]
+    return out
+
+
 # --- displacement fields ----------------------------------------------------
 
 
@@ -157,49 +235,31 @@ class ConjugacyField:
     def sweeps(self):
         return len(self.residuals)
 
+    @cached_property
+    def array(self):
+        """values as a (dim, grid**dim) float array."""
+        return np.array(self.values, dtype=float).reshape(self.dim, -1)
+
+    def displacement_at(self, xs):
+        """Multilinear periodic interpolation at the columns of a
+        (dim, count) array of real points."""
+        return _interpolate(self.array, _corners(xs, self.grid))
+
     def displacement(self, x):
-        """Multilinear periodic interpolation at any real point."""
-        n = self.grid
-        base, frac = [], []
-        for t in x:
-            s = t * n
-            b = math.floor(s)
-            base.append(b)
-            frac.append(s - b)
-        out = [0.0] * self.dim
-        for corner in range(1 << self.dim):
-            w = 1.0
-            idx = 0
-            for axis in range(self.dim):
-                bit = (corner >> axis) & 1
-                w *= frac[axis] if bit else 1.0 - frac[axis]
-                idx = idx * n + (base[axis] + bit) % n
-            if w == 0.0:
-                continue
-            for j in range(self.dim):
-                out[j] += w * self.values[j][idx]
-        return tuple(out)
+        return _point(self.displacement_at(_column(x)))
 
     def phi(self, x):
         return tuple(t + d for t, d in zip(x, self.displacement(x)))
 
 
-def _grid_points(dim, n):
-    pts = []
-    idx = [0] * dim
-    for flat in range(n ** dim):
-        r = flat
-        for axis in range(dim - 1, -1, -1):
-            idx[axis] = r % n
-            r //= n
-        pts.append(tuple(i / n for i in idx))
-    return pts
-
-
 def solve_conjugacy(pmap: PerturbedMap, grid, tol=1e-8,
                     budget=200) -> ConjugacyField:
     """Iterate h <- A^{-1}(q + h o tau) on the grid until the sup update
-    falls under tol; geometric at rate <= ||A^{-1}||_inf by expansion."""
+    falls under tol; geometric at rate <= ||A^{-1}||_inf by expansion.
+
+    tau, q and the interpolation corners of tau's grid images are fixed
+    across sweeps, so they are built once; a sweep is 2^dim gathers and a
+    dim x dim combination."""
     pmap.check_expanding()
     if grid < 2:
         raise ValueError("grid resolution must be at least 2")
@@ -209,33 +269,27 @@ def solve_conjugacy(pmap: PerturbedMap, grid, tol=1e-8,
     ainv = pmap.lin.inverse()
     rate = float(max(sum(abs(c) for c in row) for row in ainv.rows))
     ainv_f = [[float(c) for c in row] for row in ainv.rows]
-    pts = _grid_points(d, grid)
-    qx = [pmap.q(x) for x in pts]
-    # tau is sweep-independent: precompute the pullback points once
-    taux = [tuple((sum(float(c) * t for c, t in zip(row, x)) + qv[i]) % 1.0
-                  for i, row in enumerate(pmap.lin.rows))
-            for x, qv in zip(pts, qx)]
-    h = ConjugacyField(dim=d, grid=grid,
-                       values=tuple(tuple([0.0] * len(pts))
-                                    for _ in range(d)),
-                       residuals=(), rate_bound=rate)
+    # grid points, row-major with the last axis fastest
+    pts = np.indices((grid,) * d).reshape(d, -1) / grid
+    qx = _q_at(pmap.q, pts)
+    corners = _corners(pmap.tau_at(pts), grid)
+    h = np.zeros((d, grid ** d))
     history = []
     for _ in range(budget):
-        new = [[0.0] * len(pts) for _ in range(d)]
-        residual = 0.0
-        for pt in range(len(pts)):
-            pulled = h.displacement(taux[pt])
-            for j in range(d):
-                v = sum(ainv_f[j][l] * (qx[pt][l] + pulled[l])
-                        for l in range(d))
-                new[j][pt] = v
-                residual = max(residual, abs(v - h.values[j][pt]))
+        pulled = qx + _interpolate(h, corners)
+        new = np.zeros_like(h)
+        for j in range(d):
+            for l in range(d):
+                new[j] = new[j] + ainv_f[j][l] * pulled[l]
+        # fmax skips NaN as the scalar running max(residual, r) does
+        residual = float(np.fmax.reduce(np.abs(new - h), axis=None,
+                                        initial=0.0))
         history.append(residual)
-        h = ConjugacyField(dim=d, grid=grid,
-                           values=tuple(tuple(c) for c in new),
-                           residuals=tuple(history), rate_bound=rate)
+        h = new
         if residual < tol:
-            return h
+            return ConjugacyField(dim=d, grid=grid,
+                                  values=tuple(map(tuple, h.tolist())),
+                                  residuals=tuple(history), rate_bound=rate)
     raise NoConvergence(budget, tuple(history))
 
 
@@ -252,19 +306,18 @@ def verify_conjugacy(pmap: PerturbedMap, field: ConjugacyField,
     is the toral distance, reported exactly as sampled."""
     rng = random.Random(seed)
     d = pmap.dim
-    sup = 0.0
+    xs = np.array([[rng.random() for _ in range(d)] for _ in range(samples)],
+                  dtype=float).reshape(samples, d).T
+    y = pmap.tau_at(xs)
+    left = y + field.displacement_at(y)
+    right = _linear(pmap.lin, xs + field.displacement_at(xs))
+    diff = left - right
+    r = np.abs(diff - np.rint(diff)).max(axis=0, initial=0.0)
     acc = 0.0
-    for _ in range(samples):
-        x = tuple(rng.random() for _ in range(d))
-        y = pmap.tau(x)
-        left = field.phi(y)
-        px = field.phi(x)
-        right = [sum(float(c) * t for c, t in zip(row, px))
-                 for row in pmap.lin.rows]
-        r = max(abs(a - b - round(a - b)) for a, b in zip(left, right))
-        sup = max(sup, r)
-        acc += r
-    return ResidualReport(sup=sup, mean=acc / samples, count=samples)
+    for v in r.tolist():       # the scalar running sum, in sample order
+        acc += v
+    return ResidualReport(sup=float(r.max(initial=0.0)), mean=acc / samples,
+                          count=samples)
 
 
 @dataclass(frozen=True)
@@ -293,25 +346,28 @@ def holder_estimate(field: ConjugacyField, pairs=3000,
     # constant up to the solver's own convergence noise is still constant;
     # each component is judged on its own range
     floor = 1e-15 + 10.0 * (field.residuals[-1] if field.residuals else 0.0)
-    if all(max(c) - min(c) <= floor for c in field.values):
+    vals = field.array
+    if np.all(vals.max(axis=1) - vals.min(axis=1) <= floor):
         raise DegenerateField("displacement field is constant")
     rng = random.Random(seed)
     d = field.dim
     delta = 1.0 / field.grid
     per_bin = max(8, pairs // _HOLDER_BINS)
-    scales, moduli = [], []
-    for b in range(_HOLDER_BINS):
-        t = delta * _HOLDER_SPAN ** (b / (_HOLDER_BINS - 1))
-        best = 0.0
+    ts = [delta * _HOLDER_SPAN ** (b / (_HOLDER_BINS - 1))
+          for b in range(_HOLDER_BINS)]
+    starts, steps = [], []
+    for t in ts:
         for _ in range(per_bin):
-            x = tuple(rng.random() for _ in range(d))
+            starts.append([rng.random() for _ in range(d)])
             axis = rng.randrange(d)
             sign = 1.0 if rng.random() < 0.5 else -1.0
-            y = tuple(v + (sign * t if j == axis else 0.0)
-                      for j, v in enumerate(x))
-            hx = field.displacement(x)
-            hy = field.displacement(y)
-            best = max(best, max(abs(a - b2) for a, b2 in zip(hx, hy)))
+            steps.append([sign * t if j == axis else 0.0 for j in range(d)])
+    starts = np.array(starts, dtype=float).T
+    ends = starts + np.array(steps, dtype=float).T
+    gaps = np.abs(field.displacement_at(starts) - field.displacement_at(ends))
+    scales, moduli = [], []
+    for t, gap in zip(ts, np.split(gaps.max(axis=0), _HOLDER_BINS)):
+        best = float(gap.max(initial=0.0))
         if best > 0.0:
             scales.append(t)
             moduli.append(best)

@@ -14,8 +14,11 @@ integer matrix multiplies the mode by the transpose, and that identity holds
 exactly on the rational phases, which is what the exact correlation and the
 inverse-branch arithmetic lean on.
 
-Phases are Fractions end to end; floats appear only inside the final
-complex exponential and in Monte Carlo averaging.
+Phases are exact rationals end to end; floats appear only inside the final
+complex exponential and in Monte Carlo averaging.  Monte Carlo evaluates
+every character on all samples at once, from integer phase numerators over
+a common denominator, and rounds exactly as the scalar Fraction evaluation
+(float of the phase, then cmath.exp) would.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ _MIN_DIGITS = 32        # the fewest p-adic digits a sampled fiber carries
 _ESCAPE_CAP = 200       # dual-orbit steps _escape_index may take
 _CLT_REF_TERMS = 64     # lags in clt_check's exact series variance
 _CLT_BINS = 16          # bins of clt_check's histogram
+_EXACT_FLOAT = 1 << 53  # integers up to here are exact float64 values
 
 
 # --- points -----------------------------------------------------------------
@@ -186,33 +190,6 @@ def _mode_primes(mode):
     return out
 
 
-def character_phase(mode, pt: SolenoidPoint) -> Fraction:
-    """Exact rational phase <m, x> + sum_p {<m, xi_p>}_p, reduced mod 1."""
-    theta = sum((Fraction(m) * c for m, c in zip(mode, pt.x)), Fraction(0))
-    for p, prec, res in pt.xi:
-        t = 0
-        for m in mode:
-            t = max(t, vp_int(Fraction(m).denominator, p))
-        if t == 0:
-            continue
-        if prec < t:
-            raise PrecisionExhausted(
-                f"mode needs {t} digits at p = {p}, point has {prec}")
-        q = p ** t
-        num = 0
-        for m, r in zip(mode, res):
-            m = Fraction(m)
-            tp = vp_int(m.denominator, p)
-            rest = m.denominator // p ** tp
-            num += m.numerator * pow(rest, -1, q) * p ** (t - tp) * r
-        theta += Fraction(num % q, q)
-    return theta % 1
-
-
-def character_value(mode, pt: SolenoidPoint) -> complex:
-    return cmath.exp(2j * math.pi * float(character_phase(mode, pt)))
-
-
 @dataclass(frozen=True)
 class TrigFunction:
     """Finite combination sum_m c_m chi_m with modes in Z[1/S]^d."""
@@ -269,10 +246,6 @@ class TrigFunction:
         at = a.transpose()
         return TrigFunction.build(
             [(at.matvec(m), coeff) for m, coeff in self.terms], self.primes)
-
-    def evaluate(self, pt: SolenoidPoint) -> complex:
-        return sum((coeff * character_value(m, pt) for m, coeff in self.terms),
-                   0j)
 
 
 # --- exact correlation and mixing curves ------------------------------------
@@ -397,16 +370,111 @@ class McCorrelation:
     samples: int
 
 
+def _column(ints, modulus):
+    """One integer coordinate over the samples: the Python ints, and their
+    residues mod modulus (at most 2^53) as uint64 with their bit bound."""
+    return (ints, np.array([v % modulus for v in ints], dtype=np.uint64),
+            (modulus - 1).bit_length())
+
+
+def _columns(pts):
+    """Haar points as integer columns: per torus axis the numerators over
+    2^32, and per prime of S and axis the fiber residues.  A fiber column's
+    uint64 residues are taken mod the largest power of p up to 2^53, which
+    every fiber modulus of a phase on the uint64 path divides."""
+    den = 1 << _GRID_BITS
+    torus = [_column([c.numerator * (den // c.denominator) for c in axis],
+                     den)
+             for axis in zip(*(pt.x for pt in pts))]
+    fibers = []
+    for slot in zip(*(pt.xi for pt in pts)):
+        p = slot[0][0]
+        low = 1
+        while low * p <= _EXACT_FLOAT:
+            low *= p
+        fibers.append((p, [_column(list(axis), low)
+                           for axis in zip(*(res for _, _, res in slot))]))
+    return torus, fibers
+
+
+def _mulmod(c, v, bits, mod):
+    """c * v % mod for an int 0 <= c < mod <= 2^53 and a uint64 array
+    v < 2^bits: Horner's rule over the bytes of v keeps every partial
+    result below 2^62."""
+    out = np.zeros_like(v)
+    for shift in range((bits - 1) // 8 * 8, -1, -8):
+        out = (out * 256 + c * ((v >> shift) & 255)) % mod
+    return out
+
+
+def _phases(mode, torus, fibers, samples):
+    """float(theta) for the exact phase theta of chi_mode at every sample.
+
+    With l the lcm of the mode's denominators, D = 2^32 l and M = l m, the
+    phase is N / D mod 1 for the integer
+
+        N = sum_j M_j u_j + sum_{p | l} k_p sum_j M_j xi_pj,
+
+    u the torus numerators over 2^32, xi_p the fiber residues and
+    k_p = ((l / p^t)^-1 mod p^t) D / p^t for p^t || l.  N mod D is computed
+    in uint64 when D <= 2^53 and in Python ints otherwise; either way the
+    quotient is the correctly rounded float(theta).
+    """
+    lcm = math.lcm(*(c.denominator for c in mode))
+    mod = lcm << _GRID_BITS
+    ints = [int(c * lcm) for c in mode]
+    terms = list(zip(ints, torus))
+    for p, cols in fibers:
+        if lcm % p == 0:
+            q = p ** vp_int(lcm, p)
+            k = pow(lcm // q, -1, q) * (mod // q)
+            terms += [(k * c, col) for c, col in zip(ints, cols)]
+    if mod <= _EXACT_FLOAT:
+        num = np.zeros(samples, dtype=np.uint64)
+        for c, (_, arr, bits) in terms:
+            num = (num + _mulmod(c % mod, arr, bits, mod)) % mod
+        return num.astype(np.float64) / mod
+    num = [0] * samples
+    for c, (col, _, _) in terms:
+        num = [n + c * v for n, v in zip(num, col)]
+    return np.array([n % mod / mod for n in num])
+
+
+def _evaluate(fn: TrigFunction, torus, fibers, samples):
+    """fn at every sample as (real, imag) arrays, rounded as the scalar
+    sum_m c_m exp(2 pi i theta_m) in CPython: the terms in order, each
+    complex product written out as CPython computes it."""
+    re = np.zeros(samples)
+    im = np.zeros(samples)
+    for mode, coeff in fn.terms:
+        z = np.zeros(samples, dtype=complex)
+        z.imag = 2 * math.pi * _phases(mode, torus, fibers, samples)
+        e = np.exp(z)
+        re = re + (coeff.real * e.real - coeff.imag * e.imag)
+        im = im + (coeff.real * e.imag + coeff.imag * e.real)
+    return re, im
+
+
 def monte_carlo_correlation(f: TrigFunction, g: TrigFunction, a: QMat, n,
                             samples=10000, seed=0) -> McCorrelation:
     """Haar-sampled estimate of the same functional exact_correlation
-    computes; fibers carry as many digits as the modes evaluated need."""
+    computes; fibers carry as many digits as the modes evaluated need.
+
+    The points are drawn one by one, then every character is evaluated on
+    all of them at once from its exact integer phase numerators."""
     if f.primes != g.primes:
         raise ValueError("observables live on different solenoids")
     fn = f.pushforward(a.power(n)) if n else f
     prec = max(_MIN_DIGITS, fn.fiber_digits(), g.fiber_digits())
     pts = haar_sample(samples, f.dim, primes=f.primes, seed=seed, prec=prec)
-    vals = [fn.evaluate(pt) * g.evaluate(pt) for pt in pts]
+    torus, fibers = _columns(pts)
+    fr, fi = _evaluate(fn, torus, fibers, samples)
+    gr, gi = _evaluate(g, torus, fibers, samples)
+    prod = np.empty(samples, dtype=complex)
+    prod.real = fr * gr - fi * gi
+    prod.imag = fr * gi + fi * gr
+    vals = prod.tolist()
+    # CPython's sequential sums: a numpy reduction rounds differently
     mean = sum(vals) / samples
     est = mean - f.mean() * g.mean()
     var = sum(abs(v - mean) ** 2 for v in vals) / max(samples - 1, 1)

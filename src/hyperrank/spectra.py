@@ -594,7 +594,39 @@ def _integer_direction_in_sector(mid, a0, a1):
                             best = (score, (x, y))
         if best is not None:
             return best[1]
-    raise RootFindingFailure(f"no small integer vector inside sector ({a0}, {a1})")
+    return _simplest_direction_in_sector(mid, a0, a1)
+
+
+def _simplest_between(lo, hi):
+    """The fraction of least denominator strictly between the rationals
+    lo < hi: the Stern-Brocot descent, taken a continued-fraction run at a
+    time."""
+    n = math.floor(lo)
+    if n + 1 < hi:
+        return Fraction(n + 1)
+    if lo == n:
+        return n + Fraction(1, math.floor(1 / (hi - n)) + 1)
+    return n + 1 / _simplest_between(1 / (hi - n), 1 / (lo - n))
+
+
+def _simplest_direction_in_sector(mid, a0, a1):
+    """An integer vector strictly inside a sector too narrow for the box
+    search: turn the sector by quarter turns to face the positive x-axis,
+    take the simplest slope strictly between its edges, and turn the vector
+    (denominator, numerator) back."""
+    turns = round(mid / (math.pi / 2))
+    lo = math.tan(a0 + 1e-12 - turns * math.pi / 2)
+    hi = math.tan(a1 - 1e-12 - turns * math.pi / 2)
+    if lo < hi:
+        slope = _simplest_between(Fraction(lo), Fraction(hi))
+        x, y = slope.denominator, slope.numerator
+        for _ in range(turns % 4):
+            x, y = -y, x
+        ang = math.atan2(y, x) % (2 * math.pi)
+        if any(a0 + 1e-12 < ang + shift < a1 - 1e-12
+               for shift in (-2 * math.pi, 0, 2 * math.pi)):
+            return (x, y)
+    raise RootFindingFailure(f"no integer vector inside sector ({a0}, {a1})")
 
 
 # --- expansion --------------------------------------------------------------

@@ -1,17 +1,26 @@
-"""Builders and an oracle shared by the unit tests.
+"""Builders and oracles shared by the unit tests.
 
 None of these is reached from a command: the tests use them to set up
-points, observables and group elements, and to cross-check the joint
-p-adic spectrum against single-matrix Newton polygons.
+points, observables and group elements, to cross-check the joint p-adic
+spectrum against single-matrix Newton polygons, and to hold the library's
+float engines to the scalar code they replaced, bit for bit.
 """
 
+import cmath
+import math
+import random
 from fractions import Fraction
 
-from hyperrank.errors import RankDeficient
-from hyperrank.exact import QMat
+from hyperrank.conjugacy import (_HOLDER_BINS, _HOLDER_SPAN, ConjugacyField,
+                                 HolderEstimate, ResidualReport,
+                                 TrigPerturbation)
+from hyperrank.errors import (DegenerateField, NoConvergence,
+                              PrecisionExhausted, RankDeficient)
+from hyperrank.exact import QMat, vp_int
 from hyperrank.exact.newton import newton_polygon
 from hyperrank.nilpotent import NilElement, nil_element
-from hyperrank.solenoid import SolenoidPoint, TrigFunction
+from hyperrank.solenoid import (_MIN_DIGITS, McCorrelation, SolenoidPoint,
+                                TrigFunction, haar_sample)
 
 
 def padic_lyapunov(matrix, p):
@@ -61,3 +70,209 @@ def cosine(mode, primes=()):
 
 def nil_identity(structure) -> NilElement:
     return nil_element(structure, [0] * structure.dim)
+
+
+# --- scalar oracles ---------------------------------------------------------
+#
+# The one-point-at-a-time Monte Carlo and conjugacy code the library's array
+# engines replaced, kept verbatim as the oracle they must match bit for bit.
+
+
+def character_phase(mode, pt: SolenoidPoint) -> Fraction:
+    """Exact rational phase <m, x> + sum_p {<m, xi_p>}_p, reduced mod 1."""
+    theta = sum((Fraction(m) * c for m, c in zip(mode, pt.x)), Fraction(0))
+    for p, prec, res in pt.xi:
+        t = 0
+        for m in mode:
+            t = max(t, vp_int(Fraction(m).denominator, p))
+        if t == 0:
+            continue
+        if prec < t:
+            raise PrecisionExhausted(
+                f"mode needs {t} digits at p = {p}, point has {prec}")
+        q = p ** t
+        num = 0
+        for m, r in zip(mode, res):
+            m = Fraction(m)
+            tp = vp_int(m.denominator, p)
+            rest = m.denominator // p ** tp
+            num += m.numerator * pow(rest, -1, q) * p ** (t - tp) * r
+        theta += Fraction(num % q, q)
+    return theta % 1
+
+
+def character_value(mode, pt: SolenoidPoint) -> complex:
+    return cmath.exp(2j * math.pi * float(character_phase(mode, pt)))
+
+
+def evaluate(f: TrigFunction, pt: SolenoidPoint) -> complex:
+    return sum((coeff * character_value(m, pt) for m, coeff in f.terms), 0j)
+
+
+def scalar_monte_carlo_correlation(f, g, a, n, samples=10000, seed=0):
+    if f.primes != g.primes:
+        raise ValueError("observables live on different solenoids")
+    fn = f.pushforward(a.power(n)) if n else f
+    prec = max(_MIN_DIGITS, fn.fiber_digits(), g.fiber_digits())
+    pts = haar_sample(samples, f.dim, primes=f.primes, seed=seed, prec=prec)
+    vals = [evaluate(fn, pt) * evaluate(g, pt) for pt in pts]
+    mean = sum(vals) / samples
+    est = mean - f.mean() * g.mean()
+    var = sum(abs(v - mean) ** 2 for v in vals) / max(samples - 1, 1)
+    return McCorrelation(n=n, value=est, stderr=math.sqrt(var / samples),
+                         samples=samples)
+
+
+def scalar_q(q, x):
+    if not isinstance(q, TrigPerturbation):
+        return q(x)
+    out = [0.0] * q.dim
+    for k, coeffs in q.terms:
+        phase = cmath.exp(2j * math.pi * sum(a * b for a, b in zip(k, x)))
+        for j, c in enumerate(coeffs):
+            out[j] += (c * phase).real
+    return tuple(out)
+
+
+def scalar_tau(pmap, x):
+    lin = [sum(float(c) * t for c, t in zip(row, x))
+           for row in pmap.lin.rows]
+    qv = scalar_q(pmap.q, x)
+    return tuple((a + b) % 1.0 for a, b in zip(lin, qv))
+
+
+def displacement(field, x):
+    """Multilinear periodic interpolation at any real point."""
+    n = field.grid
+    base, frac = [], []
+    for t in x:
+        s = t * n
+        b = math.floor(s)
+        base.append(b)
+        frac.append(s - b)
+    out = [0.0] * field.dim
+    for corner in range(1 << field.dim):
+        w = 1.0
+        idx = 0
+        for axis in range(field.dim):
+            bit = (corner >> axis) & 1
+            w *= frac[axis] if bit else 1.0 - frac[axis]
+            idx = idx * n + (base[axis] + bit) % n
+        if w == 0.0:
+            continue
+        for j in range(field.dim):
+            out[j] += w * field.values[j][idx]
+    return tuple(out)
+
+
+def phi(field, x):
+    return tuple(t + d for t, d in zip(x, displacement(field, x)))
+
+
+def _grid_points(dim, n):
+    pts = []
+    idx = [0] * dim
+    for flat in range(n ** dim):
+        r = flat
+        for axis in range(dim - 1, -1, -1):
+            idx[axis] = r % n
+            r //= n
+        pts.append(tuple(i / n for i in idx))
+    return pts
+
+
+def scalar_solve_conjugacy(pmap, grid, tol=1e-8, budget=200):
+    pmap.check_expanding()
+    d = pmap.dim
+    ainv = pmap.lin.inverse()
+    rate = float(max(sum(abs(c) for c in row) for row in ainv.rows))
+    ainv_f = [[float(c) for c in row] for row in ainv.rows]
+    pts = _grid_points(d, grid)
+    qx = [scalar_q(pmap.q, x) for x in pts]
+    taux = [tuple((sum(float(c) * t for c, t in zip(row, x)) + qv[i]) % 1.0
+                  for i, row in enumerate(pmap.lin.rows))
+            for x, qv in zip(pts, qx)]
+    h = ConjugacyField(dim=d, grid=grid,
+                       values=tuple(tuple([0.0] * len(pts))
+                                    for _ in range(d)),
+                       residuals=(), rate_bound=rate)
+    history = []
+    for _ in range(budget):
+        new = [[0.0] * len(pts) for _ in range(d)]
+        residual = 0.0
+        for pt in range(len(pts)):
+            pulled = displacement(h, taux[pt])
+            for j in range(d):
+                v = sum(ainv_f[j][l] * (qx[pt][l] + pulled[l])
+                        for l in range(d))
+                new[j][pt] = v
+                residual = max(residual, abs(v - h.values[j][pt]))
+        history.append(residual)
+        h = ConjugacyField(dim=d, grid=grid,
+                           values=tuple(tuple(c) for c in new),
+                           residuals=tuple(history), rate_bound=rate)
+        if residual < tol:
+            return h
+    raise NoConvergence(budget, tuple(history))
+
+
+def scalar_verify_conjugacy(pmap, field, samples=500, seed=0):
+    rng = random.Random(seed)
+    d = pmap.dim
+    sup = 0.0
+    acc = 0.0
+    for _ in range(samples):
+        x = tuple(rng.random() for _ in range(d))
+        y = scalar_tau(pmap, x)
+        left = phi(field, y)
+        px = phi(field, x)
+        right = [sum(float(c) * t for c, t in zip(row, px))
+                 for row in pmap.lin.rows]
+        r = max(abs(a - b - round(a - b)) for a, b in zip(left, right))
+        sup = max(sup, r)
+        acc += r
+    return ResidualReport(sup=sup, mean=acc / samples, count=samples)
+
+
+def scalar_holder_estimate(field, pairs=3000, seed=0):
+    bins, span = _HOLDER_BINS, _HOLDER_SPAN
+    floor = 1e-15 + 10.0 * (field.residuals[-1] if field.residuals else 0.0)
+    if all(max(c) - min(c) <= floor for c in field.values):
+        raise DegenerateField("displacement field is constant")
+    rng = random.Random(seed)
+    d = field.dim
+    delta = 1.0 / field.grid
+    per_bin = max(8, pairs // bins)
+    scales, moduli = [], []
+    for b in range(bins):
+        t = delta * span ** (b / (bins - 1))
+        best = 0.0
+        for _ in range(per_bin):
+            x = tuple(rng.random() for _ in range(d))
+            axis = rng.randrange(d)
+            sign = 1.0 if rng.random() < 0.5 else -1.0
+            y = tuple(v + (sign * t if j == axis else 0.0)
+                      for j, v in enumerate(x))
+            hx = displacement(field, x)
+            hy = displacement(field, y)
+            best = max(best, max(abs(a - b2) for a, b2 in zip(hx, hy)))
+        if best > 0.0:
+            scales.append(t)
+            moduli.append(best)
+    if len(scales) < 3:
+        raise DegenerateField("displacement increments vanish on the "
+                              "sampled band")
+    xs = [math.log(t) for t in scales]
+    ys = [math.log(m) for m in moduli]
+    k = len(xs)
+    mx = sum(xs) / k
+    my = sum(ys) / k
+    sxx = sum((a - mx) ** 2 for a in xs)
+    slope = sum((a - mx) * (b - my) for a, b in zip(xs, ys)) / sxx
+    inter = my - slope * mx
+    ssr = sum((b - (inter + slope * a)) ** 2 for a, b in zip(xs, ys))
+    se = math.sqrt(ssr / (k - 2) / sxx) if k > 2 else 0.0
+    half = 1.96 * se
+    return HolderEstimate(exponent=slope, ci_low=slope - half,
+                          ci_high=slope + half, scales=tuple(scales),
+                          moduli=tuple(moduli))

@@ -275,6 +275,18 @@ class TestAnalyze:
         assert report["verdict"] == "inconclusive"
         assert str(det) in report["error"]
 
+    def test_narrow_chamber_exit_zero(self, capsys, tmp_path):
+        # the chamber between the angles 3.1283 and pi holds no integer
+        # vector of sup norm <= 55; its simplest one is (-76, 1)
+        out = tmp_path / "report.json"
+        code, _, err = run(capsys, "analyze", fixture("narrow_chamber.json"),
+                           "--out", str(out))
+        assert code == 0, err
+        report = json.loads(out.read_text())
+        reps = [c["representative"] for c in report["weyl_chambers"]]
+        assert [-76, 1] in reps and [76, -1] in reps
+        assert report["z2_subgroup"]["status"] == "certified"
+
     def test_byte_identical_reruns(self, capsys, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         run(capsys, "analyze", fixture("cubic_units_z2.json"),
@@ -393,6 +405,23 @@ class TestMixing:
                              flag, value)
         assert code == 1
         assert message in err
+        assert out == ""
+
+    @pytest.mark.parametrize("source", ["flag", "key"])
+    def test_monte_carlo_samples_capped(self, capsys, tmp_path, source):
+        cfg = json.loads((FIXTURES / "doubling_mixing.json").read_text())
+        argv = []
+        if source == "flag":
+            argv = ["--mc", "1000001"]
+        else:
+            cfg["mc"] = {"samples": 1000001}
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(cfg))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "mixing", str(path), *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert "must be <= 1000000" in err
         assert out == ""
 
     def test_negative_seed_env_exit_one(self, capsys, monkeypatch):
@@ -554,6 +583,30 @@ class TestConjugate:
                              "--grid", "1")
         assert code == 1
         assert "--grid must be >= 2" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("dim, grid, argv, message", [
+        (1, None, ["--grid", str(2 ** 20 + 1)], "--grid must be <= 1048576"),
+        (2, None, ["--grid", "1025"], "--grid must be <= 1024"),
+        (3, 102, [], "grid must be <= 101"),
+        (21, None, [], "more than 1048576 points"),
+    ])
+    def test_grid_points_capped(self, capsys, tmp_path, dim, grid, argv,
+                                message):
+        cfg = {"format": 1,
+               "matrix": [[2 if i == j else 0 for j in range(dim)]
+                          for i in range(dim)],
+               "perturbation": [{"mode": [0] * dim,
+                                 "coeff": [[0.01, 0]] * dim}]}
+        if grid is not None:
+            cfg["grid"] = grid
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(cfg))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "conjugate", str(path), *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert message in err
         assert out == ""
 
     def test_non_square_matrix_exit_one(self, capsys, tmp_path):

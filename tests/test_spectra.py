@@ -14,9 +14,10 @@ import pytest
 from hyperrank.errors import CommutativityViolated, RankDeficient
 from hyperrank.exact import QMat
 from hyperrank.spectra import (ActionSpec, LyapunovFunctional, LyapunovSpectrum,
-                               coarse_classes, joint_spectrum,
-                               min_expansion_rate, real_lyapunov,
-                               weyl_chambers)
+                               _simplest_between,
+                               _simplest_direction_in_sector, coarse_classes,
+                               joint_spectrum, min_expansion_rate,
+                               real_lyapunov, weyl_chambers)
 
 from helpers import padic_lyapunov
 
@@ -258,6 +259,41 @@ class TestConesAndRates:
         assert len(chambers) == 4
         rays = {r for c in chambers for r in c.boundary_rays if r is not None}
         assert rays == {(0, 1), (0, -1), (1, 0), (-1, 0)}
+
+    def test_weyl_narrow_chambers_beyond_the_box(self):
+        # kernel lines at slopes -1/100 and -1/99: the chamber between them
+        # holds no integer vector of sup norm <= 55
+        spec = synthetic(2, [("real", (1, 100), None),
+                             ("real", (1, 99), None)])
+        chambers = weyl_chambers(spec)
+        assert len(chambers) == 4
+        for c in chambers:
+            vals = [f.value_at(c.representative) for f in spec.functionals]
+            assert all(abs(v) > 1e-9 for v in vals)
+            assert tuple(1 if v > 0 else -1 for v in vals) == c.signs
+        reps = {c.representative for c in chambers}
+        assert (-199, 2) in reps and (199, -2) in reps
+
+    def test_simplest_slope_in_random_narrow_sectors(self):
+        rng = random.Random(4)
+        for _ in range(300):
+            a0 = rng.uniform(0, 2 * math.pi)
+            a1 = a0 + 10 ** rng.uniform(-9, -2)
+            x, y = _simplest_direction_in_sector((a0 + a1) / 2, a0, a1)
+            t = math.atan2(y, x) % (2 * math.pi)
+            assert any(a0 < t + s < a1 for s in (-2 * math.pi, 0,
+                                                 2 * math.pi))
+
+    def test_simplest_between_against_brute_force(self):
+        rng = random.Random(5)
+        for _ in range(300):
+            lo = Fraction(rng.randrange(-400, 400), rng.randrange(1, 60))
+            hi = lo + Fraction(rng.randrange(1, 50), rng.randrange(1, 900))
+            got = _simplest_between(lo, hi)
+            assert lo < got < hi
+            den = next(q for q in range(1, 1000)
+                       if math.floor(lo * q) + 1 < hi * q)
+            assert got.denominator == den
 
     def test_weyl_requires_rank_two(self):
         with pytest.raises(ValueError):
