@@ -75,9 +75,12 @@ EXIT_INCONCLUSIVE = 3
 EXIT_DUAL_LATTICE = 4
 EXIT_NOT_EXPANDING = 5
 
-# sizes the float engines allocate up front
-_MAX_MC_SAMPLES = 10 ** 6
+# sizes the float engines allocate up front: the random points one call
+# draws, the conjugacy grid, and the interpolation corners the conjugacy
+# engine holds at once, 2^dim for each grid point or off-grid sample
+_MAX_SAMPLES = 10 ** 6
 _MAX_GRID_POINTS = 1 << 20
+_MAX_CORNERS = 1 << 22
 
 
 # --- input layer ------------------------------------------------------------
@@ -439,7 +442,7 @@ def cmd_mixing(args):
     # Monte Carlo rows only when the config has "mc" or the flag is given
     mc_samples = _get(mc, "samples", f"{where}: mc", _int,
                       10000 if "mc" in config else None, low=1,
-                      high=_MAX_MC_SAMPLES, flag=("--mc", args.mc))
+                      high=_MAX_SAMPLES, flag=("--mc", args.mc))
 
     amat = QMat(matrix)
     curve = mixing_curve(f, g, amat, n_max, fit_range=fit_range)
@@ -490,20 +493,24 @@ def cmd_conjugate(args):
     terms = _terms(config["perturbation"], f"{where}: perturbation",
                    lambda v, name: _int_list(v, name, dim),
                    lambda v, name: _list(v, name, dim, _complex_pair))
-    # at most _MAX_GRID_POINTS grid points; the default grid obeys it too
+    # grid^dim points and (2 grid)^dim corners at most; the default grid
+    # obeys the caps too
     top = int(_MAX_GRID_POINTS ** (1 / dim)) + 1
-    while top ** dim > _MAX_GRID_POINTS:
+    while top ** dim > _MAX_GRID_POINTS or (2 * top) ** dim > _MAX_CORNERS:
         top -= 1
     if top < 2:
-        raise ParseError(f"{where}: matrix: a {dim}-dimensional grid has "
-                         f"more than {_MAX_GRID_POINTS} points")
+        raise ParseError(f"{where}: matrix: a {dim}-dimensional grid needs "
+                         f"more than {_MAX_CORNERS} interpolation corners")
     grid = _get(config, "grid", where, _int, min(1024, top), low=2, high=top,
                 flag=("--grid", args.grid))
     tol = _get(config, "tol", where, _number, 1e-8, positive=True,
                flag=("--tol", args.tol))
     budget = _get(config, "budget", where, _int, 200, low=1)
-    verify_samples = _get(config, "verify_samples", where, _int, 400, low=1)
-    holder_pairs = _get(config, "holder_pairs", where, _int, 2000, low=1)
+    most = min(_MAX_SAMPLES, _MAX_CORNERS >> dim)
+    verify_samples = _get(config, "verify_samples", where, _int, 400, low=1,
+                          high=most)
+    holder_pairs = _get(config, "holder_pairs", where, _int, 2000, low=1,
+                        high=most)
     seed = _resolve_seed(config, where)
 
     pmap = perturbed_map(matrix, trig_perturbation(dim, terms))

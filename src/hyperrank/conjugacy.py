@@ -306,7 +306,7 @@ def verify_conjugacy(pmap: PerturbedMap, field: ConjugacyField,
     is the toral distance, reported exactly as sampled."""
     rng = random.Random(seed)
     d = pmap.dim
-    xs = np.array([[rng.random() for _ in range(d)] for _ in range(samples)],
+    xs = np.array([rng.random() for _ in range(samples * d)],
                   dtype=float).reshape(samples, d).T
     y = pmap.tau_at(xs)
     left = y + field.displacement_at(y)
@@ -355,15 +355,17 @@ def holder_estimate(field: ConjugacyField, pairs=3000,
     per_bin = max(8, pairs // _HOLDER_BINS)
     ts = [delta * _HOLDER_SPAN ** (b / (_HOLDER_BINS - 1))
           for b in range(_HOLDER_BINS)]
-    starts, steps = [], []
-    for t in ts:
-        for _ in range(per_bin):
-            starts.append([rng.random() for _ in range(d)])
-            axis = rng.randrange(d)
-            sign = 1.0 if rng.random() < 0.5 else -1.0
-            steps.append([sign * t if j == axis else 0.0 for j in range(d)])
-    starts = np.array(starts, dtype=float).T
-    ends = starts + np.array(steps, dtype=float).T
+    count = per_bin * _HOLDER_BINS
+    draws, axes, signs = [], [], []
+    for _ in range(count):
+        draws += [rng.random() for _ in range(d)]
+        axes.append(rng.randrange(d))
+        signs.append(1.0 if rng.random() < 0.5 else -1.0)
+    starts = np.array(draws, dtype=float).reshape(count, d).T
+    # each pair steps by +-t along one axis, t the scale of its bin
+    steps = np.zeros((d, count))
+    steps[axes, np.arange(count)] = np.array(signs) * np.repeat(ts, per_bin)
+    ends = starts + steps
     gaps = np.abs(field.displacement_at(starts) - field.displacement_at(ends))
     scales, moduli = [], []
     for t, gap in zip(ts, np.split(gaps.max(axis=0), _HOLDER_BINS)):

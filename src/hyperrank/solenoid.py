@@ -43,7 +43,6 @@ _MIN_DIGITS = 32        # the fewest p-adic digits a sampled fiber carries
 _ESCAPE_CAP = 200       # dual-orbit steps _escape_index may take
 _CLT_REF_TERMS = 64     # lags in clt_check's exact series variance
 _CLT_BINS = 16          # bins of clt_check's histogram
-_EXACT_FLOAT = 1 << 53  # integers up to here are exact float64 values
 
 
 # --- points -----------------------------------------------------------------
@@ -370,41 +369,15 @@ class McCorrelation:
     samples: int
 
 
-def _column(ints, modulus):
-    """One integer coordinate over the samples: the Python ints, and their
-    residues mod modulus (at most 2^53) as uint64 with their bit bound."""
-    return (ints, np.array([v % modulus for v in ints], dtype=np.uint64),
-            (modulus - 1).bit_length())
-
-
 def _columns(pts):
     """Haar points as integer columns: per torus axis the numerators over
-    2^32, and per prime of S and axis the fiber residues.  A fiber column's
-    uint64 residues are taken mod the largest power of p up to 2^53, which
-    every fiber modulus of a phase on the uint64 path divides."""
+    2^32, and per prime of S and axis the fiber residues."""
     den = 1 << _GRID_BITS
-    torus = [_column([c.numerator * (den // c.denominator) for c in axis],
-                     den)
+    torus = [[c.numerator * (den // c.denominator) for c in axis]
              for axis in zip(*(pt.x for pt in pts))]
-    fibers = []
-    for slot in zip(*(pt.xi for pt in pts)):
-        p = slot[0][0]
-        low = 1
-        while low * p <= _EXACT_FLOAT:
-            low *= p
-        fibers.append((p, [_column(list(axis), low)
-                           for axis in zip(*(res for _, _, res in slot))]))
+    fibers = [(slot[0][0], list(zip(*(res for _, _, res in slot))))
+              for slot in zip(*(pt.xi for pt in pts))]
     return torus, fibers
-
-
-def _mulmod(c, v, bits, mod):
-    """c * v % mod for an int 0 <= c < mod <= 2^53 and a uint64 array
-    v < 2^bits: Horner's rule over the bytes of v keeps every partial
-    result below 2^62."""
-    out = np.zeros_like(v)
-    for shift in range((bits - 1) // 8 * 8, -1, -8):
-        out = (out * 256 + c * ((v >> shift) & 255)) % mod
-    return out
 
 
 def _phases(mode, torus, fibers, samples):
@@ -416,9 +389,8 @@ def _phases(mode, torus, fibers, samples):
         N = sum_j M_j u_j + sum_{p | l} k_p sum_j M_j xi_pj,
 
     u the torus numerators over 2^32, xi_p the fiber residues and
-    k_p = ((l / p^t)^-1 mod p^t) D / p^t for p^t || l.  N mod D is computed
-    in uint64 when D <= 2^53 and in Python ints otherwise; either way the
-    quotient is the correctly rounded float(theta).
+    k_p = ((l / p^t)^-1 mod p^t) D / p^t for p^t || l.  N is a Python int,
+    so N mod D / D is the correctly rounded float(theta) for every D.
     """
     lcm = math.lcm(*(c.denominator for c in mode))
     mod = lcm << _GRID_BITS
@@ -429,14 +401,10 @@ def _phases(mode, torus, fibers, samples):
             q = p ** vp_int(lcm, p)
             k = pow(lcm // q, -1, q) * (mod // q)
             terms += [(k * c, col) for c, col in zip(ints, cols)]
-    if mod <= _EXACT_FLOAT:
-        num = np.zeros(samples, dtype=np.uint64)
-        for c, (_, arr, bits) in terms:
-            num = (num + _mulmod(c % mod, arr, bits, mod)) % mod
-        return num.astype(np.float64) / mod
     num = [0] * samples
-    for c, (col, _, _) in terms:
-        num = [n + c * v for n, v in zip(num, col)]
+    for c, col in terms:
+        if c:
+            num = [n + c * v for n, v in zip(num, col)]
     return np.array([n % mod / mod for n in num])
 
 

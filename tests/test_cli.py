@@ -585,21 +585,28 @@ class TestConjugate:
         assert "--grid must be >= 2" in err
         assert out == ""
 
-    @pytest.mark.parametrize("dim, grid, argv, message", [
-        (1, None, ["--grid", str(2 ** 20 + 1)], "--grid must be <= 1048576"),
-        (2, None, ["--grid", "1025"], "--grid must be <= 1024"),
-        (3, 102, [], "grid must be <= 101"),
-        (21, None, [], "more than 1048576 points"),
+    @pytest.mark.parametrize("dim, keys, argv, message", [
+        (1, {}, ["--grid", str(2 ** 20 + 1)], "--grid must be <= 1048576"),
+        (2, {}, ["--grid", "1025"], "--grid must be <= 1024"),
+        (3, {"grid": 81}, [], "grid must be <= 80"),
+        (12, {}, [], "more than 4194304 interpolation corners"),
+        (1, {"verify_samples": 10 ** 6 + 1}, [],
+         "verify_samples must be <= 1000000"),
+        (2, {"holder_pairs": 10 ** 6 + 1}, [],
+         "holder_pairs must be <= 1000000"),
+        (3, {"verify_samples": 2 ** 19 + 1}, [],
+         "verify_samples must be <= 524288"),
+        (3, {"holder_pairs": 2 ** 19 + 1}, [],
+         "holder_pairs must be <= 524288"),
     ])
-    def test_grid_points_capped(self, capsys, tmp_path, dim, grid, argv,
-                                message):
+    def test_engine_sizes_capped(self, capsys, tmp_path, dim, keys, argv,
+                                 message):
         cfg = {"format": 1,
                "matrix": [[2 if i == j else 0 for j in range(dim)]
                           for i in range(dim)],
                "perturbation": [{"mode": [0] * dim,
-                                 "coeff": [[0.01, 0]] * dim}]}
-        if grid is not None:
-            cfg["grid"] = grid
+                                 "coeff": [[0.01, 0]] * dim}],
+               **keys}
         path = tmp_path / "c.json"
         path.write_text(json.dumps(cfg))
         start = time.perf_counter()

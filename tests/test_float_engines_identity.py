@@ -91,8 +91,8 @@ def test_monte_carlo_torus(obs, n, samples, seed):
     matrices(d, -6, 6))), st.integers(0, 3), st.integers(1, 30),
     st.integers(0, 10 ** 6))
 def test_monte_carlo_s_adic(obs, n, samples, seed):
-    # denominators up to 2^12 3^12 keep D = 2^32 lcm below 2^53 some of the
-    # time and above it the rest, so both numerator paths are drawn
+    # denominators up to 2^12 3^12 put D = 2^32 lcm below 2^53 some of the
+    # time and above it the rest, on both sides of exact float64 division
     terms_f, terms_g, matrix = obs
     check_mc(terms_f, terms_g, (2, 3), matrix, n, samples, seed)
 
@@ -105,7 +105,7 @@ def test_monte_carlo_negative_modes(terms, n, samples, seed):
 
 
 @pytest.mark.parametrize("n", [0, 1, 2])
-def test_monte_carlo_deep_mode_takes_python_ints(n):
+def test_monte_carlo_deep_mode(n):
     # 2^-40 needs D = 2^72, beyond exact float64 division
     deep = Fraction(1, 2 ** 40)
     terms = [((deep,), 0.5), ((-deep,), 0.5), ((Fraction(3, 8),), 0.25j)]
@@ -120,8 +120,7 @@ def test_monte_carlo_wide_fibers():
 
 
 def test_monte_carlo_prime_beyond_exact_floats():
-    # p = 2^70 + 25: its residues overflow uint64, and its fiber columns
-    # never enter the uint64 path
+    # p = 2^70 + 25: its fiber residues exceed 64 bits
     p = 2 ** 70 + 25
     terms = [((Fraction(1, p), 3), 1.0), ((Fraction(5, 2), -1), 0.5j)]
     check_mc(terms, terms, (2, p), [[2, 0], [1, 1]], 1, 30, 8)
