@@ -25,6 +25,7 @@ HYPERRANK_SEED overrides the config seed where sampling is involved.
 import argparse
 import io
 import json
+import math
 import os
 import re
 import sys
@@ -81,6 +82,12 @@ EXIT_NOT_EXPANDING = 5
 _MAX_SAMPLES = 10 ** 6
 _MAX_GRID_POINTS = 1 << 20
 _MAX_CORNERS = 1 << 22
+# lags of a mixing curve or a Monte Carlo row: at most _MAX_LAG, and few
+# enough that the modes of f pushed forward that often keep their
+# numerators under _MAX_MODE_DIGITS decimal digits (modes are ordered by
+# their decimal strings, which CPython writes up to 4300 digits)
+_MAX_LAG = 10 ** 4
+_MAX_MODE_DIGITS = 4000
 
 
 # --- input layer ------------------------------------------------------------
@@ -407,6 +414,25 @@ def cmd_analyze(args):
 # --- mixing -----------------------------------------------------------------
 
 
+def _most_lags(matrix, f, where):
+    """The largest lag the caps allow.  A mode m with lcm l of its
+    denominators, pushed forward n times by A^T, has a numerator of at most
+    n log10 R + log10 M + 1 digits, with R the largest absolute row sum of
+    A^T and M the largest entry of l m."""
+    growth = max(sum(map(abs, col)) for col in zip(*matrix))
+    top = 1
+    for mode, _ in f.terms:
+        l = math.lcm(*(c.denominator for c in mode))
+        top = max(top, *(abs(c.numerator) * (l // c.denominator)
+                         for c in mode))
+    room = _MAX_MODE_DIGITS - 1 - math.log10(top)
+    most = _MAX_LAG if growth <= 1 else int(room / math.log10(growth))
+    if room < 0 or most < 1:
+        raise ParseError(f"{where}: f: modes pushed forward once may "
+                         f"exceed {_MAX_MODE_DIGITS} digits")
+    return min(_MAX_LAG, most)
+
+
 def cmd_mixing(args):
     where = args.config
     config = _config(_load_json(where), where,
@@ -424,8 +450,9 @@ def cmd_mixing(args):
 
     f = observable("f")
     g = observable("g") if "g" in config else f
-    n_max = _get(config, "n_max", where, _int, 12, low=1,
-                 flag=("--nmax", args.n_max))
+    most = _most_lags(matrix, f, where)
+    n_max = _get(config, "n_max", where, _int, min(12, most), low=1,
+                 high=most, flag=("--nmax", args.n_max))
     fit_range = None
     if "fit_range" in config:
         # the inclusive lags first..last
@@ -438,7 +465,7 @@ def cmd_mixing(args):
     seed = _resolve_seed(config, where)
     mc = _get(config, "mc", where, _object, {}, allowed=["lags", "samples"])
     mc_lags = _get(mc, "lags", f"{where}: mc", _int_list,
-                   range(n_max + 1), low=0)
+                   range(n_max + 1), low=0, high=most)
     # Monte Carlo rows only when the config has "mc" or the flag is given
     mc_samples = _get(mc, "samples", f"{where}: mc", _int,
                       10000 if "mc" in config else None, low=1,
@@ -451,9 +478,11 @@ def cmd_mixing(args):
             for n, v in enumerate(curve.values)]
     mc_report = []
     if mc_samples is not None:
+        draws = {}   # the Haar points, drawn once per fibre precision
         for lag in mc_lags:
             est = monte_carlo_correlation(f, g, amat, lag,
-                                          samples=mc_samples, seed=seed)
+                                          samples=mc_samples, seed=seed,
+                                          draws=draws)
             rows.append(CorrelationRow(n=est.n, value=est.value, method="mc",
                                        samples=est.samples,
                                        stderr=est.stderr))

@@ -17,6 +17,7 @@ residuals are measured, logged, and re-verified off-grid.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -398,14 +399,10 @@ def field_to_csv(field: ConjugacyField) -> str:
     d = field.dim
     head = ["index"] + [f"x{j}" for j in range(d)] \
         + [f"h{j}" for j in range(d)]
+    # grid points in flat order: the last axis varies fastest
+    coords = itertools.product([repr(i / n) for i in range(n)], repeat=d)
+    values = zip(*(map(repr, v) for v in field.values))
     lines = [",".join(head)]
-    for flat in range(n ** d):
-        r = flat
-        idx = [0] * d
-        for axis in range(d - 1, -1, -1):
-            idx[axis] = r % n
-            r //= n
-        row = [str(flat)] + [repr(i / n) for i in idx] \
-            + [repr(field.values[j][flat]) for j in range(d)]
-        lines.append(",".join(row))
+    lines += [",".join((str(flat), *x, *h))
+              for flat, (x, h) in enumerate(zip(coords, values))]
     return "\n".join(lines) + "\n"

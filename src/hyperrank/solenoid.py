@@ -15,18 +15,18 @@ exactly on the rational phases, which is what the exact correlation and the
 inverse-branch arithmetic lean on.
 
 Phases are exact rationals end to end; floats appear only inside the final
-complex exponential and in Monte Carlo averaging.  Monte Carlo evaluates
-every character on all samples at once, from integer phase numerators over
-a common denominator, and rounds exactly as the scalar Fraction evaluation
-(float of the phase, then cmath.exp) would.
+complex exponential and in Monte Carlo and Birkhoff averaging.  Monte Carlo
+evaluates every character on all samples at once, from integer phase
+numerators over a common denominator, and rounds exactly as the scalar
+Fraction evaluation (float of the phase, then cmath.exp) would.  The CLT
+check steps all its orbits at once on exact integer states in the same way,
+and its Birkhoff sums round as the one-orbit-at-a-time loop's would.
 """
 
 from __future__ import annotations
 
-import cmath
 import csv
 import math
-import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -43,6 +43,9 @@ _MIN_DIGITS = 32        # the fewest p-adic digits a sampled fiber carries
 _ESCAPE_CAP = 200       # dual-orbit steps _escape_index may take
 _CLT_REF_TERMS = 64     # lags in clt_check's exact series variance
 _CLT_BINS = 16          # bins of clt_check's histogram
+_TOP_BITS = 1000        # phase bits _unit_phases rounds without int division
+_TIE_FREE = 1 << 118    # top bits below this take the int division
+_LOW64 = (1 << 64) - 1
 
 
 # --- points -----------------------------------------------------------------
@@ -380,6 +383,43 @@ def _columns(pts):
     return torus, fibers
 
 
+def _combine(vec, cols, count):
+    """sum_j vec_j cols_j entrywise in Python ints, count entries."""
+    out = None
+    for c, col in zip(vec, cols):
+        if not c:
+            continue
+        if out is None:
+            out = list(col) if c == 1 else [c * v for v in col]
+        else:
+            out = [n + c * v for n, v in zip(out, col)]
+    return [0] * count if out is None else out
+
+
+def _unit_phases(nums, q):
+    """(N mod q) / q for every N in nums as an array, rounded as the int
+    true division N % q / q is, but with no big-int division when q = 2^b.
+
+    float(r) is correctly rounded and scaling by a power of two is exact in
+    the normal range, so float(r) * 2^-b equals r / 2^b for b <= _TOP_BITS.
+    Beyond that, the top _TOP_BITS bits t of r = N mod 2^b round as r does
+    unless t is a tie, and a tie with t >= 2^118 has its low 64 bits zero.
+    Those t, and t < 2^118, take the int division.
+    """
+    b = q.bit_length() - 1
+    if q != 1 << b:
+        return np.array([v % q / q for v in nums])
+    if b <= _TOP_BITS:
+        mask = q - 1
+        return np.array([float(v & mask) for v in nums]) * 2.0 ** -b
+    # (N mod 2^b) >> shift == (N >> shift) mod 2^_TOP_BITS, also for N < 0
+    shift = b - _TOP_BITS
+    top = (1 << _TOP_BITS) - 1
+    scale = 2.0 ** -_TOP_BITS
+    return np.array([v % q / q if (t := v >> shift & top) < _TIE_FREE
+                     or not t & _LOW64 else float(t) * scale for v in nums])
+
+
 def _phases(mode, torus, fibers, samples):
     """float(theta) for the exact phase theta of chi_mode at every sample.
 
@@ -395,47 +435,62 @@ def _phases(mode, torus, fibers, samples):
     lcm = math.lcm(*(c.denominator for c in mode))
     mod = lcm << _GRID_BITS
     ints = [int(c * lcm) for c in mode]
-    terms = list(zip(ints, torus))
-    for p, cols in fibers:
+    vec, cols = list(ints), list(torus)
+    for p, fcols in fibers:
         if lcm % p == 0:
             q = p ** vp_int(lcm, p)
             k = pow(lcm // q, -1, q) * (mod // q)
-            terms += [(k * c, col) for c, col in zip(ints, cols)]
-    num = [0] * samples
-    for c, col in terms:
-        if c:
-            num = [n + c * v for n, v in zip(num, col)]
-    return np.array([n % mod / mod for n in num])
+            vec += [k * c for c in ints]
+            cols += fcols
+    return _unit_phases(_combine(vec, cols, samples), mod)
+
+
+def _character_sum(terms, count):
+    """sum_m c_m exp(2 pi i theta_m) over the (c_m, theta_m) in terms, each
+    theta_m an array of count phases, as (real, imag) arrays rounded as the
+    scalar sum in CPython: the terms added in order from 0, each complex
+    product written out as CPython computes it.  One term's arrays are
+    alive at a time."""
+    re = np.zeros(count)
+    im = np.zeros(count)
+    for c, theta in terms:
+        z = np.zeros(count, dtype=complex)
+        z.imag = 2 * math.pi * theta
+        e = np.exp(z)
+        re = re + (c.real * e.real - c.imag * e.imag)
+        im = im + (c.real * e.imag + c.imag * e.real)
+    return re, im
 
 
 def _evaluate(fn: TrigFunction, torus, fibers, samples):
     """fn at every sample as (real, imag) arrays, rounded as the scalar
-    sum_m c_m exp(2 pi i theta_m) in CPython: the terms in order, each
-    complex product written out as CPython computes it."""
-    re = np.zeros(samples)
-    im = np.zeros(samples)
-    for mode, coeff in fn.terms:
-        z = np.zeros(samples, dtype=complex)
-        z.imag = 2 * math.pi * _phases(mode, torus, fibers, samples)
-        e = np.exp(z)
-        re = re + (coeff.real * e.real - coeff.imag * e.imag)
-        im = im + (coeff.real * e.imag + coeff.imag * e.real)
-    return re, im
+    evaluation of every character from its Fraction phase."""
+    return _character_sum(((c, _phases(mode, torus, fibers, samples))
+                           for mode, c in fn.terms), samples)
 
 
 def monte_carlo_correlation(f: TrigFunction, g: TrigFunction, a: QMat, n,
-                            samples=10000, seed=0) -> McCorrelation:
+                            samples=10000, seed=0,
+                            draws=None) -> McCorrelation:
     """Haar-sampled estimate of the same functional exact_correlation
     computes; fibers carry as many digits as the modes evaluated need.
 
     The points are drawn one by one, then every character is evaluated on
-    all of them at once from its exact integer phase numerators."""
+    all of them at once from its exact integer phase numerators.  A caller
+    that estimates several lags may pass the same dict as draws to each
+    call: it keeps the drawn points, keyed by everything the draw depends
+    on, so each fibre precision is drawn once.  The dict lives as long as
+    the caller keeps it."""
     if f.primes != g.primes:
         raise ValueError("observables live on different solenoids")
     fn = f.pushforward(a.power(n)) if n else f
     prec = max(_MIN_DIGITS, fn.fiber_digits(), g.fiber_digits())
-    pts = haar_sample(samples, f.dim, primes=f.primes, seed=seed, prec=prec)
-    torus, fibers = _columns(pts)
+    key = (samples, f.dim, f.primes, seed, prec)
+    draws = {} if draws is None else draws
+    if key not in draws:
+        draws[key] = _columns(haar_sample(samples, f.dim, primes=f.primes,
+                                          seed=seed, prec=prec))
+    torus, fibers = draws[key]
     fr, fi = _evaluate(fn, torus, fibers, samples)
     gr, gi = _evaluate(g, torus, fibers, samples)
     prod = np.empty(samples, dtype=complex)
@@ -478,15 +533,26 @@ def clt_check(f: TrigFunction, a: QMat, n=1024, orbits=200,
     growth rate, plus slack) that n steps of the exact integer dynamics do
     not collapse onto a coarse invariant subgrid, and their fibers carry as
     many digits as the modes of f need.
+
+    All orbits step together: their states are per-coordinate lists of
+    Python ints, every phase is exact before it is rounded, and the sums
+    round as the one-orbit-at-a-time loop would.
     """
     d = f.dim
     rows = a.int_rows()
     bits = _orbit_sampler_bits(a, n)
     den = 1 << bits
     rng = random.Random(seed)
-    center = f.mean()
-    # precompiled integer phase evaluation, loop invariants hoisted: mode
-    # terms as (integer vector, modulus l * den, p-adic fibres, coeff)
+    prec = max(_MIN_DIGITS, f.fiber_digits())
+    modulus = {p: p ** prec for p in f.primes}
+    # per orbit the torus numerators, then the fibre residues prime by prime
+    starts = [[rng.randrange(den) for _ in range(d)]
+              + [rng.randrange(q) for q in modulus.values() for _ in range(d)]
+              for _ in range(orbits)]
+    cols = [list(c) for c in zip(*starts)]
+    num = cols[:d]
+    xi = {p: cols[d * (i + 1):d * (i + 2)] for i, p in enumerate(modulus)}
+    # mode terms as (integer vector, modulus l * den, p-adic fibres, coeff)
     compiled = []
     for mode, coeff in f.terms:
         l = math.lcm(*(c.denominator for c in mode))
@@ -497,33 +563,31 @@ def clt_check(f: TrigFunction, a: QMat, n=1024, orbits=200,
                 fibres.append((p, qq, pow(l // qq, -1, qq)))
         compiled.append((tuple(int(c * l) for c in mode), l * den, fibres,
                          coeff))
-    tau = 2j * math.pi
+
+    def terms(num, xi):
+        """(coeff, phase at every orbit state) for each mode in order."""
+        for ivec, q, fibres, coeff in compiled:
+            theta = _unit_phases(_combine(ivec, num, orbits), q)
+            for p, qq, inv in fibres:
+                theta = theta + np.array([
+                    s * inv % qq / qq for s in _combine(ivec, xi[p], orbits)])
+            yield coeff, theta
+
+    center = f.mean().real
     mask = den - 1
-    prec = max(_MIN_DIGITS, f.fiber_digits())
-    modulus = {p: p ** prec for p in f.primes}
-    sums = []
-    for _ in range(orbits):
-        num = [rng.randrange(den) for _ in range(d)]
-        xi = {p: [rng.randrange(p ** prec) for _ in range(d)]
-              for p in f.primes}
-        total = 0.0
-        for _ in range(n):
-            val = 0j
-            for ivec, q, fibres, coeff in compiled:
-                theta = sum(map(operator.mul, ivec, num)) % q / q
-                for p, qq, inv in fibres:
-                    s = sum(map(operator.mul, ivec, xi[p]))
-                    theta += s * inv % qq / qq
-                val += coeff * cmath.exp(tau * theta)
-            total += (val - center).real
-            w = [sum(map(operator.mul, row, num)) for row in rows]
-            kv = [wi >> bits for wi in w]
-            num = [wi & mask for wi in w]
-            for p, q in modulus.items():
-                xi[p] = [(sum(map(operator.mul, row, xi[p])) + k) % q
-                         for row, k in zip(rows, kv)]
-        sums.append(total / math.sqrt(n))
-    arr = np.array(sums)
+    total = np.zeros(orbits)
+    for _ in range(n):
+        val, _ = _character_sum(terms(num, xi), orbits)
+        total = total + (val - center)
+        w = [_combine(r, num, orbits) for r in rows]
+        num = [[v & mask for v in wi] for wi in w]
+        if modulus:
+            kv = [[v >> bits for v in wi] for wi in w]
+            xi = {p: [[(s + k) % q
+                       for s, k in zip(_combine(r, xi[p], orbits), ki)]
+                      for r, ki in zip(rows, kv)]
+                  for p, q in modulus.items()}
+    arr = total / math.sqrt(n)
     corr = exact_correlation(f, f, a, min(_CLT_REF_TERMS, n - 1))
     sigma2 = corr[0].real + 2 * sum(c.real for c in corr[1:])
     spread = max(1.0, 4.0 * math.sqrt(abs(sigma2)))

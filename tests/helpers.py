@@ -8,8 +8,11 @@ float engines to the scalar code they replaced, bit for bit.
 
 import cmath
 import math
+import operator
 import random
 from fractions import Fraction
+
+import numpy as np
 
 from hyperrank.conjugacy import (_HOLDER_BINS, _HOLDER_SPAN, ConjugacyField,
                                  HolderEstimate, ResidualReport,
@@ -19,8 +22,10 @@ from hyperrank.errors import (DegenerateField, NoConvergence,
 from hyperrank.exact import QMat, vp_int
 from hyperrank.exact.newton import newton_polygon
 from hyperrank.nilpotent import NilElement, nil_element
-from hyperrank.solenoid import (_MIN_DIGITS, McCorrelation, SolenoidPoint,
-                                TrigFunction, haar_sample)
+from hyperrank.solenoid import (_CLT_BINS, _CLT_REF_TERMS, _MIN_DIGITS,
+                                CltReport, McCorrelation, SolenoidPoint,
+                                TrigFunction, _orbit_sampler_bits,
+                                exact_correlation, haar_sample)
 
 
 def padic_lyapunov(matrix, p):
@@ -74,8 +79,9 @@ def nil_identity(structure) -> NilElement:
 
 # --- scalar oracles ---------------------------------------------------------
 #
-# The one-point-at-a-time Monte Carlo and conjugacy code the library's array
-# engines replaced, kept verbatim as the oracle they must match bit for bit.
+# The one-point-at-a-time Monte Carlo, CLT and conjugacy code the library's
+# array engines replaced, kept verbatim as the oracle they must match bit for
+# bit.
 
 
 def character_phase(mode, pt: SolenoidPoint) -> Fraction:
@@ -121,6 +127,74 @@ def scalar_monte_carlo_correlation(f, g, a, n, samples=10000, seed=0):
     var = sum(abs(v - mean) ** 2 for v in vals) / max(samples - 1, 1)
     return McCorrelation(n=n, value=est, stderr=math.sqrt(var / samples),
                          samples=samples)
+
+
+def scalar_clt_check(f: TrigFunction, a: QMat, n=1024, orbits=200,
+                      seed=0) -> CltReport:
+    """Distribution of Birkhoff sums S_n / sqrt(n) for the real part of the
+    centered observable, against the exact series variance.
+
+    Orbits start on a dyadic grid fine enough (orbit-length times the matrix
+    growth rate, plus slack) that n steps of the exact integer dynamics do
+    not collapse onto a coarse invariant subgrid, and their fibers carry as
+    many digits as the modes of f need.
+    """
+    d = f.dim
+    rows = a.int_rows()
+    bits = _orbit_sampler_bits(a, n)
+    den = 1 << bits
+    rng = random.Random(seed)
+    center = f.mean()
+    # precompiled integer phase evaluation, loop invariants hoisted: mode
+    # terms as (integer vector, modulus l * den, p-adic fibres, coeff)
+    compiled = []
+    for mode, coeff in f.terms:
+        l = math.lcm(*(c.denominator for c in mode))
+        fibres = []   # (p, p^t, (l / p^t)^-1 mod p^t) for p^t || l
+        for p in f.primes:
+            if l % p == 0:
+                qq = p ** vp_int(l, p)
+                fibres.append((p, qq, pow(l // qq, -1, qq)))
+        compiled.append((tuple(int(c * l) for c in mode), l * den, fibres,
+                         coeff))
+    tau = 2j * math.pi
+    mask = den - 1
+    prec = max(_MIN_DIGITS, f.fiber_digits())
+    modulus = {p: p ** prec for p in f.primes}
+    sums = []
+    for _ in range(orbits):
+        num = [rng.randrange(den) for _ in range(d)]
+        xi = {p: [rng.randrange(p ** prec) for _ in range(d)]
+              for p in f.primes}
+        total = 0.0
+        for _ in range(n):
+            val = 0j
+            for ivec, q, fibres, coeff in compiled:
+                theta = sum(map(operator.mul, ivec, num)) % q / q
+                for p, qq, inv in fibres:
+                    s = sum(map(operator.mul, ivec, xi[p]))
+                    theta += s * inv % qq / qq
+                val += coeff * cmath.exp(tau * theta)
+            total += (val - center).real
+            w = [sum(map(operator.mul, row, num)) for row in rows]
+            kv = [wi >> bits for wi in w]
+            num = [wi & mask for wi in w]
+            for p, q in modulus.items():
+                xi[p] = [(sum(map(operator.mul, row, xi[p])) + k) % q
+                         for row, k in zip(rows, kv)]
+        sums.append(total / math.sqrt(n))
+    arr = np.array(sums)
+    corr = exact_correlation(f, f, a, min(_CLT_REF_TERMS, n - 1))
+    sigma2 = corr[0].real + 2 * sum(c.real for c in corr[1:])
+    spread = max(1.0, 4.0 * math.sqrt(abs(sigma2)))
+    counts, edges = np.histogram(arr, bins=_CLT_BINS,
+                                 range=(-spread, spread))
+    return CltReport(n=n, orbits=orbits,
+                     variance=float(arr.var(ddof=1)),
+                     sigma2_ref=float(sigma2),
+                     mean=float(arr.mean()),
+                     histogram=(tuple(map(float, edges)),
+                                tuple(map(int, counts))))
 
 
 def scalar_q(q, x):
@@ -276,3 +350,22 @@ def scalar_holder_estimate(field, pairs=3000, seed=0):
     return HolderEstimate(exponent=slope, ci_low=slope - half,
                           ci_high=slope + half, scales=tuple(scales),
                           moduli=tuple(moduli))
+
+
+def scalar_field_to_csv(field: ConjugacyField) -> str:
+    """Plottable dump: flat index, grid coordinates, h components."""
+    n = field.grid
+    d = field.dim
+    head = ["index"] + [f"x{j}" for j in range(d)] \
+        + [f"h{j}" for j in range(d)]
+    lines = [",".join(head)]
+    for flat in range(n ** d):
+        r = flat
+        idx = [0] * d
+        for axis in range(d - 1, -1, -1):
+            idx[axis] = r % n
+            r //= n
+        row = [str(flat)] + [repr(i / n) for i in idx] \
+            + [repr(field.values[j][flat]) for j in range(d)]
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"

@@ -424,6 +424,47 @@ class TestMixing:
         assert "must be <= 1000000" in err
         assert out == ""
 
+    @pytest.mark.parametrize("matrix, keys, argv, message", [
+        # (A^T)^200000 (1, 0) has about 111000 digits; writing a mode that
+        # long raised ValueError in TrigFunction.build
+        ([[3, 1], [1, 2]], {"mc": {"lags": [200000], "samples": 10}}, [],
+         "mc: lags[0] must be <= 6642"),
+        ([[3, 1], [1, 2]], {"n_max": 6643}, [], "n_max must be <= 6642"),
+        ([[3, 1], [1, 2]], {}, ["--nmax", "7000"], "--nmax must be <= 6642"),
+        ([[0, 1], [1, 0]], {}, ["--nmax", str(10 ** 9)],
+         "--nmax must be <= 10000"),
+        ([[0, 1], [1, 0]], {"mc": {"lags": [10001]}}, ["--mc", "10"],
+         "mc: lags[0] must be <= 10000"),
+        ([[2, 0], [0, 2]], {"f": [{"mode": [10 ** 3999, 0],
+                                   "coeff": [1, 0]}]}, [],
+         "f: modes pushed forward once may exceed 4000 digits"),
+    ])
+    def test_lags_capped(self, capsys, tmp_path, matrix, keys, argv,
+                         message):
+        cfg = {"format": 1, "primes": [], "matrix": matrix,
+               "f": [{"mode": [1, 0], "coeff": [0.5, 0]}], **keys}
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(cfg))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "mixing", str(path), *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert message in err
+        assert out == ""
+
+    def test_largest_lag_runs(self, capsys, tmp_path):
+        cfg = {"format": 1, "primes": [], "matrix": [[3, 1], [1, 2]],
+               "f": [{"mode": [1, 0], "coeff": [0.5, 0]}], "n_max": 2,
+               "mc": {"lags": [6642], "samples": 10}}
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(cfg))
+        summary = tmp_path / "s.json"
+        code, _, err = run(capsys, "mixing", str(path), "--out",
+                           str(tmp_path / "o.csv"), "--summary", str(summary))
+        assert (code, err) == (0, "")
+        assert [r["n"] for r in json.loads(summary.read_text())["mc"]] == [
+            6642]
+
     def test_negative_seed_env_exit_one(self, capsys, monkeypatch):
         monkeypatch.setenv("HYPERRANK_SEED", "-1")
         code, out, err = run(capsys, "mixing", fixture("doubling_mixing.json"),

@@ -17,6 +17,8 @@ from hyperrank.conjugacy import (ConjugacyField, HolderEstimate,
                                  verify_conjugacy)
 from hyperrank.errors import DegenerateField, NoConvergence, NotExpanding
 
+from helpers import scalar_field_to_csv
+
 SIN = trig_perturbation(1, [((1,), (-0.1j,))])       # 0.1 sin(2 pi x)
 DOUBLING_SIN = perturbed_map([[2]], SIN)
 DELTA = 0.05
@@ -280,3 +282,15 @@ class TestCsv:
         lines = field_to_csv(f).strip().split("\n")
         assert lines[0] == "index,x0,x1,h0,h1"
         assert len(lines) == 17
+
+    @pytest.mark.parametrize("dim, grid", [(1, 1), (1, 37), (2, 5), (2, 64),
+                                           (3, 6)])
+    def test_matches_row_by_row_writer(self, dim, grid):
+        rng = random.Random(grid)
+        values = tuple(tuple(rng.choice([rng.uniform(-1, 1), 0.0, -0.0,
+                                         1e-300, 2.5e17])
+                             for _ in range(grid ** dim))
+                       for _ in range(dim))
+        field = ConjugacyField(dim=dim, grid=grid, values=values,
+                               residuals=(), rate_bound=0.5)
+        assert field_to_csv(field) == scalar_field_to_csv(field)

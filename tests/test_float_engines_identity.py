@@ -1,6 +1,7 @@
 """The array engines against the scalar code they replaced, bit for bit.
 
-Monte Carlo evaluates characters from exact integer phase numerators and the
+Monte Carlo evaluates characters from exact integer phase numerators, the
+CLT check steps all its orbits at once on exact integer states, and the
 conjugacy solver, its off-grid check and the Holder estimate interpolate on
 arrays.  Each must reproduce the one-point-at-a-time code kept in
 tests/helpers.py exactly: results are compared with == and by repr, which
@@ -19,11 +20,12 @@ from hyperrank.conjugacy import (ConjugacyField, holder_estimate,
                                  trig_perturbation, verify_conjugacy)
 from hyperrank.errors import DegenerateField, NoConvergence, NotExpanding
 from hyperrank.exact import QMat
-from hyperrank.solenoid import TrigFunction, monte_carlo_correlation
+from hyperrank.solenoid import (TrigFunction, _unit_phases, clt_check,
+                                monte_carlo_correlation)
 
-from helpers import (displacement, phi, scalar_holder_estimate,
-                     scalar_monte_carlo_correlation, scalar_q,
-                     scalar_solve_conjugacy, scalar_tau,
+from helpers import (displacement, phi, scalar_clt_check,
+                     scalar_holder_estimate, scalar_monte_carlo_correlation,
+                     scalar_q, scalar_solve_conjugacy, scalar_tau,
                      scalar_verify_conjugacy)
 
 SETTINGS = settings(max_examples=40, deadline=None,
@@ -131,6 +133,114 @@ def test_monte_carlo_empty_observable():
     # evaluate to 1 there
     check_mc([((1, 0), 0.0)], [((1, 2), 1.0), ((0, 1), -1.0)], (),
              [[2, 1], [1, 1]], 1, 20, 5)
+
+
+# --- phase rounding ---------------------------------------------------------
+
+
+def dyadic_cases(b, rng):
+    """Numerators N whose N mod 2^b / 2^b is hard to round: exact ties and
+    their neighbours, ties in the top 1000 bits only, values below
+    2^(b - 64) and at the ends, each also shifted by multiples of 2^b."""
+    q = 1 << b
+    rs = [0, 1, 2, q - 1, q - 2, q >> 1, (q >> 1) - 1, (q >> 1) + 1]
+    for e in sorted({54, 60, 64, 118, 119, 120, b - 64, b - 1, b}):
+        if not 54 <= e <= b:
+            continue
+        for _ in range(3):
+            mant = rng.getrandbits(52) | 1 << 52
+            tie = mant << (e - 53) | 1 << (e - 54)
+            rs += [tie - 1, tie, tie + 1, mant << (e - 53)]
+        rs.append(rng.getrandbits(e - 64) if e > 64 else 1)
+    if b > 1000:
+        shift = b - 1000
+        for e in (118, 119, 200, 1000):
+            mant = rng.getrandbits(52) | 1 << 52
+            t = mant << (e - 53) | 1 << (e - 54)
+            rs += [t << shift, (t << shift) + 1, ((t + 1) << shift) - 1,
+                   (1 << 117) << shift, ((1 << 118) << shift) - 1]
+    rs += [rng.randrange(q) for _ in range(20)]
+    return [r + k * q for r in rs for k in (0, 1, -1, -3)]
+
+
+@pytest.mark.parametrize("b", [32, 53, 64, 256, 999, 1000, 1001, 1064, 1100,
+                               4160])
+def test_unit_phases_dyadic(b):
+    q = 1 << b
+    nums = dyadic_cases(b, random.Random(b))
+    got = _unit_phases(nums, q).tolist()
+    assert [repr(x) for x in got] == [repr(v % q / q) for v in nums]
+
+
+@pytest.mark.parametrize("q", [3, 6 << 32, 12 << 1100, 2 ** 70 + 25])
+def test_unit_phases_other_moduli(q):
+    rng = random.Random(q)
+    nums = [rng.randrange(-3 * q, 3 * q) for _ in range(200)] + [0, q, -q]
+    assert _unit_phases(nums, q).tolist() == [v % q / q for v in nums]
+
+
+# --- central limit diagnostics ----------------------------------------------
+
+
+def check_clt(f, matrix, n, orbits, seed):
+    a = QMat(matrix)
+    assert_identical(clt_check(f, a, n=n, orbits=orbits, seed=seed),
+                     scalar_clt_check(f, a, n=n, orbits=orbits, seed=seed))
+
+
+def lacunary(count, s):
+    return TrigFunction.build(
+        [((sign * 2 ** k,), s * 2.0 ** -k / 2) for k in range(count)
+         for sign in (1, -1)])
+
+
+@pytest.mark.parametrize("count, s, seed", [(6, 0.75, 3), (9, 1.3, 41)])
+def test_clt_lacunary(count, s, seed):
+    check_clt(lacunary(count, s), [[2]], 96, 24, seed)
+
+
+def test_clt_hyperbolic_2d():
+    f = TrigFunction.build([((1, 0), 0.5 + 0.1j), ((-1, 0), 0.5 - 0.1j),
+                            ((2, -1), 0.25j), ((0, 0), 0.3)])
+    check_clt(f, [[2, 1], [1, 1]], 60, 20, 7)
+
+
+def test_clt_s_adic():
+    f = TrigFunction.build(
+        [((Fraction(1, 2), Fraction(1, 3)), 0.5),
+         ((Fraction(-1, 2), Fraction(-1, 3)), 0.5),
+         ((Fraction(-5, 36), 2), 0.2j), ((Fraction(1, 8), 1), -0.3)],
+        (2, 3))
+    check_clt(f, [[6, 1], [0, -6]], 40, 15, 9)
+
+
+@pytest.mark.parametrize("matrix, n", [([[2]], 1000), ([[-3]], 480),
+                                       ([[2, 1], [1, 1]], 520)])
+def test_clt_beyond_top_bits(matrix, n):
+    # the orbit grid 2^-bits with bits = n log2(growth) + 64 > 1000
+    f = TrigFunction.build([((1,) * len(matrix), 0.5),
+                            ((-1,) * len(matrix), 0.5),
+                            ((2,) + (0,) * (len(matrix) - 1), 0.1j)])
+    check_clt(f, matrix, n, 6, 2)
+
+
+def test_clt_deep_s_adic_mode():
+    f = TrigFunction.build([((Fraction(1, 2 ** 40),), 0.5),
+                            ((Fraction(-1, 2 ** 40),), 0.5)], (2,))
+    check_clt(f, [[2]], 64, 30, 1)
+
+
+def test_clt_empty_observable():
+    check_clt(TrigFunction.build([], (2,)), [[2, 1], [1, 1]], 30, 7, 1)
+
+
+@SETTINGS
+@given(st.integers(1, 2).flatmap(lambda d: st.tuples(
+    observables(d, s_adic(6)), matrices(d))), st.integers(1, 24),
+    st.integers(2, 8), st.integers(0, 10 ** 6))
+def test_clt_random(obs, n, orbits, seed):
+    terms, matrix = obs
+    check_clt(TrigFunction.build(terms, (2, 3)), matrix, n, orbits, seed)
 
 
 # --- conjugacy --------------------------------------------------------------
