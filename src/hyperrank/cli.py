@@ -26,6 +26,7 @@ import argparse
 import io
 import json
 import math
+import operator
 import os
 import re
 import sys
@@ -84,10 +85,11 @@ _MAX_GRID_POINTS = 1 << 20
 _MAX_CORNERS = 1 << 22
 # lags of a mixing curve or a Monte Carlo row: at most _MAX_LAG, and few
 # enough that the modes of f pushed forward that often keep their
-# numerators under _MAX_MODE_DIGITS decimal digits (modes are ordered by
-# their decimal strings, which CPython writes up to 4300 digits)
+# numerators within _MAX_MODE_DIGITS decimal digits (modes are ordered by
+# their decimal strings, and 4300 digits is CPython's default int-to-str
+# limit)
 _MAX_LAG = 10 ** 4
-_MAX_MODE_DIGITS = 4000
+_MAX_MODE_DIGITS = 4300
 
 
 # --- input layer ------------------------------------------------------------
@@ -416,21 +418,43 @@ def cmd_analyze(args):
 
 def _most_lags(matrix, f, where):
     """The largest lag the caps allow.  A mode m with lcm l of its
-    denominators, pushed forward n times by A^T, has a numerator of at most
-    n log10 R + log10 M + 1 digits, with R the largest absolute row sum of
-    A^T and M the largest entry of l m."""
-    growth = max(sum(map(abs, col)) for col in zip(*matrix))
+    denominators has integer numerators l m of entries at most M.  Pushed
+    forward n times by B = A^T, they are at most M times the product of
+    ||B^(2^j)|| over the binary digits j of n, || || the largest absolute
+    row sum; the lags run up to the first n where that bound could need
+    more than _MAX_MODE_DIGITS digits."""
     top = 1
     for mode, _ in f.terms:
         l = math.lcm(*(c.denominator for c in mode))
         top = max(top, *(abs(c.numerator) * (l // c.denominator)
                          for c in mode))
+    # log10 ||B^n|| at most room keeps M ||B^n|| within the digit cap
     room = _MAX_MODE_DIGITS - 1 - math.log10(top)
-    most = _MAX_LAG if growth <= 1 else int(room / math.log10(growth))
-    if room < 0 or most < 1:
+    power = [list(col) for col in zip(*matrix)]
+    logs = []   # log10 ||B^(2^j)||, until one passes room
+    while len(logs) < _MAX_LAG.bit_length():
+        norm = max(sum(map(abs, row)) for row in power)
+        logs.append(math.log10(norm) if norm else -math.inf)
+        if logs[-1] > room:
+            break
+        power = [[sum(map(operator.mul, row, col)) for col in zip(*power)]
+                 for row in power]
+    # the bound grows with the set of binary digits (each log is >= 0 or
+    # -inf), so the first n past room is the smallest of highest digit h:
+    # clear each lower digit while the digits below it could still pass
+    most = _MAX_LAG
+    for h, top_log in enumerate(logs):
+        if top_log + sum(logs[:h]) > room:
+            n, total = 1 << h, top_log
+            for j in reversed(range(h)):
+                if total + sum(logs[:j]) <= room:
+                    n, total = n | 1 << j, total + logs[j]
+            most = min(most, n - 1)
+            break
+    if most < 1:
         raise ParseError(f"{where}: f: modes pushed forward once may "
                          f"exceed {_MAX_MODE_DIGITS} digits")
-    return min(_MAX_LAG, most)
+    return most
 
 
 def cmd_mixing(args):

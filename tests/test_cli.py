@@ -428,16 +428,16 @@ class TestMixing:
         # (A^T)^200000 (1, 0) has about 111000 digits; writing a mode that
         # long raised ValueError in TrigFunction.build
         ([[3, 1], [1, 2]], {"mc": {"lags": [200000], "samples": 10}}, [],
-         "mc: lags[0] must be <= 6642"),
-        ([[3, 1], [1, 2]], {"n_max": 6643}, [], "n_max must be <= 6642"),
-        ([[3, 1], [1, 2]], {}, ["--nmax", "7000"], "--nmax must be <= 6642"),
+         "mc: lags[0] must be <= 7697"),
+        ([[3, 1], [1, 2]], {"n_max": 7698}, [], "n_max must be <= 7697"),
+        ([[3, 1], [1, 2]], {}, ["--nmax", "8000"], "--nmax must be <= 7697"),
         ([[0, 1], [1, 0]], {}, ["--nmax", str(10 ** 9)],
          "--nmax must be <= 10000"),
         ([[0, 1], [1, 0]], {"mc": {"lags": [10001]}}, ["--mc", "10"],
          "mc: lags[0] must be <= 10000"),
-        ([[2, 0], [0, 2]], {"f": [{"mode": [10 ** 3999, 0],
+        ([[2, 0], [0, 2]], {"f": [{"mode": [10 ** 4299, 0],
                                    "coeff": [1, 0]}]}, [],
-         "f: modes pushed forward once may exceed 4000 digits"),
+         "f: modes pushed forward once may exceed 4300 digits"),
     ])
     def test_lags_capped(self, capsys, tmp_path, matrix, keys, argv,
                          message):
@@ -455,7 +455,7 @@ class TestMixing:
     def test_largest_lag_runs(self, capsys, tmp_path):
         cfg = {"format": 1, "primes": [], "matrix": [[3, 1], [1, 2]],
                "f": [{"mode": [1, 0], "coeff": [0.5, 0]}], "n_max": 2,
-               "mc": {"lags": [6642], "samples": 10}}
+               "mc": {"lags": [7697], "samples": 10}}
         path = tmp_path / "c.json"
         path.write_text(json.dumps(cfg))
         summary = tmp_path / "s.json"
@@ -463,7 +463,7 @@ class TestMixing:
                            str(tmp_path / "o.csv"), "--summary", str(summary))
         assert (code, err) == (0, "")
         assert [r["n"] for r in json.loads(summary.read_text())["mc"]] == [
-            6642]
+            7697]
 
     def test_negative_seed_env_exit_one(self, capsys, monkeypatch):
         monkeypatch.setenv("HYPERRANK_SEED", "-1")

@@ -114,6 +114,26 @@ def test_monte_carlo_deep_mode(n):
     check_mc(terms, terms, (2,), [[2]], n, 50, 7)
 
 
+def test_monte_carlo_shared_draws():
+    # f's 2^-40 mode pushed forward n times by 2 needs 40 - n fibre digits,
+    # so lags 0..10 draw at precisions 40 down to 32; one dict also serves
+    # other sample counts and seeds
+    deep = Fraction(1, 2 ** 40)
+    f = TrigFunction.build([((deep,), 0.5), ((-deep,), 0.5),
+                            ((Fraction(3, 8),), 0.25j)], (2,))
+    g = TrigFunction.build([((1,), 0.5 - 0.5j), ((-3,), 0.75)], (2,))
+    a = QMat([[2]])
+    draws = {}
+    for samples, seed in [(40, 11), (30, 11), (40, 12)]:
+        for n in range(11):
+            assert_identical(
+                monte_carlo_correlation(f, g, a, n, samples=samples,
+                                        seed=seed, draws=draws),
+                scalar_monte_carlo_correlation(f, g, a, n, samples=samples,
+                                               seed=seed))
+    assert len(draws) == 27
+
+
 def test_monte_carlo_wide_fibers():
     # 5^32 fiber residues exceed 64 bits; only their low digits are used
     terms = [((Fraction(1, 25), Fraction(2, 5)), 1.0),
