@@ -387,8 +387,7 @@ def cmd_analyze(args):
                     report["z2_subgroup"] = {
                         "status": "certified",
                         "pair": [list(cert.pair[0]), list(cert.pair[1])],
-                        "combo_bound": cert.combo_bound,
-                        "checked": cert.checked,
+                        "covers": "span",
                         "value_rank": cert.value_rank,
                     }
                     report["verdict"] = "ok"
@@ -399,6 +398,8 @@ def cmd_analyze(args):
                         "obstructions":
                             _serialize_obstructions(exc.obstructions),
                     }
+                    if exc.reason is not None:
+                        report["z2_subgroup"]["reason"] = exc.reason
                     report["verdict"] = "inconclusive"
                     exit_code = EXIT_INCONCLUSIVE
     except (FactorSearchInconclusive, PrecisionExhausted,

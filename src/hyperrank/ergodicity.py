@@ -1,4 +1,4 @@
-"""Ergodicity certificates and ergodic subgroup search.
+"""Ergodicity certificates, field splittings and the ergodic Z^2 subgroup.
 
 A toral (or solenoid) automorphism is ergodic exactly when no eigenvalue is a
 root of unity, i.e. when the characteristic polynomial is coprime to every
@@ -8,9 +8,13 @@ of the transpose, whose character orbit averages to a nonconstant invariant
 function.
 
 The splitting/rank machinery decides when a commuting family genuinely has
-higher rank: a rational invariant block on which the Lyapunov value vectors
-span a line (or vanish) is a rank-one factor and blocks every higher-rank
-rigidity argument.
+higher rank.  Q^d splits into rational invariant blocks on which the action's
+algebra is a field modulo nilpotents.  A block on which the Lyapunov value
+vectors span a line (or vanish) is a rank-one factor and blocks every
+higher-rank rigidity argument.  Otherwise the per-block matrices F_B of
+functionals at every place certify an ergodic Z^2: a pair (a, b) with
+F_B [a b] of rank 2 on every block makes every nonzero i a + j b ergodic,
+with no box over (i, j).
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -100,17 +105,70 @@ class SplitBlock:
     basis: QMat                # saturated invariant lattice, HNF rows
     matrices: tuple            # restricted generators (integer)
     charpolys: tuple
+    field: bool                # the action's algebra is certified a field
+                               # on the block, modulo nilpotents
 
     @property
     def dim(self):
         return self.basis.shape[0]
 
 
-def rational_splitting(obj):
-    """Finest common splitting of Q^d into rational invariant subspaces.
+def _polynomial_on_kernel(f: QPoly, m: QMat, mats) -> bool:
+    """Is every matrix of mats, restricted to V0 = ker f(m), a polynomial in
+    m there?  f is the minimal polynomial of m on V0, so 1, m, ...,
+    m^(deg f - 1) are independent on V0 and the coefficients are unique
+    when they exist; QMat.solve finds them or proves there are none."""
+    kern = QMat(_poly_at(f, m).kernel())
+    m0 = _restrict_rows(kern, m)
+    powers = [QMat.identity(m0.shape[0])]
+    while len(powers) < f.degree:
+        powers.append(powers[-1] @ m0)
+    basis = QMat(list(zip(*(sum(p.rows, ()) for p in powers))))
+    for g in mats:
+        g0 = _restrict_rows(kern, g)
+        try:
+            basis.solve(QMat([[x] for x in sum(g0.rows, ())]))
+        except RankDeficient:
+            return False
+    return True
 
-    Blocks are primary components (kernels of f(M)^e over the irreducible
-    factors f), refined generator by generator; each comes back with a
+
+def _field_element(mats):
+    """The first element m of the block's algebra whose charpoly either has
+    several irreducible factors (m splits the block) or is f^e with every
+    generator a polynomial in m on ker f(m) (the block is a field), as
+    (m, factor_over_q of its charpoly); None when no candidate does either.
+
+    The candidates are the generators, then M_t = sum_j t^j g_j for t = 1,
+    ..., (k - 1) C(n, 2) + 1.  Two distinct joint eigenvalue tuples of the
+    k generators give the same eigenvalue of M_t for at most k - 1 values
+    of t, and there are at most C(n, 2) pairs of them, so some M_t
+    separates all of them: it splits the block unless the action's algebra
+    is local there, and then its image generates the residue field.  That
+    certifies the block whenever the algebra acts semisimply on it.
+    """
+    k, n = len(mats), mats[0].shape[0]
+    tries = (k - 1) * (n * (n - 1) // 2) + 1 if k > 1 else 0
+    generic = (sum((g.scalar(t ** j) for j, g in enumerate(mats[1:], 1)),
+                   mats[0]) for t in range(1, tries + 1))
+    for m in itertools.chain(mats, generic):
+        facs = factor_over_q(m.charpoly())
+        if len(facs) > 1:
+            return m, facs
+        (f, e), = facs
+        if e == 1 or _polynomial_on_kernel(f, m, mats):
+            return m, facs
+    return None
+
+
+def rational_splitting(obj):
+    """Split Q^d into rational invariant blocks on which the action's
+    algebra is a field modulo nilpotents.
+
+    A block is split by the primary components (kernels of f(M)^e over the
+    irreducible factors f) of the first element M from _field_element that
+    has several, until that element certifies the block; a block no
+    candidate certifies comes back with field=False.  Each block has a
     saturated HNF lattice basis and the restricted integer matrices.
     """
     if isinstance(obj, ActionSpec):
@@ -120,33 +178,31 @@ def rational_splitting(obj):
     else:
         gens = [QMat(obj)]
     d = gens[0].shape[0]
-    blocks = [(QMat.identity(d), gens)]
-    for gi in range(len(gens)):
-        nxt = []
-        for basis, mats in blocks:
-            r = mats[gi]
-            facs = factor_over_q(r.charpoly())
-            if len(facs) == 1:
-                nxt.append((basis, mats))
-                continue
-            for f, e in facs:
-                p = _poly_at(f, r).power(e)
-                kern = p.kernel()
-                sub = QMat(kern) @ basis
-                sat = _saturate_rows(sub)
-                nxt.append((sat, [_restrict_rows(sat, g) for g in gens]))
-        blocks = nxt
-    if sum(b.shape[0] for b, _ in blocks) != d:
+    todo = [(QMat.identity(d), gens)]
+    blocks = []
+    while todo:
+        basis, mats = todo.pop()
+        found = _field_element(mats)
+        if found is None or len(found[1]) == 1:
+            blocks.append((basis, mats, found is not None))
+            continue
+        m, facs = found
+        for f, e in facs:
+            sub = QMat(_poly_at(f, m).power(e).kernel()) @ basis
+            sat = _saturate_rows(sub)
+            todo.append((sat, [_restrict_rows(sat, g) for g in gens]))
+    if sum(b.shape[0] for b, _, _ in blocks) != d:
         raise RankDeficient("invariant blocks do not span Q^d")
     out = []
-    for basis, mats in sorted(blocks, key=lambda bm: (bm[0].shape[0],
-                                                      bm[0].rows)):
+    for basis, mats, field in sorted(blocks, key=lambda bm: (bm[0].shape[0],
+                                                             bm[0].rows)):
         for m in mats:
             if not m.is_integer():
                 raise RankDeficient("restriction to a saturated lattice "
                                     "produced non-integer entries")
         out.append(SplitBlock(basis=basis, matrices=tuple(mats),
-                              charpolys=tuple(m.charpoly() for m in mats)))
+                              charpolys=tuple(m.charpoly() for m in mats),
+                              field=field))
     return out
 
 
@@ -155,6 +211,26 @@ class RankOneReport:
     found: bool
     blocks: tuple              # (dim, value rank) per split block
     culprit: SplitBlock = None
+
+
+def _block_spectra(action: ActionSpec):
+    """[(SplitBlock, joint spectrum of its restricted action)], computed
+    once per action and kept in action.cache."""
+    if "block_spectra" not in action.cache:
+        action.cache["block_spectra"] = [
+            (blk, joint_spectrum(ActionSpec(blk.matrices)))
+            for blk in rational_splitting(action)]
+    return action.cache["block_spectra"]
+
+
+def _value_matrix(spec):
+    """Rows: the value vectors of every functional (all places)."""
+    return np.array([f.values for f in spec.functionals])
+
+
+def _numerical_rank(rows, tol):
+    s = np.linalg.svd(rows, compute_uv=False)
+    return int(np.sum(s > tol * max(1.0, s[0])))
 
 
 def has_rank_one_factor(action: ActionSpec, tol=1e-8) -> RankOneReport:
@@ -166,12 +242,8 @@ def has_rank_one_factor(action: ActionSpec, tol=1e-8) -> RankOneReport:
     """
     ranks = []
     culprit = None
-    for blk in rational_splitting(action):
-        sub = ActionSpec(blk.matrices)
-        spec = joint_spectrum(sub)
-        rows = np.array([f.values for f in spec.functionals])
-        s = np.linalg.svd(rows, compute_uv=False)
-        rank = int(np.sum(s > tol * max(1.0, s[0])))
+    for blk, spec in _block_spectra(action):
+        rank = _numerical_rank(_value_matrix(spec), tol)
         ranks.append((blk.dim, rank))
         if rank <= 1 and culprit is None:
             culprit = blk
@@ -179,7 +251,7 @@ def has_rank_one_factor(action: ActionSpec, tol=1e-8) -> RankOneReport:
                          culprit=culprit)
 
 
-# --- subgroup search ---------------------------------------------------------
+# --- ergodic Z^2 subgroup ----------------------------------------------------
 
 
 def _norm_lex(k, bound):
@@ -199,31 +271,58 @@ def _canonical_sign(a):
     return False
 
 
+_KERNEL_DENOMINATOR = 100   # the rounded kernel direction's largest entry
+
+
+def _rounded_direction(v):
+    """The primitive integer (i, j), first nonzero entry positive, nearest
+    in direction to the real 2-vector v among those with entries of at most
+    _KERNEL_DENOMINATOR."""
+    x, y = float(v[0]), float(v[1])
+    if abs(x) >= abs(y):
+        r = Fraction(y / x).limit_denominator(_KERNEL_DENOMINATOR)
+        return r.denominator, r.numerator
+    r = Fraction(x / y).limit_denominator(_KERNEL_DENOMINATOR)
+    return (r.numerator, r.denominator) if r >= 0 else \
+        (-r.numerator, -r.denominator)
+
+
 @dataclass(frozen=True)
 class Z2SubgroupCertificate:
-    pair: tuple                # (a, b), each a vector in Z^rank
-    combo_bound: int           # every primitive i a + j b with |(i,j)|_inf
-    checked: int               # below this bound was verified ergodic
-    value_rank: int
+    pair: tuple                # (a, b), each a vector in Z^rank; every
+                               # nonzero i a + j b is ergodic ("covers": span)
+    value_rank: int            # rank of the pair's value vectors, 2
 
 
 def ergodic_z2_subgroup(action: ActionSpec, pair_bound=2, combo_bound=20,
                         tol=1e-8):
-    """Search for (a, b) generating a Z^2 of totally ergodic elements.
+    """Find (a, b) such that every nonzero i a + j b is ergodic.
 
-    Certificate: every primitive combination i a + j b with |(i, j)|_inf <=
-    combo_bound is ergodic (exact cyclotomic test, cached per element), and
-    the two Lyapunov value vectors are independent, so the pair really spans
-    a rank-2 subgroup.  Failures are collected as obstructions.
+    On a field block B the eigenvalues of rho(v) are the Galois conjugates
+    of one algebraic number, a root of unity exactly when every Lyapunov
+    functional of B, at every place, vanishes at v (Kronecker's theorem and
+    the product formula; K. Schmidt, Dynamical Systems of Algebraic Origin,
+    1995).  So the first candidate pair, in (sup norm, lex) order up to
+    pair_bound, with F_B [a b] of rank 2 on every block is certified, F_B
+    the block's value matrix.  The float rank is spot-checked exactly at a,
+    b, a + b and a - b; a failure ends the search without a certificate.  A
+    rejected pair is obstructed by the rounded kernel direction (i, j) of
+    some F_B [a b], a "non-ergodic combination" when the exact test
+    confirms i a + j b.  combo_bound bounds nothing; it is reported in the
+    budget of a failure.
     """
-    spec = joint_spectrum(action)
-    cache = {}
+    blocks = _block_spectra(action)
+    budget = (pair_bound, combo_bound)
+    for blk, _ in blocks:
+        if not blk.field:
+            raise NoErgodicSubgroupFound(
+                obstructions=[], budget=budget,
+                reason=f"a block of dimension {blk.dim} is not certified "
+                       "to be a field")
+    values = [_value_matrix(spec) for _, spec in blocks]
 
-    def erg(vec):
-        key = vec
-        if key not in cache:
-            cache[key] = is_ergodic(action.element(vec))
-        return cache[key]
+    def combination(a, b, ij):
+        return tuple(ij[0] * x + ij[1] * y for x, y in zip(a, b))
 
     candidates = [a for a in _norm_lex(action.rank, pair_bound)
                   if _canonical_sign(a) and math.gcd(*a) == 1]
@@ -233,30 +332,26 @@ def ergodic_z2_subgroup(action: ActionSpec, pair_bound=2, combo_bound=20,
             a, b = candidates[ai], candidates[bi]
             if QMat([a, b]).rank() < 2:
                 continue
-            va = [f.value_at(a) for f in spec.functionals]
-            vb = [f.value_at(b) for f in spec.functionals]
-            s = np.linalg.svd(np.array([va, vb]), compute_uv=False)
-            value_rank = int(np.sum(s > tol * max(1.0, s[0])))
-            if value_rank < 2:
-                obstructions.append(((a, b), "value vectors dependent", None))
-                continue
-            checked = 0
-            bad = None
-            for ij in _norm_lex(2, combo_bound):
-                if not _canonical_sign(ij) or math.gcd(*ij) != 1:
-                    continue
-                i, j = ij
-                vec = tuple(i * x + j * y for x, y in zip(a, b))
-                cert = erg(vec)
-                checked += 1
-                if not cert.ergodic:
-                    bad = (ij, cert.period)
+            pair = np.array([a, b], dtype=float).T
+            kernel = None
+            for rows in values:
+                image = rows @ pair
+                if _numerical_rank(image, tol) < 2:
+                    kernel = np.linalg.svd(image)[2][-1]
                     break
-            if bad is None:
-                return Z2SubgroupCertificate(pair=(a, b),
-                                             combo_bound=combo_bound,
-                                             checked=checked,
-                                             value_rank=value_rank)
-            obstructions.append(((a, b), "non-ergodic combination", bad))
-    raise NoErgodicSubgroupFound(obstructions=obstructions,
-                                 budget=(pair_bound, combo_bound))
+            if kernel is None:
+                for ij in ((1, 0), (0, 1), (1, 1), (1, -1)):
+                    cert = is_ergodic(action.element(combination(a, b, ij)))
+                    if not cert.ergodic:
+                        obstructions.append(((a, b), "non-ergodic combination",
+                                             (ij, cert.period)))
+                        raise NoErgodicSubgroupFound(obstructions, budget)
+                return Z2SubgroupCertificate(pair=(a, b), value_rank=2)
+            ij = _rounded_direction(kernel)
+            cert = is_ergodic(action.element(combination(a, b, ij)))
+            if cert.ergodic:
+                obstructions.append(((a, b), "value vectors dependent", None))
+            else:
+                obstructions.append(((a, b), "non-ergodic combination",
+                                     (ij, cert.period)))
+    raise NoErgodicSubgroupFound(obstructions=obstructions, budget=budget)

@@ -60,12 +60,13 @@ class RootFindingFailure(HyperrankError):
 # --- ergodicity ------------------------------------------------------------
 
 class NoErgodicSubgroupFound(HyperrankError):
-    def __init__(self, obstructions, budget):
+    def __init__(self, obstructions, budget, reason=None):
         super().__init__(
-            f"no ergodic Z^2 subgroup within budget {budget}; "
+            reason or f"no ergodic Z^2 subgroup within budget {budget}; "
             f"{len(obstructions)} candidate directions obstructed")
         self.obstructions = obstructions
         self.budget = budget
+        self.reason = reason
 
 
 # --- solenoid --------------------------------------------------------------

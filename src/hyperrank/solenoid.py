@@ -479,8 +479,9 @@ def monte_carlo_correlation(f: TrigFunction, g: TrigFunction, a: QMat, n,
     all of them at once from its exact integer phase numerators.  A caller
     that estimates several lags may pass the same dict as draws to each
     call: it keeps the drawn points, keyed by everything the draw depends
-    on, so each fibre precision is drawn once.  The dict lives as long as
-    the caller keeps it."""
+    on, so each fibre precision is drawn once, and next to them the values
+    of every g evaluated on them, so g is evaluated once per point set.
+    The dict lives as long as the caller keeps it."""
     if f.primes != g.primes:
         raise ValueError("observables live on different solenoids")
     fn = f.pushforward(a.power(n)) if n else f
@@ -488,11 +489,13 @@ def monte_carlo_correlation(f: TrigFunction, g: TrigFunction, a: QMat, n,
     key = (samples, f.dim, f.primes, seed, prec)
     draws = {} if draws is None else draws
     if key not in draws:
-        draws[key] = _columns(haar_sample(samples, f.dim, primes=f.primes,
-                                          seed=seed, prec=prec))
-    torus, fibers = draws[key]
+        draws[key] = (*_columns(haar_sample(samples, f.dim, primes=f.primes,
+                                            seed=seed, prec=prec)), {})
+    torus, fibers, g_values = draws[key]
+    if g not in g_values:
+        g_values[g] = _evaluate(g, torus, fibers, samples)
     fr, fi = _evaluate(fn, torus, fibers, samples)
-    gr, gi = _evaluate(g, torus, fibers, samples)
+    gr, gi = g_values[g]
     prod = np.empty(samples, dtype=complex)
     prod.real = fr * gr - fi * gi
     prod.imag = fr * gi + fi * gr

@@ -45,6 +45,8 @@ class ActionSpec:
     generators: tuple
     _powers: dict = field(default_factory=dict, init=False, repr=False,
                           compare=False)   # (generator index, exponent) -> power
+    cache: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)     # derived data kept per action
 
     def __post_init__(self):
         gens = tuple(g if isinstance(g, QMat) else QMat(g) for g in self.generators)

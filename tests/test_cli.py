@@ -223,6 +223,28 @@ class TestAnalyze:
         assert report["verdict"] == "rank_one_factor"
         assert report["rank_one"]["blocks"] == [[1, 1], [1, 0], [1, 1]]
 
+    def test_sqrt2_tensor_splits_into_two_rank_one_blocks(self, capsys,
+                                                          tmp_path):
+        # no generator splits Q(sqrt 2) (x) Q(sqrt 2); their sum does, and
+        # rho(1, -1) is the identity on one of the two 2-dimensional blocks
+        out = tmp_path / "report.json"
+        code, _, err = run(capsys, "analyze", fixture("sqrt2_tensor.json"),
+                           "--out", str(out))
+        assert code == 2, err
+        report = json.loads(out.read_text())
+        assert report["verdict"] == "rank_one_factor"
+        assert report["rank_one"]["blocks"] == [[2, 1], [2, 1]]
+        assert report["rank_one"]["culprit_dim"] == 2
+
+    def test_certificate_covers_the_span(self, capsys, tmp_path):
+        out = tmp_path / "report.json"
+        code, _, _ = run(capsys, "analyze", fixture("cubic_units_z2.json"),
+                         "--out", str(out))
+        assert code == 0
+        assert json.loads(out.read_text())["z2_subgroup"] == {
+            "status": "certified", "pair": [[0, 1], [1, -1]],
+            "covers": "span", "value_rank": 2}
+
     def test_bound_flag_obeys_the_pair_bound_limits(self, capsys):
         code, out, err = run(capsys, "analyze", fixture("z2_budget.json"),
                              "--bound", "-1")

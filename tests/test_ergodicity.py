@@ -1,5 +1,6 @@
 """Ergodicity: cyclotomic criterion vs a brute-force dual-orbit oracle,
-rational splittings, rank-one detection, and the Z^2 subgroup search.
+field splittings, rank-one detection, and the Z^2 subgroup certificate,
+checked against a brute-force box of exact cyclotomic tests.
 
 The cubic fixture is the companion matrix of x^3 + x^2 - 2x - 1 (totally
 real, discriminant 49, determinant 1); together with its translate by the
@@ -8,6 +9,7 @@ combination must be ergodic and there is no rank-one factor.
 """
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -15,10 +17,13 @@ import pytest
 
 from hyperrank.errors import NoErgodicSubgroupFound
 from hyperrank.exact import QMat, QPoly
+from hyperrank import ergodicity
 from hyperrank.ergodicity import (ErgodicityCertificate, Z2SubgroupCertificate,
+                                  _field_element, _polynomial_on_kernel,
                                   _saturate_rows, ergodic_z2_subgroup,
                                   has_rank_one_factor, is_ergodic,
                                   rational_splitting)
+from hyperrank.exact.factorq import factor_over_q
 from hyperrank.spectra import ActionSpec
 
 CAT = [[2, 1], [1, 1]]
@@ -211,7 +216,12 @@ class TestSearch:
         assert isinstance(cert, Z2SubgroupCertificate)
         assert cert.pair == ((0, 1), (1, -1))
         assert cert.value_rank == 2
-        assert cert.checked > 20
+        # the certificate covers all of span(a, b), far outside any box
+        a, b = cert.pair
+        for i, j in [(37, -29), (-101, 64), (1, 250)]:
+            vec = tuple(i * x + j * y for x, y in zip(a, b))
+            assert is_ergodic(ActionSpec((CUBIC, CUBIC_PLUS)).element(vec)
+                              ).ergodic, (i, j)
 
     def test_z2_subgroup_product_action_obstructed(self):
         with pytest.raises(NoErgodicSubgroupFound) as ei:
@@ -221,3 +231,158 @@ class TestSearch:
         assert ei.value.budget == (1, 4)
         kinds = {o[1] for o in ei.value.obstructions}
         assert "non-ergodic combination" in kinds
+
+
+# --- the per-block certificate against brute force --------------------------
+
+SQRT2_TENSOR = ([[1, 0, 2, 0], [0, 1, 0, 2], [1, 0, 1, 0], [0, 1, 0, 1]],
+                [[1, 2, 0, 0], [1, 1, 0, 0], [0, 0, 1, 2], [0, 0, 1, 1]])
+
+
+def companion(f):
+    """Companion matrix of x^d + f[d-1] x^(d-1) + ... + f[0]."""
+    d = len(f)
+    return QMat([[int(i == j + 1) for j in range(d - 1)] + [-f[i]]
+                 for i in range(d)])
+
+
+def poly_at(g, c):
+    """g[0] + g[1] c + ... for the ascending coefficients g."""
+    out = QMat.zeros(*c.shape)
+    for coeff in reversed(g):
+        out = out @ c + QMat.identity(c.shape[0]).scalar(coeff)
+    return out
+
+
+def seeded_companion_actions(seed, degrees):
+    """(C_f, g(C_f)) with f irreducible of each degree, without a rank-one
+    factor."""
+    rng = random.Random(seed)
+    for d in degrees:
+        while True:
+            f = [rng.randint(-3, 3) for _ in range(d)]
+            g = [rng.randint(-2, 2) for _ in range(d)]
+            if f[0] == 0 or not any(g[1:]) or \
+                    factor_over_q(QPoly(f + [1])) != [(QPoly(f + [1]), 1)]:
+                continue
+            c = companion(f)
+            b = poly_at(g, c)
+            if b.det() == 0:
+                continue
+            action = ActionSpec((c, b))
+            if not has_rank_one_factor(action).found:
+                yield action
+                break
+
+
+def assert_box_ergodic(action, pair, radius=20):
+    """Criterion 6's brute force: every primitive i a + j b with
+    |(i, j)|_inf <= radius passes the exact cyclotomic test."""
+    a, b = pair
+    checked = 0
+    for i, j in itertools.product(range(-radius, radius + 1), repeat=2):
+        if (i, j) == (0, 0) or math.gcd(i, j) != 1:
+            continue
+        vec = tuple(i * x + j * y for x, y in zip(a, b))
+        assert is_ergodic(action.element(vec)).ergodic, (pair, i, j)
+        checked += 1
+    assert checked > 2 * radius ** 2
+
+
+def assert_obstructions_confirmed(action, **bounds):
+    """The search fails, and every "non-ergodic combination" it reports
+    is non-ergodic with the reported period by the exact test."""
+    with pytest.raises(NoErgodicSubgroupFound) as ei:
+        ergodic_z2_subgroup(action, **bounds)
+    confirmed = 0
+    for (a, b), reason, bad in ei.value.obstructions:
+        if reason == "non-ergodic combination":
+            (i, j), period = bad
+            vec = tuple(i * x + j * y for x, y in zip(a, b))
+            cert = is_ergodic(action.element(vec))
+            assert not cert.ergodic and cert.period == period, (a, b, bad)
+            confirmed += 1
+    assert confirmed > 0
+
+
+class TestFieldCertificate:
+    def test_seeded_companion_actions_pass_the_box(self):
+        for action in seeded_companion_actions(5, (2, 3, 4, 4)):
+            cert = ergodic_z2_subgroup(action)
+            assert_box_ergodic(action, cert.pair)
+
+    def test_repeated_field_block_certified(self):
+        # diag(C, C) has charpoly f^2: one 6-dimensional block, a field
+        # with e = 2, certified like the cubic units themselves
+        action = ActionSpec((blockdiag(CUBIC, CUBIC),
+                             blockdiag(CUBIC_PLUS, CUBIC_PLUS)))
+        (blk,) = rational_splitting(action)
+        assert blk.dim == 6 and blk.field
+        (f, e), = factor_over_q(blk.charpolys[0])
+        assert e == 2
+        cert = ergodic_z2_subgroup(action, pair_bound=1)
+        assert cert.pair == ((0, 1), (1, -1))
+        assert_box_ergodic(action, cert.pair, radius=6)
+
+    def test_power_pair_on_a_repeated_block_is_obstructed(self):
+        # diag(C, C) and diag(C^2, C^2): a field block with e = 2 whose
+        # functionals have rank 1, rho(2, -1) being the identity
+        c = QMat(CUBIC)
+        c2 = (c @ c).int_rows()
+        action = ActionSpec((blockdiag(CUBIC, CUBIC), blockdiag(c2, c2)))
+        (blk,) = rational_splitting(action)
+        assert blk.dim == 6 and blk.field
+        assert has_rank_one_factor(action).blocks == ((6, 1),)
+        assert_obstructions_confirmed(action, pair_bound=1)
+
+    def test_rank_one_and_finite_order_factors_obstructed(self):
+        rotation = blockdiag(CUBIC, [[0, -1], [1, 0]])
+        flip = blockdiag(CUBIC_PLUS, [[-1, 0], [0, -1]])
+        assert_obstructions_confirmed(ActionSpec((rotation, flip)))
+        assert_obstructions_confirmed(ActionSpec(PRODUCT_GENS), pair_bound=1)
+
+    def test_sqrt2_tensor_block_before_and_after_refinement(self):
+        gens = [QMat(g) for g in SQRT2_TENSOR]
+        # on Q^4 each generator has charpoly (x^2 - 2x - 1)^2, and the
+        # other generator is not a polynomial in it on ker f(g)
+        for g in gens:
+            (f, e), = factor_over_q(g.charpoly())
+            assert (f, e) == (QPoly((-1, -2, 1)), 2)
+            assert not _polynomial_on_kernel(f, g, gens)
+        m, facs = _field_element(gens)
+        assert m == gens[0] + gens[1]
+        assert [e for _, e in facs] == [2, 1]
+        blocks = rational_splitting(ActionSpec(gens))
+        assert [(b.dim, b.field) for b in blocks] == [(2, True), (2, True)]
+        for blk in blocks:
+            for g in blk.matrices:
+                (f, e), = factor_over_q(g.charpoly())
+                assert _polynomial_on_kernel(f, g, blk.matrices)
+        # rho(1, -1) is the identity on one block, rho(1, 1) is -1 on the
+        # other
+        assert has_rank_one_factor(ActionSpec(gens)).blocks == ((2, 1),
+                                                                (2, 1))
+
+    def test_unipotent_algebra_block_is_not_certified(self):
+        # multiplication by 1 + x and 1 + y on Q[x, y] / (x^2, y^2): local,
+        # not reduced, and no candidate is a field element on its kernel
+        ux = [[1, 0, 0, 0], [1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 1, 1]]
+        uy = [[1, 0, 0, 0], [0, 1, 0, 0], [1, 0, 1, 0], [0, 1, 0, 1]]
+        action = ActionSpec((ux, uy))
+        (blk,) = rational_splitting(action)
+        assert blk.dim == 4 and not blk.field
+        with pytest.raises(NoErgodicSubgroupFound) as ei:
+            ergodic_z2_subgroup(action)
+        assert ei.value.obstructions == []
+        assert "not certified to be a field" in ei.value.reason
+
+    def test_failed_spot_check_is_not_a_certificate(self, monkeypatch):
+        # a pair of full float rank whose exact check fails ends the search
+        fake = ErgodicityCertificate(ergodic=False, period=1,
+                                     witness=(1, 0, 0))
+        monkeypatch.setattr(ergodicity, "is_ergodic", lambda m: fake)
+        with pytest.raises(NoErgodicSubgroupFound) as ei:
+            ergodic_z2_subgroup(ActionSpec((CUBIC, CUBIC_PLUS)),
+                                pair_bound=1)
+        assert ei.value.obstructions == [
+            (((0, 1), (1, -1)), "non-ergodic combination", ((1, 0), 1))]

@@ -10,6 +10,7 @@ also tells -0.0 from 0.0.
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -19,6 +20,8 @@ from hyperrank.conjugacy import (ConjugacyField, holder_estimate,
                                  perturbed_map, solve_conjugacy,
                                  trig_perturbation, verify_conjugacy)
 from hyperrank.errors import DegenerateField, NoConvergence, NotExpanding
+from hyperrank import solenoid
+from hyperrank.cli import main as cli_main
 from hyperrank.exact import QMat
 from hyperrank.solenoid import (TrigFunction, _unit_phases, clt_check,
                                 monte_carlo_correlation)
@@ -27,6 +30,8 @@ from helpers import (displacement, phi, scalar_clt_check,
                      scalar_holder_estimate, scalar_monte_carlo_correlation,
                      scalar_q, scalar_solve_conjugacy, scalar_tau,
                      scalar_verify_conjugacy)
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 SETTINGS = settings(max_examples=40, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -132,6 +137,27 @@ def test_monte_carlo_shared_draws():
                 scalar_monte_carlo_correlation(f, g, a, n, samples=samples,
                                                seed=seed))
     assert len(draws) == 27
+
+
+def test_monte_carlo_evaluates_g_once_per_point_set(monkeypatch, tmp_path,
+                                                     capsys):
+    # the fixture has one fibre precision, so one point set: g is evaluated
+    # on it once, and f pushed forward once per lag, 8 lags in all (16
+    # calls when g was evaluated again at every lag)
+    calls = []
+    evaluate = solenoid._evaluate
+
+    def counted(fn, *args):
+        calls.append(fn)
+        return evaluate(fn, *args)
+
+    monkeypatch.setattr(solenoid, "_evaluate", counted)
+    code = cli_main(["mixing", str(FIXTURES / "doubling_mixing.json"),
+                     "--mc", "10000", "--out", str(tmp_path / "c.csv"),
+                     "--summary", str(tmp_path / "s.json")])
+    capsys.readouterr()
+    assert code == 0
+    assert len(calls) == 9
 
 
 def test_monte_carlo_wide_fibers():
