@@ -90,6 +90,9 @@ _MAX_CORNERS = 1 << 22
 # limit)
 _MAX_LAG = 10 ** 4
 _MAX_MODE_DIGITS = 4300
+# the p-adic digits analyze starts its refinement with; it doubles them
+# itself, as far as the determinants need
+_MAX_PADIC_PRECISION = 1 << 12
 
 
 # --- input layer ------------------------------------------------------------
@@ -326,7 +329,8 @@ def cmd_analyze(args):
                      ["generators"])
     gens = _list(config["generators"], f"{where}: generators",
                  each=_int_matrix, nonempty=True)
-    prec = _get(config, "padic_precision", where, _int, 32, low=4)
+    prec = _get(config, "padic_precision", where, _int, 32, low=4,
+                high=_MAX_PADIC_PRECISION)
     tol = _get(config, "tol", where, _number, 1e-9, positive=True)
     z2 = _get(config, "z2", where, _object, {},
               allowed=["pair_bound", "combo_bound"])
@@ -598,10 +602,15 @@ def cmd_conjugate(args):
 
 
 def _load_crt_targets(path, structure):
+    """The targets and levels, refused when crt could not print its
+    solution: every coordinate of n is below twice the product P of
+    p^precision over the targets, so 2 P must stay below 10^4300."""
     config = _config(_load_json(path), path, ["targets"], ["targets"])
     table = _object(config["targets"], f"{path}: targets")
     if not table:
         raise ParseError(f"{path}: targets must map primes to targets")
+    limit = 10 ** _MAX_MODE_DIGITS
+    size = 2
     targets, levels = {}, {}
     for key in sorted(table):
         here = f"{path}: targets[{key!r}]"
@@ -618,6 +627,14 @@ def _load_crt_targets(path, structure):
         level = _get(entry, "level", here, _int, low=1)
         prec = _get(entry, "precision", here, _int, max(level + 2, 8),
                     low=level)
+        # p^prec >= 2^(prec (bits(p) - 1)): a huge prec is refused before
+        # p is raised to it
+        if (prec * (p.bit_length() - 1) >= limit.bit_length()
+                or (size := size * p ** prec) >= limit):
+            raise ParseError(f"{here}: the solution would pass "
+                             f"{_MAX_MODE_DIGITS} digits (twice the product "
+                             "of p^precision over the targets must stay "
+                             f"below 10^{_MAX_MODE_DIGITS})")
         targets[p] = nil_element_padic(structure, coords, p, prec)
         levels[p] = level
     return targets, levels

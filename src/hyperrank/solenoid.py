@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -43,6 +44,7 @@ _MIN_DIGITS = 32        # the fewest p-adic digits a sampled fiber carries
 _ESCAPE_CAP = 200       # dual-orbit steps _escape_index may take
 _CLT_REF_TERMS = 64     # lags in clt_check's exact series variance
 _CLT_BINS = 16          # bins of clt_check's histogram
+_CLT_BLOCK = 16         # Birkhoff steps clt_check sums at once
 _TOP_BITS = 1000        # phase bits _unit_phases rounds without int division
 _TIE_FREE = 1 << 118    # top bits below this take the int division
 _LOW64 = (1 << 64) - 1
@@ -258,17 +260,22 @@ def exact_correlation(f: TrigFunction, g: TrigFunction, a: QMat, n_max):
 
     Mode bookkeeping is exact: the only contributions are pairs with
     (a^T)^n k + m = 0, so each value is a finite sum and the zero values are
-    exact zeros, not numerically small ones.
+    exact zeros, not numerically small ones.  The integer matrix a steps
+    the integer numerators of the modes over one common denominator, the
+    lcm of every mode denominator of f and g.
     """
-    at = a.transpose()
-    targets = {tuple(-c for c in m): coeff for m, coeff in g.terms}
+    cols = list(zip(*a.int_rows()))            # the rows of a^T
+    lcm = math.lcm(*(c.denominator for fn in (f, g) for m, _ in fn.terms
+                     for c in m))
+    targets = {tuple(-int(c * lcm) for c in m): coeff for m, coeff in g.terms}
     base = f.mean() * g.mean()
-    modes = [(m, c) for m, c in f.terms]
+    modes = [(tuple(int(c * lcm) for c in m), c) for m, c in f.terms]
     out = []
     for _ in range(n_max + 1):
         s = sum((c * targets[m] for m, c in modes if m in targets), 0j)
         out.append(s - base)
-        modes = [(at.matvec(m), c) for m, c in modes]
+        modes = [(tuple(sum(map(operator.mul, col, m)) for col in cols), c)
+                 for m, c in modes]
     return out
 
 
@@ -445,6 +452,14 @@ def _phases(mode, torus, fibers, samples):
     return _unit_phases(_combine(vec, cols, samples), mod)
 
 
+def _cis(theta):
+    """exp(2 pi i theta) for an array of phases, rounded as the scalar
+    cmath.exp(2j * math.pi * theta) is."""
+    z = np.zeros(len(theta), dtype=complex)
+    z.imag = 2 * math.pi * theta
+    return np.exp(z)
+
+
 def _character_sum(terms, count):
     """sum_m c_m exp(2 pi i theta_m) over the (c_m, theta_m) in terms, each
     theta_m an array of count phases, as (real, imag) arrays rounded as the
@@ -454,9 +469,7 @@ def _character_sum(terms, count):
     re = np.zeros(count)
     im = np.zeros(count)
     for c, theta in terms:
-        z = np.zeros(count, dtype=complex)
-        z.imag = 2 * math.pi * theta
-        e = np.exp(z)
+        e = _cis(theta)
         re = re + (c.real * e.real - c.imag * e.imag)
         im = im + (c.real * e.imag + c.imag * e.real)
     return re, im
@@ -540,11 +553,23 @@ def clt_check(f: TrigFunction, a: QMat, n=1024, orbits=200,
     All orbits step together: their states are per-coordinate lists of
     Python ints, every phase is exact before it is rounded, and the sums
     round as the one-orbit-at-a-time loop would.
+
+    An integer mode m has the phase (K u mod 2^bits) / 2^bits at step k,
+    with u the start of the orbit and the key K = (A^T)^k m mod 2^bits, so
+    modes with equal keys have bit-equal characters.  Each key steps with
+    the state, and a character is computed only when its key is new: the
+    step before and the same step are looked up first.  A lacunary
+    observable sum_k c_k cos(2 pi 2^k x) under doubling thus computes two
+    new characters per step.  Modes with denominators are computed every
+    step: their float phase adds a torus part and fibre parts rounded
+    apart, so equal rational phases need not round equally.  The real parts are summed _CLT_BLOCK steps at a time, term by
+    term in order, and the block's steps are added into the sums in order.
     """
     d = f.dim
     rows = a.int_rows()
     bits = _orbit_sampler_bits(a, n)
     den = 1 << bits
+    mask = den - 1
     rng = random.Random(seed)
     prec = max(_MIN_DIGITS, f.fiber_digits())
     modulus = {p: p ** prec for p in f.primes}
@@ -566,22 +591,50 @@ def clt_check(f: TrigFunction, a: QMat, n=1024, orbits=200,
                 fibres.append((p, qq, pow(l // qq, -1, qq)))
         compiled.append((tuple(int(c * l) for c in mode), l * den, fibres,
                          coeff))
+    # the keys of all terms as columns, one per coordinate; only the terms
+    # of integer modes (modulus den) look theirs up
+    keyed = [q == den for _, q, _, _ in compiled]
+    keys = [[ivec[i] & mask for ivec, _, _, _ in compiled] for i in range(d)]
+    dual = list(zip(*rows))             # the rows of A^T
 
-    def terms(num, xi):
-        """(coeff, phase at every orbit state) for each mode in order."""
-        for ivec, q, fibres, coeff in compiled:
-            theta = _unit_phases(_combine(ivec, num, orbits), q)
-            for p, qq, inv in fibres:
-                theta = theta + np.array([
-                    s * inv % qq / qq for s in _combine(ivec, xi[p], orbits)])
-            yield coeff, theta
+    def character(ivec, q, fibres):
+        """exp(2 pi i theta) of the mode at every orbit state."""
+        theta = _unit_phases(_combine(ivec, num, orbits), q)
+        for p, qq, inv in fibres:
+            theta = theta + np.array([
+                s * inv % qq / qq for s in _combine(ivec, xi[p], orbits)])
+        return _cis(theta)
 
     center = f.mean().real
-    mask = den - 1
     total = np.zeros(orbits)
-    for _ in range(n):
-        val, _ = _character_sum(terms(num, xi), orbits)
-        total = total + (val - center)
+    pending = [[] for _ in compiled]    # per term its characters this block
+    last = {}                           # key -> character one step back
+    for step in range(n):
+        now = {}
+        for (ivec, q, fibres, _), has_key, key, out in zip(
+                compiled, keyed, zip(*keys), pending):
+            e = now.get(key, last.get(key)) if has_key else None
+            if e is None:
+                e = character(ivec, q, fibres)
+            if has_key:
+                now[key] = e
+            out.append(e)
+        last = now
+        keys = [[v & mask for v in _combine(r, keys, len(compiled))]
+                for r in dual]
+        if step % _CLT_BLOCK == _CLT_BLOCK - 1 or step == n - 1:
+            # vals[s] is the observable at step s of the block, its terms
+            # added in order from 0 as the scalar complex sum adds them
+            vals = np.zeros((step % _CLT_BLOCK + 1, orbits))
+            for (_, _, _, c), out in zip(compiled, pending):
+                e = np.stack(out)
+                out.clear()
+                t = c.real * e.real
+                t -= c.imag * e.imag
+                vals += t
+            vals -= center
+            for row in vals:
+                total += row
         w = [_combine(r, num, orbits) for r in rows]
         num = [[v & mask for v in wi] for wi in w]
         if modulus:

@@ -25,7 +25,7 @@ from hyperrank.nilpotent import NilElement, nil_element
 from hyperrank.solenoid import (_CLT_BINS, _CLT_REF_TERMS, _MIN_DIGITS,
                                 CltReport, McCorrelation, SolenoidPoint,
                                 TrigFunction, _orbit_sampler_bits,
-                                exact_correlation, haar_sample)
+                                haar_sample)
 
 
 def padic_lyapunov(matrix, p):
@@ -80,8 +80,22 @@ def nil_identity(structure) -> NilElement:
 # --- scalar oracles ---------------------------------------------------------
 #
 # The one-point-at-a-time Monte Carlo, CLT and conjugacy code the library's
-# array engines replaced, kept verbatim as the oracle they must match bit for
-# bit.
+# array engines replaced, and the Fraction mode stepping of the exact
+# correlation, kept verbatim as the oracles they must match bit for bit.
+
+
+def scalar_exact_correlation(f: TrigFunction, g: TrigFunction, a: QMat,
+                             n_max):
+    at = a.transpose()
+    targets = {tuple(-c for c in m): coeff for m, coeff in g.terms}
+    base = f.mean() * g.mean()
+    modes = [(m, c) for m, c in f.terms]
+    out = []
+    for _ in range(n_max + 1):
+        s = sum((c * targets[m] for m, c in modes if m in targets), 0j)
+        out.append(s - base)
+        modes = [(at.matvec(m), c) for m, c in modes]
+    return out
 
 
 def character_phase(mode, pt: SolenoidPoint) -> Fraction:
@@ -184,7 +198,7 @@ def scalar_clt_check(f: TrigFunction, a: QMat, n=1024, orbits=200,
                          for row, k in zip(rows, kv)]
         sums.append(total / math.sqrt(n))
     arr = np.array(sums)
-    corr = exact_correlation(f, f, a, min(_CLT_REF_TERMS, n - 1))
+    corr = scalar_exact_correlation(f, f, a, min(_CLT_REF_TERMS, n - 1))
     sigma2 = corr[0].real + 2 * sum(c.real for c in corr[1:])
     spread = max(1.0, 4.0 * math.sqrt(abs(sigma2)))
     counts, edges = np.histogram(arr, bins=_CLT_BINS,

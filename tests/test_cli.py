@@ -7,6 +7,7 @@ indirectly via python -m to keep the packaging honest.
 
 import json
 import math
+import re
 import subprocess
 import sys
 import time
@@ -282,6 +283,19 @@ class TestAnalyze:
         places = [f["place"] for f in json.loads(out)["lyapunov"]
                   ["functionals"]]
         assert det in places
+
+    @pytest.mark.parametrize("prec", [4097, 10 ** 6])
+    def test_padic_precision_capped(self, capsys, tmp_path, prec):
+        # 10^6 digits took 3 s on this matrix before the cap
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"format": 1, "padic_precision": prec,
+                                   "generators": [[[3, 1], [1, 1]]]}))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "analyze", str(cfg))
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert "padic_precision must be <= 4096" in err
+        assert out == ""
 
     def test_unsplittable_determinant_exit_three(self, capsys, tmp_path):
         # two 21-digit prime factors: beyond Pollard rho's step budget
@@ -858,6 +872,40 @@ class TestCrt:
         assert code == 1
         assert message in err
         assert out == ""
+
+    @pytest.mark.parametrize("targets", [
+        {"2": {"coords": [1, 5, 3], "level": 14500}},
+        {"2": {"coords": [1, 5, 3], "level": 8000},
+         "3": {"coords": [0, 0, 1], "level": 6000}},
+        {"2": {"coords": [1, 5, 3], "level": 10 ** 12}},
+    ])
+    def test_targets_beyond_the_print_limit_exit_one(self, capsys, tmp_path,
+                                                     targets):
+        # the solution could not be printed in 4300 digits, CPython's
+        # int-to-str limit; that was a ValueError traceback
+        tg = tmp_path / "tg.json"
+        tg.write_text(json.dumps({"format": 1, "targets": targets}))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "crt",
+                             fixture("heisenberg_structure.json"), str(tg))
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert "would pass 4300 digits" in err
+        assert out == ""
+
+    def test_largest_targets_print(self, capsys, tmp_path):
+        # 2 * 2^14283 < 10^4300 < 2 * 2^14284
+        tg = tmp_path / "tg.json"
+        digits = []
+        for prec in (14283, 14284):
+            tg.write_text(json.dumps({"format": 1, "targets": {
+                "2": {"coords": [1, 5, 3], "level": prec,
+                      "precision": prec}}}))
+            code, out, _ = run(capsys, "crt",
+                               fixture("heisenberg_structure.json"), str(tg))
+            digits.append((code, max(map(len, re.findall(r"\d+", out)),
+                                     default=0)))
+        assert digits == [(0, 4300), (1, 0)]
 
     def test_transcript_deterministic(self, capsys):
         _, first, _ = run(capsys, "crt", fixture("heisenberg_structure.json"),

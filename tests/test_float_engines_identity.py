@@ -1,11 +1,13 @@
 """The array engines against the scalar code they replaced, bit for bit.
 
 Monte Carlo evaluates characters from exact integer phase numerators, the
-CLT check steps all its orbits at once on exact integer states, and the
+CLT check steps all its orbits at once on exact integer states, reuses the
+characters of repeated integer modes and sums its steps in blocks, and the
 conjugacy solver, its off-grid check and the Holder estimate interpolate on
 arrays.  Each must reproduce the one-point-at-a-time code kept in
 tests/helpers.py exactly: results are compared with == and by repr, which
-also tells -0.0 from 0.0.
+also tells -0.0 from 0.0.  So must the exact correlation, which steps
+integer mode numerators where it stepped Fractions.
 """
 
 import random
@@ -23,12 +25,14 @@ from hyperrank.errors import DegenerateField, NoConvergence, NotExpanding
 from hyperrank import solenoid
 from hyperrank.cli import main as cli_main
 from hyperrank.exact import QMat
-from hyperrank.solenoid import (TrigFunction, _unit_phases, clt_check,
+from hyperrank.solenoid import (_CLT_BLOCK, TrigFunction, _unit_phases,
+                                clt_check, exact_correlation,
                                 monte_carlo_correlation)
 
 from helpers import (displacement, phi, scalar_clt_check,
-                     scalar_holder_estimate, scalar_monte_carlo_correlation,
-                     scalar_q, scalar_solve_conjugacy, scalar_tau,
+                     scalar_exact_correlation, scalar_holder_estimate,
+                     scalar_monte_carlo_correlation, scalar_q,
+                     scalar_solve_conjugacy, scalar_tau,
                      scalar_verify_conjugacy)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -282,11 +286,114 @@ def test_clt_empty_observable():
 
 @SETTINGS
 @given(st.integers(1, 2).flatmap(lambda d: st.tuples(
-    observables(d, s_adic(6)), matrices(d))), st.integers(1, 24),
-    st.integers(2, 8), st.integers(0, 10 ** 6))
+    observables(d, s_adic(6)), matrices(d))),
+    st.integers(1, 2 * _CLT_BLOCK + 3), st.integers(2, 8),
+    st.integers(0, 10 ** 6))
 def test_clt_random(obs, n, orbits, seed):
     terms, matrix = obs
     check_clt(TrigFunction.build(terms, (2, 3)), matrix, n, orbits, seed)
+
+
+@pytest.mark.parametrize("n", [1, _CLT_BLOCK - 1, _CLT_BLOCK, _CLT_BLOCK + 1,
+                               3 * _CLT_BLOCK + 1])
+def test_clt_block_edges(n):
+    # a last block that is whole, short by one, one step long or the only one
+    f = TrigFunction.build([((1,), 0.5), ((-1,), 0.5), ((3,), 0.2 - 0.1j),
+                            ((Fraction(1, 4),), 0.3j)], (2,))
+    check_clt(f, [[2]], n, 9, n)
+
+
+def test_clt_lacunary_across_blocks():
+    # under doubling the key of 2^k at one step is the key of 2^(k+1) at the
+    # step before, so ten of the twelve characters are reused every step
+    check_clt(lacunary(6, 0.75), [[2]], 3 * _CLT_BLOCK + 5, 12, 5)
+
+
+def test_clt_keys_repeat_in_two_dimensions():
+    # A^T (1, 0) = (3, 2) and A^T (3, 2) = (11, 8): the key of (1, 0) at
+    # each step is the key (3, 2) had at the step before, and that of
+    # (3, 2) the one (11, 8) had, negatives likewise; A (1, 0) = (3, 1) is
+    # a mode too, which keys stepped by A instead of A^T would confuse
+    # with the next step's (1, 0)
+    modes = [(1, 0), (3, 2), (11, 8)]
+    f = TrigFunction.build(
+        [(m, 0.4 / (i + 1) + 0.1j * i) for i, m in enumerate(modes)]
+        + [(tuple(-c for c in m), 0.4 / (i + 1)) for i, m in
+           enumerate(modes)] + [((3, 1), 0.3), ((0, 1), -0.25j)])
+    check_clt(f, [[3, 2], [1, 1]], 2 * _CLT_BLOCK + 3, 10, 4)
+
+
+def test_clt_modes_equal_mod_the_grid():
+    # under doubling the grid is 2^-(n + 64), so 1 and 1 + 2^(n + 64) have
+    # equal keys at every step and share one character per step
+    n = _CLT_BLOCK + 2
+    big = 1 + 2 ** (n + 64)
+    f = TrigFunction.build([((1,), 0.5), ((big,), 0.25 - 0.5j),
+                            ((-1,), 0.5), ((-big,), 0.125)])
+    check_clt(f, [[2]], n, 11, 6)
+
+
+def test_clt_s_adic_integer_and_fractional_modes():
+    # integer modes are keyed and reused, modes with denominators 2 and 3
+    # are evaluated every step with their fibre parts
+    f = TrigFunction.build(
+        [((1, 0), 0.5), ((-1, 0), 0.5), ((6, 1), 0.2j), ((36, 0), -0.1),
+         ((Fraction(1, 2), 1), 0.3), ((Fraction(-1, 3), Fraction(1, 9)),
+                                     0.25 - 0.25j)], (2, 3))
+    check_clt(f, [[6, 1], [0, -6]], 2 * _CLT_BLOCK + 1, 8, 10)
+
+
+def test_clt_computes_each_repeated_character_once(monkeypatch):
+    # six cosine terms at the benchmark's size: twelve characters at the
+    # first step, then the two new ones per step, 12 + 2 * 191 = 394
+    # phase evaluations where each character every step took 12 * 192
+    calls = []
+    unit_phases = solenoid._unit_phases
+
+    def counted(nums, q):
+        calls.append(q)
+        return unit_phases(nums, q)
+
+    monkeypatch.setattr(solenoid, "_unit_phases", counted)
+    clt_check(lacunary(6, 0.75), QMat([[2]]), n=192, orbits=160, seed=3)
+    assert len(calls) == 12 + 2 * 191
+
+
+# --- exact correlation ------------------------------------------------------
+
+
+@SETTINGS
+@given(st.integers(1, 2).flatmap(lambda d: st.tuples(
+    observables(d, s_adic(4)), observables(d, s_adic(4)),
+    st.lists(st.tuples(st.just((0,) * d), coeffs), max_size=1),
+    matrices(d, -6, 6))), st.booleans(), st.integers(0, 12))
+def test_exact_correlation_s_adic(obs, share, n_max):
+    # g with and without a mean term, and with or without the conjugates of
+    # the modes of f, so that lag 0 has terms; modes with denominators
+    # 2^i 3^j and matrices that bring them back to the integers
+    terms_f, terms_g, mean, matrix = obs
+    f = TrigFunction.build(terms_f, (2, 3))
+    if share:
+        terms_g = terms_g + list(f.conjugate().terms)
+    g = TrigFunction.build(terms_g + mean, (2, 3))
+    a = QMat(matrix)
+    assert_identical(exact_correlation(f, g, a, n_max),
+                     scalar_exact_correlation(f, g, a, n_max))
+
+
+@pytest.mark.parametrize("matrix, n_max", [([[2]], 40), ([[-3]], 20),
+                                           ([[2, 1], [1, 1]], 30)])
+def test_exact_correlation_lacunary(matrix, n_max):
+    # g = f conjugated, or pulled back along a, so that terms meet at lags
+    dim = len(matrix)
+    f = TrigFunction.build(
+        [((2 ** k,) + (0,) * (dim - 1), 0.5 ** k + 0.1j) for k in range(6)]
+        + [((-2 ** k,) + (0,) * (dim - 1), 0.5 ** k) for k in range(6)]
+        + [((0,) * dim, 0.75)])
+    a = QMat(matrix)
+    for g in (f.conjugate(), f.pushforward(a.power(3))):
+        assert_identical(exact_correlation(f, g, a, n_max),
+                         scalar_exact_correlation(f, g, a, n_max))
 
 
 # --- conjugacy --------------------------------------------------------------
