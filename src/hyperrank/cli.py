@@ -93,6 +93,9 @@ _MAX_MODE_DIGITS = 4300
 # the p-adic digits analyze starts its refinement with; it doubles them
 # itself, as far as the determinants need
 _MAX_PADIC_PRECISION = 1 << 12
+# analyze's rank tests count singular values above tol * max(1, s[0]); at
+# tol >= 1 every value matrix would have rank <= 1, a false rank-one factor
+_MAX_ANALYZE_TOL = 1e-3
 
 
 # --- input layer ------------------------------------------------------------
@@ -156,7 +159,7 @@ def _int(v, name, low=None, high=None):
     return v
 
 
-def _number(v, name, positive=False):
+def _number(v, name, positive=False, high=None):
     """float(v), refusing NaN, infinities and integers beyond float range."""
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ParseError(f"{name} must be a number")
@@ -164,6 +167,8 @@ def _number(v, name, positive=False):
         raise ParseError(f"{name}: {v!r} is not a finite number")
     if positive and not v > 0:
         raise ParseError(f"{name} must be positive")
+    if high is not None and v > high:
+        raise ParseError(f"{name} must be <= {high}")
     return float(v)
 
 
@@ -331,7 +336,8 @@ def cmd_analyze(args):
                  each=_int_matrix, nonempty=True)
     prec = _get(config, "padic_precision", where, _int, 32, low=4,
                 high=_MAX_PADIC_PRECISION)
-    tol = _get(config, "tol", where, _number, 1e-9, positive=True)
+    tol = _get(config, "tol", where, _number, 1e-9, positive=True,
+               high=_MAX_ANALYZE_TOL)
     z2 = _get(config, "z2", where, _object, {},
               allowed=["pair_bound", "combo_bound"])
     z2_pair = _get(z2, "pair_bound", f"{where}: z2", _int, _Z2_DEFAULT_PAIR,
@@ -354,7 +360,7 @@ def cmd_analyze(args):
             {"ergodic": cert.ergodic,
              "period": cert.period,
              "witness": None if cert.witness is None else list(cert.witness)}
-            for cert in (is_ergodic(g) for g in gens)]
+            for cert in map(is_ergodic, action.generators)]
         spectrum = joint_spectrum(action, tol=tol, padic_prec=prec)
         report["lyapunov"] = _serialize_spectrum(spectrum)
         report["coarse_classes"] = [list(c) for c in
@@ -740,8 +746,14 @@ _EXITS = (
 )
 
 
+_parser = None   # built on the first call; it depends on no input
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.func(args)
     except (HyperrankError, OSError) as exc:

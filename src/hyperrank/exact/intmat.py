@@ -18,10 +18,11 @@ from .poly import QPoly
 
 
 class QMat:
-    __slots__ = ("rows",)
+    __slots__ = ("rows", "_charpoly")
 
     def __init__(self, rows):
         self.rows = tuple(tuple(Fraction(c) for c in r) for r in rows)
+        self._charpoly = None   # memo of charpoly(); rows never change
         if self.rows:
             n = len(self.rows[0])
             if any(len(r) != n for r in self.rows):
@@ -131,24 +132,28 @@ class QMat:
             raise ValueError("power of non-square matrix")
         base = self if e >= 0 else self.inverse()
         e = abs(e)
-        out = QMat.identity(len(self.rows))
+        out = None
         while e:
             if e & 1:
-                out = out @ base
-            base = base @ base
+                out = base if out is None else out @ base
             e >>= 1
-        return out
+            if e:
+                base = base @ base
+        return QMat.identity(len(self.rows)) if out is None else out
 
     def charpoly(self) -> QPoly:
         """det(xI - A), monic: Berkowitz over Z on L*A, L the lcm of the
-        denominators, then the x^k coefficient is divided by L^(n-k)."""
-        if not self.is_square():
-            raise ValueError("charpoly of non-square matrix")
-        n = len(self.rows)
-        lcm, ints = self._scaled()
-        coeffs = berkowitz_charpoly_mod(ints, None)
-        return QPoly([Fraction(c, lcm ** (n - k))
-                      for k, c in enumerate(coeffs)])
+        denominators, then the x^k coefficient is divided by L^(n-k).
+        Computed once per matrix."""
+        if self._charpoly is None:
+            if not self.is_square():
+                raise ValueError("charpoly of non-square matrix")
+            n = len(self.rows)
+            lcm, ints = self._scaled()
+            coeffs = berkowitz_charpoly_mod(ints, None)
+            self._charpoly = QPoly([Fraction(c, lcm ** (n - k))
+                                    for k, c in enumerate(coeffs)])
+        return self._charpoly
 
     def _rref(self):
         """Reduced row echelon form (Gauss-Jordan over Fraction): (rows,

@@ -454,12 +454,13 @@ def joint_spectrum(action: ActionSpec, tol=1e-9, padic_prec=32) -> LyapunovSpect
     for vals, mult in _real_refine(action, tol):
         functionals.append(LyapunovFunctional(
             place="real", values=vals, multiplicity=mult))
-    logdets = [math.log(abs(det)) for det in action.dets()]
+    dets = action.dets()
+    logdets = [math.log(abs(det)) for det in dets]
     for p in action.primes():
         blocks = _padic_functionals(action, p, padic_prec)
         for g in range(action.rank):
             total = sum(v[g] * mult for v, mult in blocks)
-            expected = vp_int(action.dets()[g], p)
+            expected = vp_int(dets[g], p)
             if total != expected:
                 raise RootFindingFailure(
                     f"p = {p}: valuation sum {total} != v_p(det) = {expected} "
@@ -634,50 +635,66 @@ def _simplest_direction_in_sector(mid, a0, a1):
 # --- expansion --------------------------------------------------------------
 
 
+_SOLVE_BATCH = 1 << 14   # systems per np.linalg.solve call
+
+
 def min_expansion_rate(spectrum: LyapunovSpectrum):
     """min over the unit sup-norm sphere of max_chi |chi(a)| (all places).
 
     The objective is convex piecewise-linear on each facet, so the minimum is
     attained where (dim of the facet many) active constraints from
     {chi_i = 0} and {chi_i = +-chi_j} meet; candidates are enumerated over
-    all faces of the cube.
+    all faces of the cube.  A face's systems are solved in batches of
+    _SOLVE_BATCH, and every float is formed by the same operations in the
+    same order as one scalar solve and sum per candidate would.
     """
     k = spectrum.rank
-    rows = [f.values for f in spectrum.functionals]
-
-    def objective(a):
-        return max(abs(sum(r[i] * a[i] for i in range(k))) for r in rows)
-
-    hyperplanes = [tuple(r) for r in rows]
-    for r1, r2 in itertools.combinations(rows, 2):
-        hyperplanes.append(tuple(x - y for x, y in zip(r1, r2)))
-        hyperplanes.append(tuple(x + y for x, y in zip(r1, r2)))
+    rows = np.array([f.values for f in spectrum.functionals], dtype=float)
+    first, second = np.triu_indices(len(rows), 1)
+    hyperplanes = np.concatenate([rows, np.stack(
+        [rows[first] - rows[second], rows[first] + rows[second]],
+        axis=1).reshape(-1, k)])
 
     best = None
     for fixed in itertools.product((-1, 0, 1), repeat=k):
         free = [i for i, s in enumerate(fixed) if s == 0]
         if len(free) == k:
             continue  # interior of the cube is not on the sphere
-        if not free:
-            cand = [float(s) for s in fixed]
-            val = objective(cand)
-            best = val if best is None else min(best, val)
-            continue
-        for combo in itertools.combinations(hyperplanes, len(free)):
-            A = np.array([[h[i] for i in free] for h in combo])
-            b = np.array([-sum(h[i] * fixed[i] for i in range(k) if fixed[i])
-                          for h in combo])
-            try:
-                sol = np.linalg.solve(A, b)
-            except np.linalg.LinAlgError:
-                continue
-            if np.max(np.abs(sol)) > 1 + 1e-9:
-                continue
-            a = [0.0] * k
-            for i, s in enumerate(fixed):
-                a[i] = float(s)
-            for i, x in zip(free, sol):
-                a[i] = float(x)
-            val = objective(a)
-            best = val if best is None else min(best, val)
+        rhs = np.zeros(len(hyperplanes))   # sum of h_i s_i over fixed i
+        for i, s in enumerate(fixed):
+            if s:
+                rhs = rhs + hyperplanes[:, i] * s
+        combos = itertools.combinations(range(len(hyperplanes)), len(free))
+        while block := list(itertools.islice(combos, _SOLVE_BATCH)):
+            idx = np.array(block, dtype=np.intp)
+            cand = np.tile(np.array(fixed, dtype=float), (len(idx), 1))
+            if free:
+                a, b = hyperplanes[idx][:, :, free], -rhs[idx]
+                if len(free) == 1:   # gesv calls a zero 1x1 system singular
+                    keep = a[:, 0, 0] != 0
+                    a, b, cand = a[keep], b[keep], cand[keep]
+                cand[:, free] = _solve_each(a, b)
+            cand = cand[~(np.max(np.abs(cand), axis=1) > 1 + 1e-9)]
+            acc = np.zeros((len(cand), len(rows)))
+            for i in range(k):
+                acc = acc + cand[:, i, None] * rows[:, i]
+            for val in np.max(np.abs(acc), axis=1).tolist():
+                best = val if best is None else min(best, val)
     return best
+
+
+def _solve_each(a, b):
+    """x with a[n] x[n] = b[n] for each n, inf where a[n] is singular.  A
+    batched np.linalg.solve runs the same LAPACK gesv on each system as one
+    call per system; it raises if any system is singular, and then each
+    system is solved alone."""
+    try:
+        return np.linalg.solve(a, b[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        out = np.full(b.shape, np.inf)
+        for n in range(len(a)):
+            try:
+                out[n] = np.linalg.solve(a[n], b[n])
+            except np.linalg.LinAlgError:
+                pass
+        return out

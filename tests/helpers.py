@@ -7,6 +7,7 @@ float engines to the scalar code they replaced, bit for bit.
 """
 
 import cmath
+import itertools
 import math
 import operator
 import random
@@ -80,8 +81,9 @@ def nil_identity(structure) -> NilElement:
 # --- scalar oracles ---------------------------------------------------------
 #
 # The one-point-at-a-time Monte Carlo, CLT and conjugacy code the library's
-# array engines replaced, and the Fraction mode stepping of the exact
-# correlation, kept verbatim as the oracles they must match bit for bit.
+# array engines replaced, the Fraction mode stepping of the exact
+# correlation, and the one-solve-per-system expansion rate, kept verbatim as
+# the oracles they must match bit for bit.
 
 
 def scalar_exact_correlation(f: TrigFunction, g: TrigFunction, a: QMat,
@@ -383,3 +385,47 @@ def scalar_field_to_csv(field: ConjugacyField) -> str:
             + [repr(field.values[j][flat]) for j in range(d)]
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"
+
+
+def scalar_min_expansion_rate(spectrum):
+    """min over the unit sup-norm sphere of max_chi |chi(a)|, one
+    np.linalg.solve per candidate system."""
+    k = spectrum.rank
+    rows = [f.values for f in spectrum.functionals]
+
+    def objective(a):
+        return max(abs(sum(r[i] * a[i] for i in range(k))) for r in rows)
+
+    hyperplanes = [tuple(r) for r in rows]
+    for r1, r2 in itertools.combinations(rows, 2):
+        hyperplanes.append(tuple(x - y for x, y in zip(r1, r2)))
+        hyperplanes.append(tuple(x + y for x, y in zip(r1, r2)))
+
+    best = None
+    for fixed in itertools.product((-1, 0, 1), repeat=k):
+        free = [i for i, s in enumerate(fixed) if s == 0]
+        if len(free) == k:
+            continue  # interior of the cube is not on the sphere
+        if not free:
+            cand = [float(s) for s in fixed]
+            val = objective(cand)
+            best = val if best is None else min(best, val)
+            continue
+        for combo in itertools.combinations(hyperplanes, len(free)):
+            A = np.array([[h[i] for i in free] for h in combo])
+            b = np.array([-sum(h[i] * fixed[i] for i in range(k) if fixed[i])
+                          for h in combo])
+            try:
+                sol = np.linalg.solve(A, b)
+            except np.linalg.LinAlgError:
+                continue
+            if np.max(np.abs(sol)) > 1 + 1e-9:
+                continue
+            a = [0.0] * k
+            for i, s in enumerate(fixed):
+                a[i] = float(s)
+            for i, x in zip(free, sol):
+                a[i] = float(x)
+            val = objective(a)
+            best = val if best is None else min(best, val)
+    return best

@@ -189,6 +189,31 @@ class TestAnalyze:
         assert code == 1
         assert "tol" in err
 
+    def test_tol_above_the_bound_exit_one(self, capsys, tmp_path):
+        # at tol 1 every value matrix has float rank <= 1, which used to
+        # report a rank-one factor for the cubic units
+        config = json.loads(Path(fixture("cubic_units_z2.json")).read_text())
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({**config, "tol": 1}))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "analyze", str(cfg))
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert "tol must be <= 0.001" in err
+        assert out == ""
+
+    def test_tol_at_the_bound_keeps_the_default_report(self, capsys,
+                                                       tmp_path):
+        config = json.loads(Path(fixture("cubic_units_z2.json")).read_text())
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({**config, "tol": 1e-3}))
+        code, at_bound, _ = run(capsys, "analyze", str(cfg))
+        assert code == 0
+        code, default, _ = run(capsys, "analyze",
+                               fixture("cubic_units_z2.json"))
+        assert code == 0
+        assert at_bound == default
+
     def test_unsaturated_split_rank_one_exit_two(self, capsys, tmp_path):
         # generators M and M^2; M has the eigenvalue 1, so a rank-one factor.
         # Splitting M's charpoly gives a kernel-of-kernel lattice of index 2
@@ -932,6 +957,23 @@ class TestProcess:
             [sys.executable, "-m", "hyperrank.cli", "frobnicate"],
             capture_output=True, text=True)
         assert result.returncode == 1
+
+    def test_flags_do_not_outlive_their_call(self, capsys):
+        # one parser serves every call in a process; a flag of one call
+        # must not reach the next, and usage errors still exit 1
+        code, out, _ = run(capsys, "analyze", fixture("z2_budget.json"),
+                           "--bound", "1")
+        assert code == 0
+        assert json.loads(out)["z2_subgroup"]["status"] == "certified"
+        code, out, _ = run(capsys, "analyze", fixture("z2_budget.json"))
+        assert code == 3
+        assert json.loads(out)["z2_subgroup"]["budget"] == [0, 8]
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", fixture("z2_budget.json"), "--bound", "one"])
+        assert exc.value.code == 1
+        assert "invalid int value" in capsys.readouterr().err
+        code, out, _ = run(capsys, "analyze", fixture("z2_budget.json"))
+        assert code == 3
 
     def test_no_arguments_exits_one(self):
         result = subprocess.run(

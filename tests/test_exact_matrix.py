@@ -89,6 +89,41 @@ def test_inverse_and_negative_powers():
         assert m.power(3) == m @ m @ m
 
 
+def test_power_is_the_product_of_its_factors():
+    # square-and-multiply against the plain product, for rational inverses
+    # (det 2 and det -3) and a unimodular matrix
+    rng = random.Random(10)
+    mats = [QMat([[2, 1], [1, 1]]), QMat([[1, 1, 0], [0, 1, 1], [1, 0, 1]]),
+            QMat([[0, 0, 3], [1, 0, 0], [0, 1, 0]])]
+    while len(mats) < 6:
+        m = random_int_matrix(rng, rng.randrange(1, 5))
+        if m.det() != 0:
+            mats.append(m)
+    for m in mats:
+        n = m.shape[0]
+        for e in range(-4, 10):
+            factor = m if e >= 0 else m.inverse()
+            want = QMat.identity(n)
+            for _ in range(abs(e)):
+                want = want @ factor
+            assert m.power(e) == want, (m, e)
+
+
+def test_memoized_charpoly_matches_a_fresh_matrix():
+    rng = random.Random(11)
+    for n in (1, 2, 3, 4):
+        for _ in range(10):
+            m = random_int_matrix(rng, n)
+            det = m.det()                    # fills the memo
+            first = m.charpoly()
+            assert m.charpoly() is first     # computed once
+            fresh = QMat(m.rows)
+            assert first == fresh.charpoly() == charpoly_oracle(fresh)
+            assert det == fresh.det()
+    m = QMat([[Fraction(1, 2), 1], [Fraction(-1, 3), 2]])
+    assert m.charpoly() == m.charpoly() == charpoly_oracle(QMat(m.rows))
+
+
 def test_inverse_singular_raises():
     with pytest.raises(RankDeficient):
         QMat([[1, 2], [2, 4]]).inverse()

@@ -122,3 +122,45 @@ def test_every_public_name_is_reached():
     dead = [f"{where}:{name}" for where, name in public
             if name not in reached and name not in NOT_YET_WIRED]
     assert not dead, f"public names nothing reaches: {dead}"
+
+
+# functools caches in src/, as "path:function".  A cache outlives the call
+# that fills it, so one keyed on input values would let a repeated input
+# run faster than a new one, in every benchmark pass after the first.
+CACHE_ALLOWLIST = {
+    "hyperrank/exact/poly.py:cyclotomic",   # keyed by the index m
+}
+_CACHES = ("lru_cache", "cache")
+
+
+def _is_cache(node):
+    return (isinstance(node, ast.Attribute) and node.attr in _CACHES
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "functools")
+
+
+def test_every_functools_cache_is_allowlisted():
+    found, cached = [], set()
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        where = path.relative_to(SRC).as_posix()
+        decorators = set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for dec in node.decorator_list:
+                    target = dec.func if isinstance(dec, ast.Call) else dec
+                    if _is_cache(target):
+                        decorators.add(target)
+                        cached.add(f"{where}:{node.name}")
+        for node in ast.walk(tree):
+            if _is_cache(node) and node not in decorators:
+                found.append(f"{where}:{node.lineno} used outside a "
+                             "decorator")
+            elif isinstance(node, ast.ImportFrom) and \
+                    node.module == "functools" and \
+                    any(a.name in _CACHES for a in node.names):
+                found.append(f"{where}:{node.lineno} imported by name")
+    found += sorted(cached - CACHE_ALLOWLIST)
+    assert not found, f"functools caches off the allowlist: {found}"
+    assert cached == CACHE_ALLOWLIST, "stale allowlist entries: " \
+        f"{sorted(CACHE_ALLOWLIST - cached)}"

@@ -7,6 +7,8 @@ per-generator marginals (single-matrix spectra) for random commuting pairs.
 
 import math
 import random
+
+import numpy as np
 from fractions import Fraction
 
 import pytest
@@ -19,7 +21,7 @@ from hyperrank.spectra import (ActionSpec, LyapunovFunctional, LyapunovSpectrum,
                                joint_spectrum, min_expansion_rate,
                                real_lyapunov, weyl_chambers)
 
-from helpers import padic_lyapunov
+from helpers import padic_lyapunov, scalar_min_expansion_rate
 
 CAT = [[2, 1], [1, 1]]
 FIB = [[1, 1], [1, 0]]
@@ -315,3 +317,42 @@ class TestConesAndRates:
         base = synthetic(2, [("real", (1, 0), None), ("real", (0, 1), None)])
         doubled = synthetic(2, [("real", (2, 0), None), ("real", (0, 2), None)])
         assert abs(min_expansion_rate(doubled) - 2 * min_expansion_rate(base)) < 1e-9
+
+    def test_min_rate_matches_the_scalar_oracle(self, monkeypatch):
+        # zero, opposite and duplicate functionals make 1x1 systems with a
+        # zero entry and singular 2x2 systems, so the per-system loop runs
+        rng = random.Random(20261018)
+        solve = np.linalg.solve
+        raised = []   # one entry per single-system solve: did it raise
+
+        def spy(a, b):
+            if np.ndim(a) == 2:
+                raised.append(True)
+                out = solve(a, b)
+                raised[-1] = False
+                return out
+            return solve(a, b)
+
+        for _ in range(3000):
+            k = rng.choice((1, 2, 3))
+            rows = []
+            for _ in range(rng.randint(1, 5 if k < 3 else 3)):
+                kind = rng.random()
+                if kind < 0.1:
+                    v = (0,) * k
+                elif kind < 0.3 and rows:
+                    v = rng.choice(rows)
+                elif kind < 0.45 and rows:
+                    v = tuple(-x for x in rng.choice(rows))
+                elif kind < 0.6:
+                    v = tuple(rng.randint(-2, 2) for _ in range(k))
+                else:
+                    v = tuple(rng.uniform(-3, 3) for _ in range(k))
+                rows.append(v)
+            spec = synthetic(k, [("real", v, None) for v in rows])
+            want = repr(scalar_min_expansion_rate(spec))
+            with monkeypatch.context() as m:
+                m.setattr(np.linalg, "solve", spy)
+                got = repr(min_expansion_rate(spec))
+            assert got == want, rows
+        assert any(raised) and not all(raised)
