@@ -531,7 +531,7 @@ def coarse_classes(spectrum: LyapunovSpectrum, tol=1e-9):
 @dataclass(frozen=True)
 class WeylChamber:
     signs: tuple               # sign of each (nonzero) functional on the chamber
-    representative: tuple      # small integer vector strictly inside
+    representative: tuple      # least-sup-norm integer vector inside
     boundary_angles: tuple     # (start, end) angles of the open sector
     boundary_rays: tuple       # exact integer directions when known, else None
 
@@ -540,7 +540,8 @@ def weyl_chambers(spectrum: LyapunovSpectrum, tol=1e-9):
     """Open cones on which every functional has constant nonzero sign (k = 2).
 
     Each kernel line contributes two boundary rays; chambers are the open
-    sectors between consecutive rays, each with a small integer representative.
+    sectors between consecutive rays, each represented by its primitive
+    integer vector of least sup norm.
     """
     if spectrum.rank != 2:
         raise ValueError("Weyl chambers are enumerated for rank-2 actions only")
@@ -572,8 +573,7 @@ def weyl_chambers(spectrum: LyapunovSpectrum, tol=1e-9):
     chambers = []
     for (a0, e0), (a1, e1) in zip(rays, rays[1:] + [(rays[0][0] + 2 * math.pi,
                                                      rays[0][1])]):
-        mid = (a0 + a1) / 2
-        rep = _integer_direction_in_sector(mid, a0, a1)
+        rep = _simplest_direction_in_sector(a0, a1)
         signs = tuple(1 if f.value_at(rep) > 0 else -1 for f in funcs)
         chambers.append(WeylChamber(signs=signs, representative=rep,
                                     boundary_angles=(a0, a1),
@@ -581,29 +581,15 @@ def weyl_chambers(spectrum: LyapunovSpectrum, tol=1e-9):
     return chambers
 
 
-def _integer_direction_in_sector(mid, a0, a1):
-    best = None
-    for radius in (1, 2, 3, 5, 8, 13, 21, 34, 55):
-        for x in range(-radius, radius + 1):
-            for y in range(-radius, radius + 1):
-                if max(abs(x), abs(y)) != radius:
-                    continue
-                ang = math.atan2(y, x) % (2 * math.pi)
-                for shift in (-2 * math.pi, 0, 2 * math.pi):
-                    t = ang + shift
-                    if a0 + 1e-12 < t < a1 - 1e-12:
-                        score = (radius, abs(t - mid))
-                        if best is None or score < best[0]:
-                            best = (score, (x, y))
-        if best is not None:
-            return best[1]
-    return _simplest_direction_in_sector(mid, a0, a1)
-
-
 def _simplest_between(lo, hi):
     """The fraction of least denominator strictly between the rationals
-    lo < hi: the Stern-Brocot descent, taken a continued-fraction run at a
-    time."""
+    lo < hi, which also has the least |numerator|: 0 when the interval
+    holds it, else the Stern-Brocot descent, taken a continued-fraction run
+    at a time."""
+    if lo < 0 < hi:
+        return Fraction(0)
+    if hi <= 0:
+        return -_simplest_between(-hi, -lo)
     n = math.floor(lo)
     if n + 1 < hi:
         return Fraction(n + 1)
@@ -612,23 +598,26 @@ def _simplest_between(lo, hi):
     return n + 1 / _simplest_between(1 / (hi - n), 1 / (lo - n))
 
 
-def _simplest_direction_in_sector(mid, a0, a1):
-    """An integer vector strictly inside a sector too narrow for the box
-    search: turn the sector by quarter turns to face the positive x-axis,
-    take the simplest slope strictly between its edges, and turn the vector
-    (denominator, numerator) back."""
-    turns = round(mid / (math.pi / 2))
-    lo = math.tan(a0 + 1e-12 - turns * math.pi / 2)
-    hi = math.tan(a1 - 1e-12 - turns * math.pi / 2)
-    if lo < hi:
-        slope = _simplest_between(Fraction(lo), Fraction(hi))
+def _simplest_direction_in_sector(a0, a1):
+    """The primitive integer vector of least sup norm strictly inside the
+    open sector (a0, a1) of width at most pi: turn the sector by quarter
+    turns to face the positive x-axis, take the axis itself if the turned
+    sector holds it, else the simplest slope strictly between its edges, and
+    turn the vector (denominator, numerator) back."""
+    turns = round((a0 + a1) / math.pi)
+    lo = a0 + 1e-12 - turns * math.pi / 2
+    hi = a1 - 1e-12 - turns * math.pi / 2
+    x, y = 1, 0   # a sector wider than pi/2 always holds the axis
+    if lo < hi and not lo < 0 < hi:
+        slope = _simplest_between(Fraction(math.tan(lo)),
+                                  Fraction(math.tan(hi)))
         x, y = slope.denominator, slope.numerator
-        for _ in range(turns % 4):
-            x, y = -y, x
-        ang = math.atan2(y, x) % (2 * math.pi)
-        if any(a0 + 1e-12 < ang + shift < a1 - 1e-12
-               for shift in (-2 * math.pi, 0, 2 * math.pi)):
-            return (x, y)
+    for _ in range(turns % 4):
+        x, y = -y, x
+    ang = math.atan2(y, x) % (2 * math.pi)
+    if any(a0 + 1e-12 < ang + shift < a1 - 1e-12
+           for shift in (-2 * math.pi, 0, 2 * math.pi)):
+        return (x, y)
     raise RootFindingFailure(f"no integer vector inside sector ({a0}, {a1})")
 
 

@@ -429,3 +429,22 @@ def scalar_min_expansion_rate(spectrum):
             val = objective(a)
             best = val if best is None else min(best, val)
     return best
+
+
+def in_sector(x, y, a0, a1):
+    """Whether the vector (x, y) lies strictly inside the sector (a0, a1),
+    1e-12 clear of its edges; elementwise on arrays."""
+    ang = np.arctan2(y, x) % (2 * math.pi)
+    return np.any([(a0 + 1e-12 < ang + s) & (ang + s < a1 - 1e-12)
+                   for s in (-2 * math.pi, 0, 2 * math.pi)], axis=0)
+
+
+def least_sup_norm_in_sector(a0, a1, bound):
+    """Brute force: the least sup norm of a nonzero integer vector strictly
+    inside the sector (a0, a1), or None if every such vector has sup norm
+    above bound."""
+    xs = np.arange(-bound, bound + 1)
+    x, y = (g.ravel() for g in np.meshgrid(xs, xs))
+    norm = np.maximum(np.abs(x), np.abs(y))
+    inside = in_sector(x, y, a0, a1) & (norm > 0)
+    return int(norm[inside].min()) if inside.any() else None

@@ -19,6 +19,8 @@ from hyperrank import spectra
 from hyperrank.cli import main
 from hyperrank.errors import PrecisionExhausted, RootFindingFailure
 
+from helpers import in_sector, least_sup_norm_in_sector
+
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
@@ -33,6 +35,11 @@ def fixture(name):
 
 
 # --- analyze ----------------------------------------------------------------
+
+
+RANK_TWO_FIXTURES = sorted(
+    p.name for p in FIXTURES.glob("*.json")
+    if len(json.loads(p.read_text()).get("generators", [])) == 2)
 
 
 class TestAnalyze:
@@ -338,7 +345,7 @@ class TestAnalyze:
 
     def test_narrow_chamber_exit_zero(self, capsys, tmp_path):
         # the chamber between the angles 3.1283 and pi holds no integer
-        # vector of sup norm <= 55; its simplest one is (-76, 1)
+        # vector of sup norm <= 75; its least-sup-norm one is (-76, 1)
         out = tmp_path / "report.json"
         code, _, err = run(capsys, "analyze", fixture("narrow_chamber.json"),
                            "--out", str(out))
@@ -347,6 +354,25 @@ class TestAnalyze:
         reps = [c["representative"] for c in report["weyl_chambers"]]
         assert [-76, 1] in reps and [76, -1] in reps
         assert report["z2_subgroup"]["status"] == "certified"
+
+    @pytest.mark.parametrize("name", RANK_TWO_FIXTURES)
+    def test_chamber_representatives_against_brute_force(self, capsys, name):
+        # each representative lies strictly inside its sector, no integer
+        # vector of smaller sup norm does, and it gives the reported signs
+        tol = json.loads((FIXTURES / name).read_text()).get("tol", 1e-9)
+        code, out, err = run(capsys, "analyze", fixture(name))
+        assert code in (0, 2, 3), err
+        report = json.loads(out)
+        values = [f["values"] for f in report["lyapunov"]["functionals"]
+                  if math.hypot(*f["values"]) > max(tol, 1e-12)]
+        for chamber in report["weyl_chambers"]:
+            a0, a1 = chamber["sector"]
+            x, y = chamber["representative"]
+            assert in_sector(x, y, a0, a1), chamber
+            norm = max(abs(x), abs(y))
+            assert least_sup_norm_in_sector(a0, a1, norm) == norm, chamber
+            assert chamber["signs"] == [1 if a * x + b * y > 0 else -1
+                                        for a, b in values]
 
     def test_byte_identical_reruns(self, capsys, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -65,16 +65,16 @@ def test_only_the_cli_parses_json():
     assert not found, f"json parsed outside cli.py: {found}"
 
 
-# Reached by no command yet; ROADMAP item 5 wires them into `analyze`.
+# Reached by no command yet; ROADMAP item 9 wires them into `analyze`.
 NOT_YET_WIRED = {
-    "derived_series",           # ROADMAP item 5
-    "automorphism_action",      # ROADMAP item 5
-    "bracket_inclusion_check",  # ROADMAP item 5
-    "BracketReport",            # ROADMAP item 5
-    "uvs_decompose",            # ROADMAP item 5
-    "SplittingNotDirect",       # ROADMAP item 5
-    "NotSubalgebra",            # ROADMAP item 5
-    "NotDirectSum",             # ROADMAP item 5
+    "derived_series",           # ROADMAP item 9
+    "automorphism_action",      # ROADMAP item 9
+    "bracket_inclusion_check",  # ROADMAP item 9
+    "BracketReport",            # ROADMAP item 9
+    "uvs_decompose",            # ROADMAP item 9
+    "SplittingNotDirect",       # ROADMAP item 9
+    "NotSubalgebra",            # ROADMAP item 9
+    "NotDirectSum",             # ROADMAP item 9
 }
 
 

@@ -5,6 +5,7 @@ models conjugated by unimodular matrices for the subspace engine, and
 per-generator marginals (single-matrix spectra) for random commuting pairs.
 """
 
+import itertools
 import math
 import random
 
@@ -21,12 +22,24 @@ from hyperrank.spectra import (ActionSpec, LyapunovFunctional, LyapunovSpectrum,
                                joint_spectrum, min_expansion_rate,
                                real_lyapunov, weyl_chambers)
 
-from helpers import padic_lyapunov, scalar_min_expansion_rate
+from helpers import (in_sector, least_sup_norm_in_sector, padic_lyapunov,
+                     scalar_min_expansion_rate)
 
 CAT = [[2, 1], [1, 1]]
 FIB = [[1, 1], [1, 0]]
 L_CAT = math.log((3 + math.sqrt(5)) / 2)     # 0.9624236501192069
 L_FIB = math.log((1 + math.sqrt(5)) / 2)     # 0.48121182505960347
+
+
+def _least_abs_numerator(lo, hi):
+    """Brute force: the least |p| over all fractions p/q in (lo, hi)."""
+    if lo < 0 < hi:
+        return 0
+    if hi <= 0:
+        lo, hi = -hi, -lo
+    # some q > 0 has lo < p/q < hi exactly when p/hi < q < p/lo
+    return next(p for p in itertools.count(1)
+                if lo == 0 or math.floor(p / hi) + 1 < p / lo)
 
 
 def spectrum_of(*gens, **kw):
@@ -264,7 +277,7 @@ class TestConesAndRates:
 
     def test_weyl_narrow_chambers_beyond_the_box(self):
         # kernel lines at slopes -1/100 and -1/99: the chamber between them
-        # holds no integer vector of sup norm <= 55
+        # holds no integer vector of sup norm below 199
         spec = synthetic(2, [("real", (1, 100), None),
                              ("real", (1, 99), None)])
         chambers = weyl_chambers(spec)
@@ -276,26 +289,45 @@ class TestConesAndRates:
         reps = {c.representative for c in chambers}
         assert (-199, 2) in reps and (199, -2) in reps
 
-    def test_simplest_slope_in_random_narrow_sectors(self):
+    def test_simplest_direction_in_random_sectors(self):
+        # widths from 1e-9 to pi, exact half-planes among them, and edges on
+        # lattice directions as exact p-adic rays give them
         rng = random.Random(4)
+        sectors = []
         for _ in range(300):
             a0 = rng.uniform(0, 2 * math.pi)
-            a1 = a0 + 10 ** rng.uniform(-9, -2)
-            x, y = _simplest_direction_in_sector((a0 + a1) / 2, a0, a1)
-            t = math.atan2(y, x) % (2 * math.pi)
-            assert any(a0 < t + s < a1 for s in (-2 * math.pi, 0,
-                                                 2 * math.pi))
+            width = 10 ** rng.uniform(-9, math.log10(math.pi))
+            sectors.append((a0, a0 + width))
+            sectors.append((a0, a0 + math.pi))
+            v = (rng.randint(-9, 9), rng.randint(-9, 9))
+            if v != (0, 0):
+                e0 = math.atan2(v[1], v[0]) % (2 * math.pi)
+                sectors.append((e0, e0 + math.pi))
+                sectors.append((e0, e0 + rng.uniform(0, math.pi)))
+        for k in range(4):
+            sectors.append((k * math.pi / 2, (k + 1) * math.pi / 2))
+        for a0, a1 in sectors:
+            x, y = _simplest_direction_in_sector(a0, a1)
+            assert math.gcd(x, y) == 1
+            assert in_sector(x, y, a0, a1), (a0, a1, x, y)
+            norm = max(abs(x), abs(y))
+            assert least_sup_norm_in_sector(a0, a1, 60) == (
+                norm if norm <= 60 else None), (a0, a1, x, y)
 
     def test_simplest_between_against_brute_force(self):
         rng = random.Random(5)
         for _ in range(300):
             lo = Fraction(rng.randrange(-400, 400), rng.randrange(1, 60))
-            hi = lo + Fraction(rng.randrange(1, 50), rng.randrange(1, 900))
-            got = _simplest_between(lo, hi)
-            assert lo < got < hi
-            den = next(q for q in range(1, 1000)
-                       if math.floor(lo * q) + 1 < hi * q)
-            assert got.denominator == den
+            width = Fraction(rng.randrange(1, 50), rng.randrange(1, 900))
+            for lo, hi in ((lo, lo + width), (-lo - width, -lo),
+                           (-width, abs(lo) + width), (0, width),
+                           (-width, 0)):
+                got = _simplest_between(lo, hi)
+                assert lo < got < hi
+                den = next(q for q in range(1, 1000)
+                           if math.floor(lo * q) + 1 < hi * q)
+                assert got.denominator == den
+                assert abs(got.numerator) == _least_abs_numerator(lo, hi)
 
     def test_weyl_requires_rank_two(self):
         with pytest.raises(ValueError):
