@@ -29,6 +29,7 @@ import numpy as np
 from .errors import NoErgodicSubgroupFound, RankDeficient
 from .exact import (QMat, QPoly, cyclotomic, cyclotomic_indices_up_to_degree,
                     hnf_rows, poly_gcd)
+from .exact.intmat import mat_mul_mod, mat_pow_mod
 from .exact.factorq import factor_over_q
 from .spectra import ActionSpec, joint_spectrum
 
@@ -69,35 +70,53 @@ def is_ergodic(matrix) -> ErgodicityCertificate:
 # --- rational splitting -----------------------------------------------------
 
 
-def _poly_at(f: QPoly, m: QMat) -> QMat:
-    out = QMat.zeros(*m.shape)
-    for c in reversed(f.coeffs):
-        out = out @ m + QMat.identity(m.shape[0]).scalar(c)
+def _poly_at(f: QPoly, m):
+    """f(m) by Horner, for monic integer f and int rows m."""
+    out = mat_pow_mod(m, 0)
+    for c in reversed(f.coeffs[:-1]):
+        out = mat_mul_mod(out, m)
+        for i in range(len(m)):
+            out[i][i] += int(c)
     return out
 
 
-def _saturate_rows(v: QMat) -> QMat:
-    """HNF basis of rowspan(v) intersected with Z^n (the saturated lattice).
-
-    That lattice is the integer kernel of the complement C = v.kernel(): the
-    rows of hnf_rows([C^T | I]) whose C^T part is zero carry a basis of it in
-    their I part, already in HNF (H. Cohen, A Course in Computational
-    Algebraic Number Theory, 1993, ch. 2).
-    """
-    n = v.shape[1]
-    comp = v.kernel()
-    k = len(comp)
-    rows = [[c[j] for c in comp] + [int(i == j) for i in range(n)]
+def _kernel_lattice(a, n):
+    """HNF basis of {x in Z^n : a x = 0}, a given by its int rows: the I part
+    of the rows of hnf_rows([a^T | I]) whose a^T part is zero (H. Cohen, A
+    Course in Computational Algebraic Number Theory, 1993, ch. 2)."""
+    k = len(a)
+    rows = [[r[j] for r in a] + [int(i == j) for i in range(n)]
             for j in range(n)]
-    return QMat([row[k:] for row in hnf_rows(rows) if not any(row[:k])])
+    return [row[k:] for row in hnf_rows(rows) if not any(row[:k])]
 
 
-def _restrict_rows(basis: QMat, m: QMat) -> QMat:
-    """X with m @ basis^T = basis^T @ X, the restriction of m to the span of
-    the basis vectors in their coordinates; integer when the basis is
-    saturated."""
-    bt = basis.transpose()
-    return bt.solve(m @ bt)
+def _saturate_rows(v: QMat) -> QMat:
+    """HNF basis of rowspan(v) intersected with Z^n (the saturated lattice):
+    the integer kernel of the complement v.kernel(), from one HNF."""
+    return QMat(_kernel_lattice(v.kernel(), v.shape[1]))
+
+
+def _restrict_rows(basis, m):
+    """X with m @ basis^T = basis^T @ X: m restricted to the lattice of the
+    HNF rows basis, in their coordinates, each m b by forward substitution
+    on the pivot columns.  RankDeficient unless that is integer."""
+    pivots = [next(j for j, x in enumerate(b) if x) for b in basis]
+    cols = []
+    for b in basis:
+        w = [sum(x * y for x, y in zip(row, b)) for row in m]
+        col = []
+        for bj, pj in zip(basis, pivots):
+            c, r = divmod(w[pj], bj[pj])
+            if r:
+                raise RankDeficient("restriction to a saturated lattice "
+                                    "produced non-integer entries")
+            if c:
+                w = [x - c * y for x, y in zip(w, bj)]
+            col.append(c)
+        if any(w):
+            raise RankDeficient("inconsistent system")
+        cols.append(col)
+    return [list(r) for r in zip(*cols)]
 
 
 @dataclass(frozen=True)
@@ -113,21 +132,22 @@ class SplitBlock:
         return self.basis.shape[0]
 
 
-def _polynomial_on_kernel(f: QPoly, m: QMat, mats) -> bool:
+def _polynomial_on_kernel(f: QPoly, m, mats) -> bool:
     """Is every matrix of mats, restricted to V0 = ker f(m), a polynomial in
     m there?  f is the minimal polynomial of m on V0, so 1, m, ...,
     m^(deg f - 1) are independent on V0 and the coefficients are unique
     when they exist; QMat.solve finds them or proves there are none."""
-    kern = QMat(_poly_at(f, m).kernel())
+    m = m.int_rows()
+    kern = _kernel_lattice(_poly_at(f, m), len(m))
     m0 = _restrict_rows(kern, m)
-    powers = [QMat.identity(m0.shape[0])]
+    powers = [mat_pow_mod(m0, 0)]
     while len(powers) < f.degree:
-        powers.append(powers[-1] @ m0)
-    basis = QMat(list(zip(*(sum(p.rows, ()) for p in powers))))
+        powers.append(mat_mul_mod(powers[-1], m0))
+    basis = QMat(list(zip(*([x for r in p for x in r] for p in powers))))
     for g in mats:
-        g0 = _restrict_rows(kern, g)
+        g0 = _restrict_rows(kern, g.int_rows())
         try:
-            basis.solve(QMat([[x] for x in sum(g0.rows, ())]))
+            basis.solve(QMat([[x] for r in g0 for x in r]))
         except RankDeficient:
             return False
     return True
@@ -147,10 +167,12 @@ def _field_element(mats):
     is local there, and then its image generates the residue field.  That
     certifies the block whenever the algebra acts semisimply on it.
     """
-    k, n = len(mats), mats[0].shape[0]
+    rows = [g.int_rows() for g in mats]
+    k, n = len(rows), len(rows[0])
     tries = (k - 1) * (n * (n - 1) // 2) + 1 if k > 1 else 0
-    generic = (sum((g.scalar(t ** j) for j, g in enumerate(mats[1:], 1)),
-                   mats[0]) for t in range(1, tries + 1))
+    generic = (QMat([[sum(t ** j * g[r][c] for j, g in enumerate(rows))
+                      for c in range(n)] for r in range(n)])
+               for t in range(1, tries + 1))
     for m in itertools.chain(mats, generic):
         facs = factor_over_q(m.charpoly())
         if len(facs) > 1:
@@ -168,17 +190,18 @@ def rational_splitting(obj):
     A block is split by the primary components (kernels of f(M)^e over the
     irreducible factors f) of the first element M from _field_element that
     has several, until that element certifies the block; a block no
-    candidate certifies comes back with field=False.  Each block has a
-    saturated HNF lattice basis and the restricted integer matrices.
+    candidate certifies comes back with field=False.  Every matrix here is
+    integer, so the lattices are int rows: a component's saturated kernel
+    lattice K comes from one HNF (f is a monic integer factor of an integer
+    charpoly, by Gauss's lemma), and the block basis is hnf_rows(K @ basis),
+    saturated because the basis is.  The restricted generators are QMats,
+    so each one's charpoly is computed once.
     """
-    if isinstance(obj, ActionSpec):
-        gens = list(obj.generators)
-    elif isinstance(obj, QMat):
-        gens = [obj]
-    else:
-        gens = [QMat(obj)]
-    d = gens[0].shape[0]
-    todo = [(QMat.identity(d), gens)]
+    gens = obj.generators if isinstance(obj, ActionSpec) else [obj]
+    gens = [g if isinstance(g, QMat) else QMat(g) for g in gens]
+    ints = [g.int_rows() for g in gens]
+    d = len(ints[0])
+    todo = [(mat_pow_mod(ints[0], 0), gens)]
     blocks = []
     while todo:
         basis, mats = todo.pop()
@@ -186,21 +209,16 @@ def rational_splitting(obj):
         if found is None or len(found[1]) == 1:
             blocks.append((basis, mats, found is not None))
             continue
-        m, facs = found
+        m, facs = found[0].int_rows(), found[1]
         for f, e in facs:
-            sub = QMat(_poly_at(f, m).power(e).kernel()) @ basis
-            sat = _saturate_rows(sub)
-            todo.append((sat, [_restrict_rows(sat, g) for g in gens]))
-    if sum(b.shape[0] for b, _, _ in blocks) != d:
+            kern = _kernel_lattice(mat_pow_mod(_poly_at(f, m), e), len(m))
+            sat = hnf_rows(mat_mul_mod(kern, basis))
+            todo.append((sat, [QMat(_restrict_rows(sat, g)) for g in ints]))
+    if sum(len(b) for b, _, _ in blocks) != d:
         raise RankDeficient("invariant blocks do not span Q^d")
     out = []
-    for basis, mats, field in sorted(blocks, key=lambda bm: (bm[0].shape[0],
-                                                             bm[0].rows)):
-        for m in mats:
-            if not m.is_integer():
-                raise RankDeficient("restriction to a saturated lattice "
-                                    "produced non-integer entries")
-        out.append(SplitBlock(basis=basis, matrices=tuple(mats),
+    for basis, mats, field in sorted(blocks, key=lambda b: (len(b[0]), b[0])):
+        out.append(SplitBlock(basis=QMat(basis), matrices=tuple(mats),
                               charpolys=tuple(m.charpoly() for m in mats),
                               field=field))
     return out

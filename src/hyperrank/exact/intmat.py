@@ -1,16 +1,17 @@
 """Exact matrices over Q (Fraction entries) plus integer kernels.
 
 QMat is a small immutable dense matrix type: desk scale (dim <= ~10), so the
-cubic algorithms with exact arithmetic are the right trade.  Integer-only
-helpers (HNF, modular powers) live alongside, and so does the one
-characteristic polynomial routine: Berkowitz's division-free recurrence, run
-exactly over Z for QMat.charpoly (after clearing denominators) and mod q for
-the p-adic refinement.
+cubic algorithms with exact arithmetic are the right trade.  Integer helpers
+on int rows live alongside: the HNF, and the product, power and the one
+characteristic polynomial (Berkowitz's division-free recurrence), each exact
+over Z when q is None, as for QMat.charpoly and the rational splitting, and
+mod q otherwise, as for the p-adic refinement.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 from ..errors import RankDeficient
@@ -21,7 +22,8 @@ class QMat:
     __slots__ = ("rows", "_charpoly")
 
     def __init__(self, rows):
-        self.rows = tuple(tuple(Fraction(c) for c in r) for r in rows)
+        self.rows = tuple(tuple(c if type(c) is Fraction else Fraction(c)
+                                for c in r) for r in rows)
         self._charpoly = None   # memo of charpoly(); rows never change
         if self.rows:
             n = len(self.rows[0])
@@ -258,28 +260,31 @@ def hnf_rows(rows):
     return [tuple(row) for row in a[:r] if any(row)]
 
 
-# --- integer matrices mod q -------------------------------------------------
+# --- integer matrices, exact (q None) or mod q -------------------------------
 
 
-def mat_mod(rows, q):
-    return [[int(x) % q for x in r] for r in rows]
+def mat_mod(rows, q=None):
+    return [[int(x) if q is None else int(x) % q for x in r] for r in rows]
 
 
-def mat_mul_mod(a, b, q):
+def mat_mul_mod(a, b, q=None):
     bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) % q for col in bt]
-            for row in a]
+    if q is None:
+        return [[sum(map(operator.mul, row, col)) for col in bt] for row in a]
+    return [[sum(map(operator.mul, row, col)) % q for col in bt] for row in a]
 
 
-def mat_pow_mod(a, e, q):
-    n = len(a)
-    out = [[int(i == j) for j in range(n)] for i in range(n)]
-    base = mat_mod(a, q)
+def mat_pow_mod(a, e, q=None):
+    """a^e for e >= 0, with no squaring past the last bit."""
+    out, base = None, mat_mod(a, q)
     while e:
         if e & 1:
-            out = mat_mul_mod(out, base, q)
-        base = mat_mul_mod(base, base, q)
+            out = base if out is None else mat_mul_mod(out, base, q)
         e >>= 1
+        if e:
+            base = mat_mul_mod(base, base, q)
+    if out is None:
+        return [[int(i == j) for j in range(len(a))] for i in range(len(a))]
     return out
 
 
@@ -293,7 +298,7 @@ def berkowitz_charpoly_mod(a, q):
         return v if q is None else [x % q for x in v]
 
     n = len(a)
-    a = [[int(x) for x in r] for r in a] if q is None else mat_mod(a, q)
+    a = mat_mod(a, q)
     coeffs = red([1])  # descending, the charpoly of the empty leading block
     for i in range(n):
         R = a[i][:i]

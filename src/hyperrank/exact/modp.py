@@ -238,31 +238,27 @@ def factor(f, p, seed=0):
 
 
 def _hensel_pair(f, g, h, s, t, p, K):
-    """Lift f = g h from mod p to mod p^K; g, h monic coprime, s g + t h = 1 mod p.
+    """Lift f = g h from mod p to mod p^K; g, h monic coprime, s g + t h = 1
+    mod p with deg s < deg h and deg t < deg g.
 
-    Linear steps: at mod p^(k+1) write the defect as p^k e and correct by the
-    unique (u, v) with u h + v g = e, deg u < deg g, deg v < deg h.
+    Quadratic steps (J. von zur Gathen and J. Gerhard, Modern Computer
+    Algebra, Alg. 15.10) from mod m to mod m^2, capped at p^K: ceil(log2 K)
+    of them.  Monic lifts are unique, so this is the digit-by-digit lift.
     """
     g, h = list(g), list(h)
-    q = p
-    for _ in range(K - 1):
-        qn = q * p
-        prod = mul(g, h, qn)
-        e = [0] * max(len(f), len(prod))
-        for i in range(len(e)):
-            a = f[i] if i < len(f) else 0
-            b = prod[i] if i < len(prod) else 0
-            e[i] = ((a - b) % qn) // q
-        e = reduce_mod(e, p)
-        if e:
-            u = mod(mul(t, e, p), g, p)
-            v = divmod_p(sub(e, mul(u, h, p), p), g, p)[0]
-            g = [(gi + q * (u[i] if i < len(u) else 0)) % qn for i, gi in enumerate(g)]
-            h = [(hi + q * (v[i] if i < len(v) else 0)) % qn for i, hi in enumerate(h)]
-        else:
-            g = [gi % qn for gi in g]
-            h = [hi % qn for hi in h]
-        q = qn
+    k = 1
+    while k < K:
+        k = min(2 * k, K)
+        m = p ** k
+        e = sub(f, mul(g, h, m), m)
+        q, r = divmod_p(mul(s, e, m), h, m)
+        g = add(g, add(mul(t, e, m), mul(q, g, m), m), m)
+        h = add(h, r, m)
+        if k < K:
+            b = sub(add(mul(s, g, m), mul(t, h, m), m), [1], m)
+            c, d = divmod_p(mul(s, b, m), h, m)
+            s = sub(s, d, m)
+            t = sub(t, add(mul(t, b, m), mul(c, g, m), m), m)
     return g, h
 
 

@@ -658,11 +658,8 @@ def min_expansion_rate(spectrum: LyapunovSpectrum):
             idx = np.array(block, dtype=np.intp)
             cand = np.tile(np.array(fixed, dtype=float), (len(idx), 1))
             if free:
-                a, b = hyperplanes[idx][:, :, free], -rhs[idx]
-                if len(free) == 1:   # gesv calls a zero 1x1 system singular
-                    keep = a[:, 0, 0] != 0
-                    a, b, cand = a[keep], b[keep], cand[keep]
-                cand[:, free] = _solve_each(a, b)
+                cand[:, free] = _solve_each(hyperplanes[idx][:, :, free],
+                                            -rhs[idx])
             cand = cand[~(np.max(np.abs(cand), axis=1) > 1 + 1e-9)]
             acc = np.zeros((len(cand), len(rows)))
             for i in range(k):
@@ -675,15 +672,16 @@ def min_expansion_rate(spectrum: LyapunovSpectrum):
 def _solve_each(a, b):
     """x with a[n] x[n] = b[n] for each n, inf where a[n] is singular.  A
     batched np.linalg.solve runs the same LAPACK gesv on each system as one
-    call per system; it raises if any system is singular, and then each
-    system is solved alone."""
+    call per system, but raises on any exact zero pivot of its LU (getrf);
+    slogdet runs that getrf and gives sign 0 there.  If the systems of
+    nonzero sign raise all the same, the batch is halved down to single
+    systems."""
+    out = np.full(b.shape, np.inf)
+    ok = np.flatnonzero(np.linalg.slogdet(a)[0])
     try:
-        return np.linalg.solve(a, b[..., None])[..., 0]
+        out[ok] = np.linalg.solve(a[ok], b[ok][..., None])[..., 0]
     except np.linalg.LinAlgError:
-        out = np.full(b.shape, np.inf)
-        for n in range(len(a)):
-            try:
-                out[n] = np.linalg.solve(a[n], b[n])
-            except np.linalg.LinAlgError:
-                pass
-        return out
+        if len(ok) > 1:
+            for half in np.array_split(ok, 2):
+                out[half] = _solve_each(a[half], b[half])
+    return out

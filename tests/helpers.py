@@ -3,7 +3,8 @@
 None of these is reached from a command: the tests use them to set up
 points, observables and group elements, to cross-check the joint p-adic
 spectrum against single-matrix Newton polygons, and to hold the library's
-float engines to the scalar code they replaced, bit for bit.
+float engines, rational splitting and Hensel lifting to the code they
+replaced, bit for bit.
 """
 
 import cmath
@@ -18,11 +19,14 @@ import numpy as np
 from hyperrank.conjugacy import (_HOLDER_BINS, _HOLDER_SPAN, ConjugacyField,
                                  HolderEstimate, ResidualReport,
                                  TrigPerturbation)
+from hyperrank.ergodicity import SplitBlock
 from hyperrank.errors import (DegenerateField, NoConvergence,
                               PrecisionExhausted, RankDeficient)
-from hyperrank.exact import QMat, vp_int
+from hyperrank.exact import QMat, QPoly, hnf_rows, modp, vp_int
+from hyperrank.exact.factorq import factor_over_q
 from hyperrank.exact.newton import newton_polygon
 from hyperrank.nilpotent import NilElement, nil_element
+from hyperrank.spectra import ActionSpec
 from hyperrank.solenoid import (_CLT_BINS, _CLT_REF_TERMS, _MIN_DIGITS,
                                 CltReport, McCorrelation, SolenoidPoint,
                                 TrigFunction, _orbit_sampler_bits,
@@ -448,3 +452,126 @@ def least_sup_norm_in_sector(a0, a1, bound):
     norm = np.maximum(np.abs(x), np.abs(y))
     inside = in_sector(x, y, a0, a1) & (norm > 0)
     return int(norm[inside].min()) if inside.any() else None
+
+
+# --- the rational splitting over QMat, and the one-digit Hensel lift --------
+
+
+def _scalar_poly_at(f: QPoly, m: QMat) -> QMat:
+    out = QMat.zeros(*m.shape)
+    for c in reversed(f.coeffs):
+        out = out @ m + QMat.identity(m.shape[0]).scalar(c)
+    return out
+
+
+def scalar_saturate_rows(v: QMat) -> QMat:
+    """HNF basis of rowspan(v) intersected with Z^n."""
+    n = v.shape[1]
+    comp = v.kernel()
+    k = len(comp)
+    rows = [[c[j] for c in comp] + [int(i == j) for i in range(n)]
+            for j in range(n)]
+    return QMat([row[k:] for row in hnf_rows(rows) if not any(row[:k])])
+
+
+def scalar_restrict_rows(basis: QMat, m: QMat) -> QMat:
+    bt = basis.transpose()
+    return bt.solve(m @ bt)
+
+
+def _scalar_polynomial_on_kernel(f, m, mats):
+    kern = QMat(_scalar_poly_at(f, m).kernel())
+    m0 = scalar_restrict_rows(kern, m)
+    powers = [QMat.identity(m0.shape[0])]
+    while len(powers) < f.degree:
+        powers.append(powers[-1] @ m0)
+    basis = QMat(list(zip(*(sum(p.rows, ()) for p in powers))))
+    for g in mats:
+        g0 = scalar_restrict_rows(kern, g)
+        try:
+            basis.solve(QMat([[x] for x in sum(g0.rows, ())]))
+        except RankDeficient:
+            return False
+    return True
+
+
+def _scalar_field_element(mats):
+    k, n = len(mats), mats[0].shape[0]
+    tries = (k - 1) * (n * (n - 1) // 2) + 1 if k > 1 else 0
+    generic = (sum((g.scalar(t ** j) for j, g in enumerate(mats[1:], 1)),
+                   mats[0]) for t in range(1, tries + 1))
+    for m in itertools.chain(mats, generic):
+        facs = factor_over_q(m.charpoly())
+        if len(facs) > 1:
+            return m, facs
+        (f, e), = facs
+        if e == 1 or _scalar_polynomial_on_kernel(f, m, mats):
+            return m, facs
+    return None
+
+
+def scalar_rational_splitting(obj):
+    """ergodicity.rational_splitting as it was on QMat: kernels by
+    Gauss-Jordan over Fraction, restrictions by QMat.solve."""
+    if isinstance(obj, ActionSpec):
+        gens = list(obj.generators)
+    elif isinstance(obj, QMat):
+        gens = [obj]
+    else:
+        gens = [QMat(obj)]
+    d = gens[0].shape[0]
+    todo = [(QMat.identity(d), gens)]
+    blocks = []
+    while todo:
+        basis, mats = todo.pop()
+        found = _scalar_field_element(mats)
+        if found is None or len(found[1]) == 1:
+            blocks.append((basis, mats, found is not None))
+            continue
+        m, facs = found
+        for f, e in facs:
+            sub = QMat(_scalar_poly_at(f, m).power(e).kernel()) @ basis
+            sat = scalar_saturate_rows(sub)
+            todo.append((sat, [scalar_restrict_rows(sat, g) for g in gens]))
+    if sum(b.shape[0] for b, _, _ in blocks) != d:
+        raise RankDeficient("invariant blocks do not span Q^d")
+    out = []
+    for basis, mats, field in sorted(blocks, key=lambda bm: (bm[0].shape[0],
+                                                             bm[0].rows)):
+        for m in mats:
+            if not m.is_integer():
+                raise RankDeficient("restriction to a saturated lattice "
+                                    "produced non-integer entries")
+        out.append(SplitBlock(basis=basis, matrices=tuple(mats),
+                              charpolys=tuple(m.charpoly() for m in mats),
+                              field=field))
+    return out
+
+
+def scalar_hensel_pair(f, g, h, s, t, p, K):
+    """modp._hensel_pair one p-adic digit at a time: at mod p^(k+1) write
+    the defect as p^k e and correct by the unique (u, v) with
+    u h + v g = e, deg u < deg g, deg v < deg h."""
+    g, h = list(g), list(h)
+    q = p
+    for _ in range(K - 1):
+        qn = q * p
+        prod = modp.mul(g, h, qn)
+        e = [0] * max(len(f), len(prod))
+        for i in range(len(e)):
+            a = f[i] if i < len(f) else 0
+            b = prod[i] if i < len(prod) else 0
+            e[i] = ((a - b) % qn) // q
+        e = modp.reduce_mod(e, p)
+        if e:
+            u = modp.mod(modp.mul(t, e, p), g, p)
+            v = modp.divmod_p(modp.sub(e, modp.mul(u, h, p), p), g, p)[0]
+            g = [(gi + q * (u[i] if i < len(u) else 0)) % qn
+                 for i, gi in enumerate(g)]
+            h = [(hi + q * (v[i] if i < len(v) else 0)) % qn
+                 for i, hi in enumerate(h)]
+        else:
+            g = [gi % qn for gi in g]
+            h = [hi % qn for hi in h]
+        q = qn
+    return g, h

@@ -10,19 +10,23 @@ combination must be ergodic and there is no rank-one factor.
 
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
-from hyperrank.errors import NoErgodicSubgroupFound
-from hyperrank.exact import QMat, QPoly
+from helpers import scalar_rational_splitting, scalar_saturate_rows
+from hyperrank.errors import NoErgodicSubgroupFound, RankDeficient
+from hyperrank.exact import QMat, QPoly, cyclotomic
 from hyperrank import ergodicity
 from hyperrank.ergodicity import (ErgodicityCertificate, Z2SubgroupCertificate,
                                   _field_element, _polynomial_on_kernel,
-                                  _saturate_rows, ergodic_z2_subgroup,
-                                  has_rank_one_factor, is_ergodic,
-                                  rational_splitting)
+                                  _restrict_rows, _saturate_rows,
+                                  ergodic_z2_subgroup, has_rank_one_factor,
+                                  is_ergodic, rational_splitting)
 from hyperrank.exact.factorq import factor_over_q
 from hyperrank.spectra import ActionSpec
 
@@ -386,3 +390,162 @@ class TestFieldCertificate:
                                 pair_bound=1)
         assert ei.value.obstructions == [
             (((0, 1), (1, -1)), "non-ergodic combination", ((1, 0), 1))]
+
+
+# --- the integer splitting against the QMat splitting it replaced -----------
+
+
+def _block_generators(rng, kind, k):
+    """k commuting integer matrices on one block of the given kind."""
+    if kind in ("sqrt2", "local"):
+        x, y = map(QMat, SQRT2_TENSOR if kind == "sqrt2" else LOCAL_UNIPOTENT)
+        return [(x.power(rng.randint(0, 2)) @ y.power(rng.randint(0, 2)))
+                for _ in range(k)]
+    if kind == "random":
+        n = rng.randint(1, 3)
+        a = QMat([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
+    elif kind == "unipotent":
+        lam = rng.choice((-2, -1, 1, 1, 2, 3))
+        a = QMat([[lam, 1], [0, lam]])
+    else:   # cyclotomic: the companion matrix of Phi_m
+        m = rng.choice((1, 2, 3, 4, 5, 6, 8, 10, 12))
+        a = companion([int(c) for c in cyclotomic(m).coeffs[:-1]])
+    eye = QMat.identity(a.shape[0])
+    return [eye.scalar(rng.randint(-2, 2)) + a.scalar(rng.randint(-2, 2))
+            + (a @ a).scalar(rng.randint(-1, 1)) for _ in range(k)]
+
+
+# multiplication by 1 + x and 1 + y on Q[x, y] / (x^2, y^2): local, not
+# reduced, so no candidate certifies the block a field
+LOCAL_UNIPOTENT = ([[1, 0, 0, 0], [1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 1, 1]],
+                   [[1, 0, 0, 0], [0, 1, 0, 0], [1, 0, 1, 0], [0, 1, 0, 1]])
+
+
+def _unimodular(rng, n):
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(3 * n):
+        i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
+        if i != j:
+            c = rng.choice((-2, -1, 1, 2))
+            u[i] = [x + c * y for x, y in zip(u[i], u[j])]
+    u = QMat(u)
+    return u, u.inverse()
+
+
+def _seeded_split_actions(seed, count):
+    """Block-diagonal products of random, unipotent, sqrt2_tensor, local
+    and cyclotomic blocks, half of them conjugated by a random unimodular
+    U."""
+    rng = random.Random(seed)
+    kinds = ("random", "unipotent", "sqrt2", "local", "cyclotomic")
+    out = []
+    while len(out) < count:
+        k = rng.choice((1, 2, 2, 3))
+        chosen = [rng.choice(kinds) for _ in range(rng.randint(1, 3))]
+        blocks = [_block_generators(rng, kind, k) for kind in chosen]
+        if sum(b[0].shape[0] for b in blocks) > 7:
+            continue
+        gens = []
+        for i in range(k):
+            g = blocks[0][i].int_rows()
+            for b in blocks[1:]:
+                g = blockdiag(g, b[i].int_rows())
+            gens.append(QMat(g))
+        if any(g.det() == 0 for g in gens):
+            continue
+        if rng.random() < 0.5:
+            u, uinv = _unimodular(rng, gens[0].shape[0])
+            gens = [u @ g @ uinv for g in gens]
+        out.append((tuple(chosen), ActionSpec(gens)))
+    return out
+
+
+class TestSplittingOracle:
+    def test_matches_the_qmat_splitting(self):
+        seen = set()
+        for kinds, action in _seeded_split_actions(1313, 320):
+            got = rational_splitting(action)
+            want = scalar_rational_splitting(action)
+            assert ([(b.basis, b.matrices, b.charpolys, b.field)
+                     for b in got]
+                    == [(b.basis, b.matrices, b.charpolys, b.field)
+                        for b in want]), action.generators
+            for blk in got:
+                assert all(type(c) is Fraction
+                           for m in (blk.basis,) + blk.matrices
+                           for r in m.rows for c in r)
+            seen.update(kinds)
+            seen.add(("blocks", len(got)))
+            seen.add(("field", all(b.field for b in got)))
+        assert set(("random", "unipotent", "sqrt2", "local",
+                    "cyclotomic")) <= seen
+        assert {("blocks", 1), ("blocks", 3), ("field", False)} <= seen
+
+    def test_single_matrices_match_the_qmat_splitting(self):
+        rng = random.Random(1314)
+        for _ in range(100):
+            n = rng.randint(1, 4)
+            m = QMat([[rng.randint(-3, 3) for _ in range(n)]
+                      for _ in range(n)])
+            assert ([(b.basis, b.matrices, b.charpolys, b.field)
+                     for b in rational_splitting(m)]
+                    == [(b.basis, b.matrices, b.charpolys, b.field)
+                        for b in scalar_rational_splitting(m)]), m
+
+    def test_saturate_rows_matches_the_qmat_version(self):
+        rng = random.Random(1315)
+        for _ in range(200):
+            n, r = rng.randint(1, 5), rng.randint(1, 4)
+            v = QMat([[rng.randint(-4, 4) for _ in range(n)]
+                      for _ in range(r)])
+            if v.rank() == 0:
+                continue
+            assert _saturate_rows(v) == scalar_saturate_rows(v), v
+
+    def test_non_integer_generator_is_refused(self):
+        with pytest.raises(ValueError, match="non-integer"):
+            rational_splitting(QMat([[Fraction(1, 2)]]))
+
+
+RESTRICT_ERRORS = """
+from hyperrank.ergodicity import _restrict_rows
+from hyperrank.errors import RankDeficient
+for basis, m, words in (([(1, 0)], [[0, 1], [1, 0]], "inconsistent"),
+                        ([(2, 0), (0, 1)], [[1, 1], [0, 1]], "non-integer")):
+    try:
+        _restrict_rows(basis, m)
+    except RankDeficient as exc:
+        assert words in str(exc), exc
+    else:
+        raise SystemExit("no RankDeficient for %r" % (basis,))
+"""
+
+
+class TestRestrictRows:
+    def test_restriction_is_integer_and_intertwines(self):
+        # the lattice spanned by (1, 1) and (2, 3) is Z^2 in another basis
+        basis = [(1, 1), (0, 1)]
+        m = [[0, 2], [-3, 5]]
+        x = _restrict_rows(basis, m)
+        bt = QMat(basis).transpose()
+        assert QMat(m) @ bt == bt @ QMat(x)
+
+    def test_non_invariant_lattice_raises(self):
+        # the x-axis is not invariant under the swap
+        with pytest.raises(RankDeficient, match="inconsistent"):
+            _restrict_rows([(1, 0)], [[0, 1], [1, 0]])
+
+    def test_non_integer_restriction_raises(self):
+        # 2Z x Z is rationally invariant (it spans Q^2) but the shear maps
+        # (0, 1) to (1, 1), outside it
+        with pytest.raises(RankDeficient, match="non-integer"):
+            _restrict_rows([(2, 0), (0, 1)], [[1, 1], [0, 1]])
+
+    def test_checks_survive_python_dash_o(self):
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-O", "-c", RESTRICT_ERRORS],
+                              env=env, capture_output=True, text=True,
+                              timeout=60)
+        assert proc.returncode == 0, proc.stderr + proc.stdout

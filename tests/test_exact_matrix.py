@@ -124,6 +124,36 @@ def test_memoized_charpoly_matches_a_fresh_matrix():
     assert m.charpoly() == m.charpoly() == charpoly_oracle(QMat(m.rows))
 
 
+class _Half(Fraction):
+    """A Fraction subclass: QMat stores a plain Fraction of it."""
+
+
+def test_entries_are_plain_fractions_whatever_the_input():
+    inputs = [[[1, -2], [0, 3]],
+              [[True, False], [False, True]],
+              [[Fraction(1, 2), Fraction(-4, 6)], [Fraction(3), Fraction(0)]],
+              [[1, Fraction(2, 3)], [True, Fraction(5, 5)]],
+              [[_Half(1, 2), 2], [3, _Half(-7, 2)]],
+              [["1/2", 2.5], [-1, "3"]]]
+    for rows in inputs:
+        m = QMat(rows)
+        want = tuple(tuple(Fraction(c) for c in r) for r in rows)
+        assert m.rows == want
+        assert all(type(c) is Fraction for r in m.rows for c in r)
+        assert m == QMat(want) and hash(m) == hash(want) == hash(QMat(want))
+    f = Fraction(3, 7)
+    assert QMat([[f]]).rows[0][0] is f   # kept, not re-wrapped
+
+
+def test_mat_mul_and_pow_exact_over_z():
+    rng = random.Random(17)
+    for _ in range(20):
+        a, b = random_int_matrix(rng, 3), random_int_matrix(rng, 3)
+        assert mat_mul_mod(a.int_rows(), b.int_rows()) == (a @ b).int_rows()
+        e = rng.randrange(0, 12)
+        assert mat_pow_mod(a.int_rows(), e) == a.power(e).int_rows()
+
+
 def test_inverse_singular_raises():
     with pytest.raises(RankDeficient):
         QMat([[1, 2], [2, 4]]).inverse()

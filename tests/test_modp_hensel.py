@@ -2,7 +2,8 @@
 
 Irreducibility of returned factors is verified by an exhaustive-divisor
 oracle (all monic polynomials of smaller degree), which is independent of the
-distinct-degree/equal-degree pipeline under test.
+distinct-degree/equal-degree pipeline under test.  The quadratic Hensel step
+is held to the one-digit lift it replaced (tests/helpers.py), bit for bit.
 """
 
 import itertools
@@ -10,6 +11,7 @@ import random
 
 import pytest
 
+from helpers import scalar_hensel_pair
 from hyperrank.errors import LeadingCoeffVanishes, NotCoprime, ZeroPolynomial
 from hyperrank.exact import modp
 from hyperrank.exact.modp import hensel_lift
@@ -157,3 +159,51 @@ def test_hensel_deep_lift():
     for g in lifted:
         root = (-g[0]) % q
         assert root * root % q == 2 % q
+
+
+HENSEL_PRIMES = (2, 3, 5, 7, 11, 13)
+
+
+def test_quadratic_pair_matches_the_one_digit_lift():
+    rng = random.Random(1513)
+    done, depths = 0, set()
+    while done < 2100:
+        p = rng.choice(HENSEL_PRIMES)
+        g = random_monic(rng, rng.randint(1, 4), p)
+        h = random_monic(rng, rng.randint(1, 4), p)
+        d, s, t = modp.ext_gcd(g, h, p)
+        if not modp.is_one(d):
+            continue
+        K = 1 + done % 70
+        q = p ** K
+        # any integer f with f = g h mod p, monic, reduced mod p^K
+        f = [(c + p * rng.randrange(q)) % q
+             for c in modp.mul(g, h, p)[:-1]] + [1]
+        assert (modp._hensel_pair(f, g, h, s, t, p, K)
+                == scalar_hensel_pair(f, g, h, s, t, p, K)), (f, g, h, p, K)
+        depths.add(K)
+        done += 1
+    assert depths == set(range(1, 71))
+
+
+def test_hensel_lift_of_several_factors_matches_the_one_digit_lift(
+        monkeypatch):
+    rng = random.Random(1514)
+    cases = []
+    while len(cases) < 150:
+        p = rng.choice(HENSEL_PRIMES)
+        f = random_monic(rng, rng.randrange(3, 9), p)
+        f = [c + p * rng.randint(-50, 50) for c in f[:-1]] + [1]
+        fbar = modp.reduce_mod(f, p)
+        if not modp.is_one(modp.gcd(fbar, modp.derivative(fbar, p), p)):
+            continue
+        _, factors = modp.factor(f, p, seed=1)
+        if len(factors) < 3:
+            continue
+        cases.append((f, [list(g) for g, _ in factors], p,
+                      rng.randint(1, 40)))
+    got = [hensel_lift(*case) for case in cases]
+    monkeypatch.setattr(modp, "_hensel_pair", scalar_hensel_pair)
+    want = [hensel_lift(*case) for case in cases]
+    assert got == want
+    assert max(len(facs) for _, facs, _, _ in cases) >= 4

@@ -352,20 +352,25 @@ class TestConesAndRates:
 
     def test_min_rate_matches_the_scalar_oracle(self, monkeypatch):
         # zero, opposite and duplicate functionals make 1x1 systems with a
-        # zero entry and singular 2x2 systems, so the per-system loop runs
+        # zero entry and singular 2x2 systems.  slogdet keeps them out of the
+        # batched solve, so no solve raises; with slogdet blinded, a batch
+        # that raises is halved, and besides the faces of one system, a
+        # system is solved alone only on the halving path of a singular one
         rng = random.Random(20261018)
         solve = np.linalg.solve
-        raised = []   # one entry per single-system solve: did it raise
+        calls = []   # (systems, raised) per np.linalg.solve call
 
         def spy(a, b):
-            if np.ndim(a) == 2:
-                raised.append(True)
-                out = solve(a, b)
-                raised[-1] = False
-                return out
-            return solve(a, b)
+            calls.append((1 if np.ndim(a) == 2 else len(a), True))
+            out = solve(a, b)
+            calls[-1] = (calls[-1][0], False)
+            return out
 
-        for _ in range(3000):
+        def blind(a):
+            return np.ones(len(a)), np.zeros(len(a))
+
+        alone = []   # per blinded spectrum: (solved alone, of them singular)
+        for n in range(3000):
             k = rng.choice((1, 2, 3))
             rows = []
             for _ in range(rng.randint(1, 5 if k < 3 else 3)):
@@ -386,5 +391,20 @@ class TestConesAndRates:
             with monkeypatch.context() as m:
                 m.setattr(np.linalg, "solve", spy)
                 got = repr(min_expansion_rate(spec))
+                assert got == want, rows
+                assert not any(r for _, r in calls), rows
+                single = sum(c == 1 for c, _ in calls)   # one-system faces
+                del calls[:]
+                if n % 3:
+                    continue   # the halving path on every third spectrum
+                m.setattr(np.linalg, "slogdet", blind)
+                got = repr(min_expansion_rate(spec))
             assert got == want, rows
-        assert any(raised) and not all(raised)
+            largest = max((c for c, _ in calls), default=1)
+            singular = sum(c == 1 and r for c, r in calls)
+            solved = sum(c == 1 and not r for c, r in calls)
+            assert solved <= single + singular * max(
+                1, math.ceil(math.log2(largest)))
+            alone.append((solved, singular))
+            del calls[:]
+        assert any(s for _, s in alone) and any(s for s, _ in alone)
