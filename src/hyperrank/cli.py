@@ -26,7 +26,6 @@ import argparse
 import io
 import json
 import math
-import operator
 import os
 import re
 import sys
@@ -44,7 +43,9 @@ from .errors import (
     PrecisionExhausted,
     RootFindingFailure,
 )
-from .exact import QMat, factor_int
+from .exact import QMat
+from .exact.intmat import mat_mul_mod
+from .exact.padic import is_prime
 from .spectra import (
     ActionSpec,
     coarse_classes,
@@ -174,7 +175,7 @@ def _number(v, name, positive=False, high=None):
 
 def _prime(v, name):
     p = _int(v, name, low=2)
-    if factor_int(p) != {p: 1}:
+    if not is_prime(p):
         raise ParseError(f"{name}: {p} is not a prime")
     return p
 
@@ -448,8 +449,7 @@ def _most_lags(matrix, f, where):
         logs.append(math.log10(norm) if norm else -math.inf)
         if logs[-1] > room:
             break
-        power = [[sum(map(operator.mul, row, col)) for col in zip(*power)]
-                 for row in power]
+        power = mat_mul_mod(power, power)
     # the bound grows with the set of binary digits (each log is >= 0 or
     # -inf), so the first n past room is the smallest of highest digit h:
     # clear each lower digit while the digits below it could still pass
@@ -621,10 +621,13 @@ def _load_crt_targets(path, structure):
     for key in sorted(table):
         here = f"{path}: targets[{key!r}]"
         try:
-            p = _prime(int(key), here)
-        except ValueError:
+            if not re.fullmatch(r"\d+", key, re.ASCII):
+                raise ValueError(key)
+            p = int(key)
+        except ValueError:   # not ASCII digits, or past int's digit limit
             raise ParseError(f"{here}: key must be a prime written in "
                              "decimal")
+        p = _prime(p, here)
         if p in targets:
             raise ParseError(f"{here}: a second target for p = {p}")
         entry = _object(table[key], here, ["coords", "precision", "level"],

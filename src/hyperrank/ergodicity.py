@@ -29,7 +29,8 @@ import numpy as np
 from .errors import NoErgodicSubgroupFound, RankDeficient
 from .exact import (QMat, QPoly, cyclotomic, cyclotomic_indices_up_to_degree,
                     hnf_rows, poly_gcd)
-from .exact.intmat import mat_mul_mod, mat_pow_mod
+from .exact.intmat import (kernel_lattice, mat_mul_mod, mat_poly_mod,
+                           mat_pow_mod, restrict_rows)
 from .exact.factorq import factor_over_q
 from .spectra import ActionSpec, joint_spectrum
 
@@ -70,53 +71,11 @@ def is_ergodic(matrix) -> ErgodicityCertificate:
 # --- rational splitting -----------------------------------------------------
 
 
-def _poly_at(f: QPoly, m):
-    """f(m) by Horner, for monic integer f and int rows m."""
-    out = mat_pow_mod(m, 0)
-    for c in reversed(f.coeffs[:-1]):
-        out = mat_mul_mod(out, m)
-        for i in range(len(m)):
-            out[i][i] += int(c)
-    return out
-
-
-def _kernel_lattice(a, n):
-    """HNF basis of {x in Z^n : a x = 0}, a given by its int rows: the I part
-    of the rows of hnf_rows([a^T | I]) whose a^T part is zero (H. Cohen, A
-    Course in Computational Algebraic Number Theory, 1993, ch. 2)."""
-    k = len(a)
-    rows = [[r[j] for r in a] + [int(i == j) for i in range(n)]
-            for j in range(n)]
-    return [row[k:] for row in hnf_rows(rows) if not any(row[:k])]
-
-
-def _saturate_rows(v: QMat) -> QMat:
-    """HNF basis of rowspan(v) intersected with Z^n (the saturated lattice):
-    the integer kernel of the complement v.kernel(), from one HNF."""
-    return QMat(_kernel_lattice(v.kernel(), v.shape[1]))
-
-
-def _restrict_rows(basis, m):
-    """X with m @ basis^T = basis^T @ X: m restricted to the lattice of the
-    HNF rows basis, in their coordinates, each m b by forward substitution
-    on the pivot columns.  RankDeficient unless that is integer."""
+def _restrict_hnf(basis, m):
+    """m restricted to the lattice of the HNF rows basis, whose pivots are
+    their first nonzero entries."""
     pivots = [next(j for j, x in enumerate(b) if x) for b in basis]
-    cols = []
-    for b in basis:
-        w = [sum(x * y for x, y in zip(row, b)) for row in m]
-        col = []
-        for bj, pj in zip(basis, pivots):
-            c, r = divmod(w[pj], bj[pj])
-            if r:
-                raise RankDeficient("restriction to a saturated lattice "
-                                    "produced non-integer entries")
-            if c:
-                w = [x - c * y for x, y in zip(w, bj)]
-            col.append(c)
-        if any(w):
-            raise RankDeficient("inconsistent system")
-        cols.append(col)
-    return [list(r) for r in zip(*cols)]
+    return restrict_rows(basis, pivots, m)
 
 
 @dataclass(frozen=True)
@@ -138,14 +97,14 @@ def _polynomial_on_kernel(f: QPoly, m, mats) -> bool:
     m^(deg f - 1) are independent on V0 and the coefficients are unique
     when they exist; QMat.solve finds them or proves there are none."""
     m = m.int_rows()
-    kern = _kernel_lattice(_poly_at(f, m), len(m))
-    m0 = _restrict_rows(kern, m)
+    kern = kernel_lattice(mat_poly_mod(f.coeffs, m), len(m))
+    m0 = _restrict_hnf(kern, m)
     powers = [mat_pow_mod(m0, 0)]
     while len(powers) < f.degree:
         powers.append(mat_mul_mod(powers[-1], m0))
     basis = QMat(list(zip(*([x for r in p for x in r] for p in powers))))
     for g in mats:
-        g0 = _restrict_rows(kern, g.int_rows())
+        g0 = _restrict_hnf(kern, g.int_rows())
         try:
             basis.solve(QMat([[x] for r in g0 for x in r]))
         except RankDeficient:
@@ -192,9 +151,10 @@ def rational_splitting(obj):
     has several, until that element certifies the block; a block no
     candidate certifies comes back with field=False.  Every matrix here is
     integer, so the lattices are int rows: a component's saturated kernel
-    lattice K comes from one HNF (f is a monic integer factor of an integer
-    charpoly, by Gauss's lemma), and the block basis is hnf_rows(K @ basis),
-    saturated because the basis is.  The restricted generators are QMats,
+    lattice K is kernel_lattice of f(M)^e, from one HNF (f is a monic
+    integer factor of an integer charpoly, by Gauss's lemma), and the block
+    basis is hnf_rows(K @ basis), saturated because the basis is.  The
+    generators restrict to it by restrict_rows on its HNF pivots, as QMats,
     so each one's charpoly is computed once.
     """
     gens = obj.generators if isinstance(obj, ActionSpec) else [obj]
@@ -211,9 +171,10 @@ def rational_splitting(obj):
             continue
         m, facs = found[0].int_rows(), found[1]
         for f, e in facs:
-            kern = _kernel_lattice(mat_pow_mod(_poly_at(f, m), e), len(m))
+            kern = kernel_lattice(mat_pow_mod(mat_poly_mod(f.coeffs, m), e),
+                                  len(m))
             sat = hnf_rows(mat_mul_mod(kern, basis))
-            todo.append((sat, [QMat(_restrict_rows(sat, g)) for g in ints]))
+            todo.append((sat, [QMat(_restrict_hnf(sat, g)) for g in ints]))
     if sum(len(b) for b, _, _ in blocks) != d:
         raise RankDeficient("invariant blocks do not span Q^d")
     out = []

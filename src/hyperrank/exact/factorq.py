@@ -17,7 +17,7 @@ from fractions import Fraction
 from ..errors import FactorSearchInconclusive
 from . import modp
 from .modp import hensel_lift
-from .padic import factor_int
+from .padic import is_prime
 from .poly import QPoly, squarefree_decomposition
 
 
@@ -26,7 +26,7 @@ def _usable_primes(ints, count=3, limit=500):
     out = []
     p = 2
     while len(out) < count and p < limit:
-        if factor_int(p) == {p: 1} and ints[-1] % p != 0:
+        if is_prime(p) and ints[-1] % p != 0:
             fbar = modp.reduce_mod(ints, p)
             if modp.deg(fbar) == len(ints) - 1:
                 if modp.is_one(modp.gcd(fbar, modp.derivative(fbar, p), p)):

@@ -1,11 +1,19 @@
 """Exact matrices over Q (Fraction entries) plus integer kernels.
 
 QMat is a small immutable dense matrix type: desk scale (dim <= ~10), so the
-cubic algorithms with exact arithmetic are the right trade.  Integer helpers
-on int rows live alongside: the HNF, and the product, power and the one
-characteristic polynomial (Berkowitz's division-free recurrence), each exact
-over Z when q is None, as for QMat.charpoly and the rational splitting, and
-mod q otherwise, as for the p-adic refinement.
+cubic algorithms with exact arithmetic are the right trade.  The integer
+kernels on int rows live alongside, the package's one copy of each job:
+
+* hnf_rows, the Hermite normal form, and kernel_lattice, the saturated
+  integer kernel from one HNF;
+* mat_mul_mod and mat_pow_mod, the product and the power;
+* mat_poly_mod, a polynomial at a matrix by Horner;
+* restrict_rows, a matrix restricted to the lattice of some basis rows;
+* berkowitz_charpoly_mod, the one characteristic polynomial.
+
+Each is exact over Z when q is None, as for QMat's product, power and
+charpoly and for the rational splitting, and works mod q otherwise, as for
+the p-adic refinement.
 """
 
 from __future__ import annotations
@@ -87,10 +95,7 @@ class QMat:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
         la, a = self._scaled()
         lb, b = other._scaled()
-        den = la * lb
-        bt = list(zip(*b))
-        return QMat([[Fraction(sum(x * y for x, y in zip(row, col)), den)
-                      for col in bt] for row in a])
+        return _divided(mat_mul_mod(a, b), la * lb)
 
     def _scaled(self):
         """(L, L * rows as ints) with L the lcm of the entry denominators."""
@@ -133,15 +138,10 @@ class QMat:
         if not self.is_square():
             raise ValueError("power of non-square matrix")
         base = self if e >= 0 else self.inverse()
-        e = abs(e)
-        out = None
-        while e:
-            if e & 1:
-                out = base if out is None else out @ base
-            e >>= 1
-            if e:
-                base = base @ base
-        return QMat.identity(len(self.rows)) if out is None else out
+        if abs(e) == 1:     # no product, so no entry to rebuild
+            return base
+        lcm, ints = base._scaled()
+        return _divided(mat_pow_mod(ints, abs(e)), lcm ** abs(e))
 
     def charpoly(self) -> QPoly:
         """det(xI - A), monic: Berkowitz over Z on L*A, L the lcm of the
@@ -211,6 +211,11 @@ class QMat:
         return basis
 
 
+def _divided(ints, den):
+    """The QMat of int rows divided by den."""
+    return QMat([[Fraction(x, den) for x in r] for r in ints])
+
+
 def primitive_vector(v):
     """Scale a rational vector to a primitive integer vector, first nonzero > 0."""
     v = [Fraction(x) for x in v]
@@ -260,6 +265,16 @@ def hnf_rows(rows):
     return [tuple(row) for row in a[:r] if any(row)]
 
 
+def kernel_lattice(a, n):
+    """HNF basis of {x in Z^n : a x = 0}, a given by its int rows: the I part
+    of the rows of hnf_rows([a^T | I]) whose a^T part is zero (H. Cohen, A
+    Course in Computational Algebraic Number Theory, 1993, ch. 2)."""
+    k = len(a)
+    rows = [[r[j] for r in a] + [int(i == j) for i in range(n)]
+            for j in range(n)]
+    return [row[k:] for row in hnf_rows(rows) if not any(row[:k])]
+
+
 # --- integer matrices, exact (q None) or mod q -------------------------------
 
 
@@ -286,6 +301,45 @@ def mat_pow_mod(a, e, q=None):
     if out is None:
         return [[int(i == j) for j in range(len(a))] for i in range(len(a))]
     return out
+
+
+def mat_poly_mod(coeffs, m, q=None):
+    """f(m) by Horner, f given by its ascending integer coefficients."""
+    n = len(m)
+    out = [[0] * n for _ in range(n)]
+    for c in reversed(coeffs):
+        out = mat_mul_mod(out, m, q)
+        for i in range(n):
+            out[i][i] += int(c)
+    return mat_mod(out, q)
+
+
+def restrict_rows(basis, pivots, m, q=None):
+    """X with m @ B^T = B^T @ X: m restricted to the lattice of the int rows
+    B = basis, in their coordinates.  Each row is zero at the pivots of the
+    rows after it (HNF or pivot-identity rows), so each m b is solved by
+    forward substitution on the pivot columns, dividing exactly over Z or by
+    unit pivots mod q.  RankDeficient unless every m b is in the lattice."""
+    cols = []
+    for w in mat_mul_mod(basis, list(zip(*m)), q):   # row j is m b_j
+        col = []
+        for b, p in zip(basis, pivots):
+            if q is None:
+                c, r = divmod(w[p], b[p])
+                if r:
+                    raise RankDeficient("restriction to a saturated lattice "
+                                        "produced non-integer entries")
+            else:
+                c = w[p] * pow(b[p], -1, q) % q
+            if c:
+                w = [x - c * y for x, y in zip(w, b)]
+                if q is not None:
+                    w = [x % q for x in w]
+            col.append(c)
+        if any(w):
+            raise RankDeficient("inconsistent system")
+        cols.append(col)
+    return [list(r) for r in zip(*cols)]
 
 
 def berkowitz_charpoly_mod(a, q):

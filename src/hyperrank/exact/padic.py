@@ -1,9 +1,9 @@
 """Truncated p-adic integers and the integer helpers of the exact core.
 
 The helpers are the package's one copy of each integer job: the p-adic
-valuation of an integer or a rational (vp_int, vp_fraction), the prime
-factorization (factor_int) and the integer Chinese remainder solve
-(crt_integers).
+valuation of an integer or a rational (vp_int, vp_fraction), the primality
+test (is_prime), the prime factorization (factor_int) and the integer
+Chinese remainder solve (crt_integers).
 
 A PadicTruncated value is a residue mod p^K together with the convention that
 valuation() == K means "valuation at least K" (the residue is 0, so the true
@@ -77,11 +77,7 @@ def factor_int(n: int):
     cofactors = [n]
     while cofactors:
         m = cofactors.pop()
-        if m < _TRIAL_LIMIT ** 2 or _miller_rabin(m):
-            if m >= _MR_EXACT:
-                raise FactorSearchInconclusive(
-                    f"{m} passes Miller-Rabin beyond the range where the "
-                    "test is exact")
+        if m < _TRIAL_LIMIT ** 2 or is_prime(m):
             out[m] = out.get(m, 0) + 1
         else:
             d = _pollard_brent(m)
@@ -89,8 +85,12 @@ def factor_int(n: int):
     return dict(sorted(out.items()))
 
 
-def _miller_rabin(n):
-    """False when some base in _MR_BASES proves the odd n > 41 composite."""
+def is_prime(n: int) -> bool:
+    """Is the integer n prime?  Miller-Rabin on the bases _MR_BASES, exact
+    below _MR_EXACT; raises FactorSearchInconclusive when n passes it at or
+    beyond _MR_EXACT, where it may be a prime or a strong pseudoprime."""
+    if n < 2 or any(n % a == 0 for a in _MR_BASES):
+        return n in _MR_BASES
     d, s = n - 1, 0
     while d % 2 == 0:
         d, s = d // 2, s + 1
@@ -104,6 +104,10 @@ def _miller_rabin(n):
                 break
         else:
             return False
+    if n >= _MR_EXACT:
+        raise FactorSearchInconclusive(
+            f"{n} passes Miller-Rabin beyond the range where the test is "
+            "exact")
     return True
 
 

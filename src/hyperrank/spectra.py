@@ -31,8 +31,9 @@ import numpy as np
 from .errors import (CommutativityViolated, PrecisionExhausted, RankDeficient,
                      RootFindingFailure)
 from .exact import QMat, QPoly, factor_int, primitive_vector, vp_int
-from .exact.intmat import (berkowitz_charpoly_mod, mat_mod, mat_mul_mod,
-                           mat_pow_mod)
+from .exact import modp
+from .exact.intmat import (berkowitz_charpoly_mod, mat_mod, mat_poly_mod,
+                           mat_pow_mod, restrict_rows)
 from .exact.modp import hensel_lift
 from .exact.newton import newton_polygon
 
@@ -245,16 +246,6 @@ def _polygon_classes(coeffs, p, W):
     return list(poly.slopes)
 
 
-def _eval_poly_mat(coeffs, M, q):
-    n = len(M)
-    out = [[0] * n for _ in range(n)]
-    for c in reversed(coeffs):
-        out = mat_mul_mod(out, M, q)
-        for i in range(n):
-            out[i][i] = (out[i][i] + c) % q
-    return out
-
-
 def _slope_class_factors(F, p, W):
     """Split monic F (integer root valuations, known mod p^W) into slope-class
     factors: [(coeffs mod p^W', integer valuation, W')]."""
@@ -340,26 +331,6 @@ def _saturate_columns(cols, p, W, expect_dim):
     return basis, pivots, W
 
 
-def _restrict(gen, basis, pivots, p, W):
-    """Matrix of gen on span(basis) in the pivot-identity coordinates; verifies
-    invariance mod p^W."""
-    q = p ** W
-    m = len(basis)
-    n = len(basis[0])
-    images = []
-    for b in basis:
-        images.append([sum(gen[r][s] * b[s] for s in range(n)) % q
-                       for r in range(n)])
-    X = [[images[j][pivots[l]] for j in range(m)] for l in range(m)]
-    for j in range(m):
-        for r in range(n):
-            recon = sum(X[l][j] * basis[l][r] for l in range(m)) % q
-            if recon != images[j][r]:
-                raise PrecisionExhausted(
-                    "restricted image leaves the subspace at working precision")
-    return X
-
-
 def _split_block(blk, gi, p):
     W = blk["W"]
     R = blk["gens"][gi]
@@ -387,15 +358,20 @@ def _split_block(blk, gi, p):
     qf = p ** Wf
     out = []
     for idx, (coeffs_v, vint, _) in enumerate(facs):
-        proj = [[int(i == j) for j in range(m)] for i in range(m)]
+        others = [1]   # the other factors' product, at B by one Horner
         for jdx, (coeffs_w, _, _) in enumerate(facs):
             if jdx != idx:
-                proj = mat_mul_mod(proj, _eval_poly_mat(coeffs_w, B, qf), qf)
+                others = modp.mul(others, coeffs_w, qf)
+        proj = mat_poly_mod(others, B, qf)
         cols = [[proj[r][j] for r in range(m)] for j in range(m)]
         basis, pivots, Wn = _saturate_columns(cols, p, Wf,
                                               expect_dim=len(coeffs_v) - 1)
-        gens_r = [_restrict(mat_mod(g, p ** Wn), basis, pivots, p, Wn)
-                  for g in blk["gens"]]
+        try:
+            gens_r = [restrict_rows(basis, pivots, g, p ** Wn)
+                      for g in blk["gens"]]
+        except RankDeficient:
+            raise PrecisionExhausted(
+                "restricted image leaves the subspace at working precision")
         out.append(dict(W=Wn, gens=gens_r,
                         vals=blk["vals"] + [Fraction(vint, e)]))
     return out

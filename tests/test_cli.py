@@ -17,6 +17,7 @@ import pytest
 
 from hyperrank import spectra
 from hyperrank.cli import main
+from hyperrank.exact import padic
 from hyperrank.errors import PrecisionExhausted, RootFindingFailure
 
 from helpers import in_sector, least_sup_norm_in_sector
@@ -32,6 +33,14 @@ def run(capsys, *argv):
 
 def fixture(name):
     return str(FIXTURES / name)
+
+
+# 1000000000000000003 * 1000000000000000009, beyond Pollard rho's budget
+SEMIPRIME = 1000000000000000012000000000000000027
+
+
+def _no_rho(n):
+    raise AssertionError(f"Pollard rho called on {n}")
 
 
 # --- analyze ----------------------------------------------------------------
@@ -570,6 +579,21 @@ class TestMixing:
         assert "primes[0]: 4 is not a prime" in err
         assert out == ""
 
+    def test_composite_prime_is_refused_without_factoring(self, capsys,
+                                                          tmp_path,
+                                                          monkeypatch):
+        # Pollard rho would spend its whole budget on this semiprime and
+        # report it inconclusive; Miller-Rabin proves it composite
+        monkeypatch.setattr(padic, "_pollard_brent", _no_rho)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(
+            {"format": 1, "primes": [SEMIPRIME], "matrix": [[2]],
+             "f": [{"mode": ["1/4"], "coeff": [1, 0]}]}))
+        code, out, err = run(capsys, "mixing", str(cfg))
+        assert code == 1
+        assert f"primes[0]: {SEMIPRIME} is not a prime" in err
+        assert out == ""
+
     def _with(self, tmp_path, **changes):
         config = json.loads((FIXTURES / "doubling_mixing.json").read_text())
         config.update(changes)
@@ -904,6 +928,37 @@ class TestCrt:
                              fixture("heisenberg_structure.json"), str(tg))
         assert code == 1
         assert message in err
+        assert out == ""
+
+    @pytest.mark.parametrize("key, code", [
+        ("1_1", 1), (" 7", 1), ("+7", 1), ("7", 0)])
+    def test_target_keys_are_ascii_digits(self, capsys, tmp_path, key, code):
+        # int() would read "1_1" as 11 and " 7" and "+7" as 7
+        tg = tmp_path / "tg.json"
+        tg.write_text(json.dumps(
+            {"format": 1, "targets": {key: {"coords": [1, 5, 3],
+                                            "level": 1}}}))
+        got, out, err = run(capsys, "crt",
+                            fixture("heisenberg_structure.json"), str(tg))
+        assert got == code
+        if code:
+            assert "key must be a prime written in decimal" in err
+            assert out == ""
+        else:
+            assert "target p=7" in out
+
+    def test_composite_key_is_refused_without_factoring(self, capsys,
+                                                        tmp_path,
+                                                        monkeypatch):
+        monkeypatch.setattr(padic, "_pollard_brent", _no_rho)
+        tg = tmp_path / "tg.json"
+        tg.write_text(json.dumps(
+            {"format": 1, "targets": {str(SEMIPRIME): {"coords": [1, 5, 3],
+                                                       "level": 1}}}))
+        code, out, err = run(capsys, "crt",
+                             fixture("heisenberg_structure.json"), str(tg))
+        assert code == 1
+        assert f"{SEMIPRIME} is not a prime" in err
         assert out == ""
 
     @pytest.mark.parametrize("structure, message", [

@@ -24,9 +24,9 @@ from hyperrank.exact import QMat, QPoly, cyclotomic
 from hyperrank import ergodicity
 from hyperrank.ergodicity import (ErgodicityCertificate, Z2SubgroupCertificate,
                                   _field_element, _polynomial_on_kernel,
-                                  _restrict_rows, _saturate_rows,
                                   ergodic_z2_subgroup, has_rank_one_factor,
                                   is_ergodic, rational_splitting)
+from hyperrank.exact.intmat import kernel_lattice, restrict_rows
 from hyperrank.exact.factorq import factor_over_q
 from hyperrank.spectra import ActionSpec
 
@@ -136,10 +136,14 @@ class TestRationalSplitting:
     def test_saturate_rows_returns_the_saturated_lattice(self):
         # the kernel-of-kernel basis of this span has index 2 in the lattice
         # {2 x1 + x2 + x3 = 0}, which contains (0, 1, -1)
-        sat = _saturate_rows(QMat([[0, 1, -1], [1, -2, 0]]))
-        assert sat == QMat([[1, 0, -2], [0, 1, -1]])
-        assert _saturate_rows(QMat([[2, 4, 6]])) == QMat([[1, 2, 3]])
-        assert _saturate_rows(QMat([[2, 0], [0, 3]])) == QMat.identity(2)
+        def saturate(rows):
+            v = QMat(rows)
+            return QMat(kernel_lattice(v.kernel(), v.shape[1]))
+
+        assert saturate([[0, 1, -1], [1, -2, 0]]) == QMat([[1, 0, -2],
+                                                           [0, 1, -1]])
+        assert saturate([[2, 4, 6]]) == QMat([[1, 2, 3]])
+        assert saturate([[2, 0], [0, 3]]) == QMat.identity(2)
 
     def test_random_matrices_restrict_to_integer_blocks(self):
         rng = random.Random(1)
@@ -500,7 +504,8 @@ class TestSplittingOracle:
                       for _ in range(r)])
             if v.rank() == 0:
                 continue
-            assert _saturate_rows(v) == scalar_saturate_rows(v), v
+            sat = QMat(kernel_lattice(v.kernel(), n))
+            assert sat == scalar_saturate_rows(v), v
 
     def test_non_integer_generator_is_refused(self):
         with pytest.raises(ValueError, match="non-integer"):
@@ -508,12 +513,14 @@ class TestSplittingOracle:
 
 
 RESTRICT_ERRORS = """
-from hyperrank.ergodicity import _restrict_rows
+from hyperrank.exact.intmat import restrict_rows
 from hyperrank.errors import RankDeficient
-for basis, m, words in (([(1, 0)], [[0, 1], [1, 0]], "inconsistent"),
-                        ([(2, 0), (0, 1)], [[1, 1], [0, 1]], "non-integer")):
+for basis, m, q, words in (
+        ([(1, 0)], [[0, 1], [1, 0]], None, "inconsistent"),
+        ([(2, 0), (0, 1)], [[1, 1], [0, 1]], None, "non-integer"),
+        ([(1, 0)], [[0, 1], [1, 0]], 7 ** 4, "inconsistent")):
     try:
-        _restrict_rows(basis, m)
+        restrict_rows(basis, [0, 1][:len(basis)], m, q)
     except RankDeficient as exc:
         assert words in str(exc), exc
     else:
@@ -521,25 +528,31 @@ for basis, m, words in (([(1, 0)], [[0, 1], [1, 0]], "inconsistent"),
 """
 
 
+def hnf_pivots(basis):
+    return [next(j for j, x in enumerate(b) if x) for b in basis]
+
+
 class TestRestrictRows:
     def test_restriction_is_integer_and_intertwines(self):
         # the lattice spanned by (1, 1) and (2, 3) is Z^2 in another basis
         basis = [(1, 1), (0, 1)]
         m = [[0, 2], [-3, 5]]
-        x = _restrict_rows(basis, m)
+        x = restrict_rows(basis, hnf_pivots(basis), m)
         bt = QMat(basis).transpose()
         assert QMat(m) @ bt == bt @ QMat(x)
 
     def test_non_invariant_lattice_raises(self):
         # the x-axis is not invariant under the swap
         with pytest.raises(RankDeficient, match="inconsistent"):
-            _restrict_rows([(1, 0)], [[0, 1], [1, 0]])
+            restrict_rows([(1, 0)], [0], [[0, 1], [1, 0]])
+        with pytest.raises(RankDeficient, match="inconsistent"):
+            restrict_rows([(1, 0)], [0], [[0, 1], [1, 0]], 5 ** 3)
 
     def test_non_integer_restriction_raises(self):
         # 2Z x Z is rationally invariant (it spans Q^2) but the shear maps
         # (0, 1) to (1, 1), outside it
         with pytest.raises(RankDeficient, match="non-integer"):
-            _restrict_rows([(2, 0), (0, 1)], [[1, 1], [0, 1]])
+            restrict_rows([(2, 0), (0, 1)], [0, 1], [[1, 1], [0, 1]])
 
     def test_checks_survive_python_dash_o(self):
         src = os.path.join(os.path.dirname(os.path.dirname(

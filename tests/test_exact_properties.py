@@ -2,9 +2,9 @@
 as a test-only oracle.
 
 hnf_rows must return the canonical Hermite basis of the input's row lattice,
-_saturate_rows the saturated lattice (rational row span intersected with
-Z^n), factor_over_q the same irreducible factors as sympy, and factor_int
-primes that multiply back to its input.  Two integer
+kernel_lattice of the rational kernel the saturated lattice (rational row
+span intersected with Z^n), factor_over_q the same irreducible factors as
+sympy, and factor_int primes that multiply back to its input.  Two integer
 lattices of the same rank with one inside the other are equal exactly when
 the gcds of their maximal minors agree; a lattice is saturated exactly when
 that gcd is 1.
@@ -19,9 +19,9 @@ import sympy
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from hyperrank.ergodicity import _saturate_rows
 from hyperrank.errors import FactorSearchInconclusive
 from hyperrank.exact import QMat, QPoly, factor_int, hnf_rows
+from hyperrank.exact.intmat import kernel_lattice
 from hyperrank.exact.factorq import factor_over_q
 
 X = sympy.Symbol("x")
@@ -92,7 +92,7 @@ def test_hnf_rows_spans_the_input_lattice(rows):
         assert minor_gcd(h, r) == minor_gcd(rows, r)
 
 
-# --- _saturate_rows ---------------------------------------------------------
+# --- kernel_lattice of the kernel: the saturated row lattice ---------------
 
 
 rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
@@ -103,7 +103,8 @@ rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
 def test_saturate_rows_is_saturated_and_spans_the_input(rows):
     r = rank(rows)
     assume(r > 0)
-    sat = _saturate_rows(QMat(rows)).int_rows()
+    v = QMat(rows)
+    sat = [list(row) for row in kernel_lattice(v.kernel(), v.shape[1])]
     assert len(sat) == r
     assert rank(sat) == r and rank(sat + rows) == r
     assert minor_gcd(sat, r) == 1

@@ -16,6 +16,31 @@ def test_no_assert_statements_in_src():
     assert not found, f"assert statements in src: {found}"
 
 
+def test_no_unused_imports_in_src():
+    # a name a module imports and never uses is a leftover of some change;
+    # a package's __init__.py imports to re-export, so it is exempt
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        imported = {}          # bound name -> line of its import
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    imported[name] = node.lineno
+            elif (isinstance(node, ast.ImportFrom)
+                    and node.module != "__future__"):
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        found += [f"{path.relative_to(SRC)}:{line} {name}"
+                  for name, line in imported.items() if name not in used]
+    assert not found, f"unused imports in src: {found}"
+
+
 def _private(name):
     return name.startswith("_") and not name.startswith("__")
 
