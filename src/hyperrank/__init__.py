@@ -6,7 +6,7 @@ Subpackages/modules:
   spectra    -- Lyapunov functionals at all places, Weyl chambers
   ergodicity -- root-of-unity certificates, splittings, ergodic Z^2 search
   solenoid   -- dual characters, exact and Monte Carlo mixing, CLT checks
-  nilpotent  -- step-2 Mal'cev coordinates, nilpotent CRT, u/V/ss splitting
+  nilpotent  -- step-2 Mal'cev coordinates, nilpotent CRT, bracket checks
   conjugacy  -- numerical conjugacies for perturbed expanding maps
   cli        -- `hyperrank` command
 """
@@ -25,17 +25,7 @@ from .solenoid import (SolenoidPoint, TrigFunction, apply, apply_inverse,
 from .nilpotent import (NilElement, NilStructure, automorphism_action,
                         bracket_inclusion_check, heisenberg, nil_crt,
                         nil_element, nil_element_padic, nil_inv, nil_mul,
-                        nil_structure, uvs_decompose)
+                        nil_structure)
 from .conjugacy import (ConjugacyField, PerturbedMap, holder_estimate,
                         perturbed_map, solve_conjugacy, trig_perturbation,
                         verify_conjugacy)
-
-
-def __getattr__(name):
-    # The structure-file reader belongs to the CLI's input layer.  It is
-    # imported on first use: importing hyperrank.cli here would load it
-    # before `python -m hyperrank.cli` runs it, which makes runpy warn.
-    if name == "nil_structure_from_json":
-        from .cli import nil_structure_from_json
-        return nil_structure_from_json
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -8,11 +8,18 @@ the sweep
 
     h  <-  A^{-1} (q + h o tau)
 
-is a sup-norm contraction at rate ||A^{-1}||_inf < 1, so the series
-h = sum_i A^{-(i+1)} q o tau^i is summed by straight fixed-point iteration
-on a periodic grid.  Everything here is floating point; the exactness story
-lives in the other modules, and this one is honest about being numerics:
-residuals are measured, logged, and re-verified off-grid.
+sums the series h = sum_i A^{-(i+1)} q o tau^i by straight fixed-point
+iteration on a periodic grid.  Each update is A^{-1} applied to the previous
+one pulled back along tau, and the pull-back (multilinear interpolation)
+does not raise the sup norm, so the n-th update is at most
+||A^{-(n-1)}||_inf times the first.  That goes to 0 because every eigenvalue
+of A^{-1} lies inside the unit disc.  The sweep is a sup-norm contraction
+at rate ||A^{-1}||_inf only when that norm is below 1, which expansion does
+not imply: the norm is 2 for [[0, -10^6], [1, 10^6]].
+
+Everything here is floating point; the exactness story lives in the other
+modules, and this one is honest about being numerics: residuals are
+measured, logged, and re-verified off-grid.
 """
 
 from __future__ import annotations
@@ -230,7 +237,7 @@ class ConjugacyField:
     grid: int
     values: tuple         # dim tuples, each of length grid**dim
     residuals: tuple      # sup |h_new - h_old| per sweep
-    rate_bound: float     # ||A^{-1}||_inf, the contraction certificate
+    rate_bound: float     # ||A^{-1}||_inf; certifies contraction if < 1
 
     @property
     def sweeps(self):
@@ -256,7 +263,8 @@ class ConjugacyField:
 def solve_conjugacy(pmap: PerturbedMap, grid, tol=1e-8,
                     budget=200) -> ConjugacyField:
     """Iterate h <- A^{-1}(q + h o tau) on the grid until the sup update
-    falls under tol; geometric at rate <= ||A^{-1}||_inf by expansion.
+    falls under tol.  The updates shrink geometrically since A is
+    expanding, each sweep by at most ||A^{-1}||_inf when that is below 1.
 
     tau, q and the interpolation corners of tau's grid images are fixed
     across sweeps, so they are built once; a sweep is 2^dim gathers and a

@@ -303,14 +303,13 @@ def ergodic_z2_subgroup(action: ActionSpec, pair_bound=2, combo_bound=20,
     def combination(a, b, ij):
         return tuple(ij[0] * x + ij[1] * y for x, y in zip(a, b))
 
+    # primitive with a positive first nonzero entry: no two are parallel
     candidates = [a for a in _norm_lex(action.rank, pair_bound)
                   if _canonical_sign(a) and math.gcd(*a) == 1]
     obstructions = []
     for ai in range(len(candidates)):
         for bi in range(ai + 1, len(candidates)):
             a, b = candidates[ai], candidates[bi]
-            if QMat([a, b]).rank() < 2:
-                continue
             pair = np.array([a, b], dtype=float).T
             kernel = None
             for rows in values:

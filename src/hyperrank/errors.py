@@ -93,14 +93,6 @@ class SplittingNotDirect(HyperrankError):
     """Claimed subspace splitting fails to be direct / spanning."""
 
 
-class NotSubalgebra(HyperrankError):
-    pass
-
-
-class NotDirectSum(HyperrankError):
-    pass
-
-
 # --- conjugacy -------------------------------------------------------------
 
 class NotExpanding(HyperrankError):

@@ -5,11 +5,9 @@ valuation of an integer or a rational (vp_int, vp_fraction), the primality
 test (is_prime), the prime factorization (factor_int) and the integer
 Chinese remainder solve (crt_integers).
 
-A PadicTruncated value is a residue mod p^K together with the convention that
-valuation() == K means "valuation at least K" (the residue is 0, so the true
-valuation is unknowable at this precision).  Division is only defined by
-units; everything else must be done by explicit shifting at the call site,
-which keeps precision loss visible.
+A PadicTruncated value is a residue mod p^K.  It adds, subtracts and
+multiplies, exactly in Z/p^K; a rational enters through from_fraction only
+when its denominator is a p-adic unit.
 """
 
 from __future__ import annotations
@@ -218,39 +216,6 @@ class PadicTruncated:
         if isinstance(other, Fraction):
             return PadicTruncated.from_fraction(other, self.p, self.prec)
         raise TypeError(f"cannot coerce {other!r} into Z_{self.p}")
-
-    def is_unit(self):
-        return self.residue % self.p != 0
-
-    def inverse(self):
-        if not self.is_unit():
-            raise NonUnitInverse(
-                f"residue {self.residue} is divisible by {self.p}; "
-                "only units are invertible at finite precision")
-        return PadicTruncated(self.p, self.prec,
-                              pow(self.residue, -1, self.p ** self.prec))
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        self._check(other)
-        return self * other.inverse()
-
-    def valuation(self):
-        """min(v_p(residue), prec); equals prec exactly when the residue is 0,
-        in which case it is only a lower bound ("at least prec")."""
-        if self.residue == 0:
-            return self.prec
-        return min(vp_int(self.residue, self.p), self.prec)
-
-    def valuation_is_exact(self):
-        return self.residue != 0
-
-    def unit_part(self):
-        """Residue divided by p^valuation, at correspondingly reduced precision."""
-        v = self.valuation()
-        if v >= self.prec:
-            raise NonUnitInverse("zero residue has no unit part")
-        return PadicTruncated(self.p, self.prec - v, self.residue // self.p ** v)
 
     def __repr__(self):
         return f"PadicTruncated({self.residue} mod {self.p}^{self.prec})"

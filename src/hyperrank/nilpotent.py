@@ -21,8 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (NonUnitInverse, NotAnAutomorphism, NotDirectSum,
-                     NotSubalgebra, RankDeficient, ScalarMismatch,
+from .errors import (NonUnitInverse, NotAnAutomorphism, ScalarMismatch,
                      SplittingNotDirect)
 from .exact import PadicTruncated, QMat, crt_integers
 
@@ -298,23 +297,9 @@ def automorphism_action(structure: NilStructure, lin: QMat,
 # --- subspace machinery -----------------------------------------------------
 
 
-def _col_matrix(vectors) -> QMat:
-    return QMat(list(zip(*[tuple(Fraction(c) for c in v)
-                           for v in vectors])))
-
-
 def _in_span(vectors, v) -> bool:
     base = list(vectors)
     return QMat(base).rank() == QMat(base + [tuple(v)]).rank()
-
-
-def _is_subalgebra(structure, basis) -> bool:
-    for a in range(len(basis)):
-        for b in range(a + 1, len(basis)):
-            w = structure.bracket(basis[a], basis[b])
-            if any(c != 0 for c in w) and not _in_span(basis, w):
-                return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -366,93 +351,3 @@ def bracket_inclusion_check(structure: NilStructure,
                             (ti, tj, "bracket leaves the subspace tagged "
                                      f"{target}"))
     return BracketReport(ok=not failures, failures=tuple(failures))
-
-
-# --- u-V-ss coordinates -----------------------------------------------------
-
-
-def uvs_decompose(structure: NilStructure, triple, g: NilElement):
-    """Unique (g_u, g_V, g_ss) with g = g_u g_V g_ss and each factor's log in
-    the corresponding subalgebra.
-
-    Elimination: the product's log is y + B(y) where y is the sum of the
-    three factor logs and B collects the half-brackets, so the coordinates
-    outside the derived set are read off directly, and the derived block
-    satisfies a small square system probed at unit vectors and solved
-    exactly.  When the splitting is compatible with the derived coordinates
-    (every splitting relevant here is) that system is affine and the solve
-    lands exactly; the result is always re-verified by recomposition, and a
-    genuinely nonlinear leftover is reported instead of silently missed.
-    """
-    if g.ring != ("rational",):
-        raise ScalarMismatch("decomposition works on rational coordinates")
-    bases = [tuple(tuple(Fraction(c) for c in v) for v in part)
-             for part in triple]
-    if len(bases) != 3:
-        raise ValueError("triple must list three subalgebras")
-    names = ("unstable", "neutral", "stable")
-    for name, basis in zip(names, bases):
-        if basis and not _is_subalgebra(structure, basis):
-            raise NotSubalgebra(f"{name} part is not closed under brackets")
-    d = structure.dim
-    everything = [v for basis in bases for v in basis]
-    if len(everything) != d or QMat(everything).rank() != d:
-        raise NotDirectSum("the three parts do not split the algebra")
-    basis_mat = _col_matrix(everything)
-    sizes = [len(b) for b in bases]
-    der = list(structure.derived)
-
-    def log_of_product(y):
-        # y -> the log of exp(x_u) exp(x_V) exp(x_ss) where the x's are the
-        # components of y along the triple
-        coeff = [r[0] for r in basis_mat.solve(QMat([[c] for c in y])).rows]
-        parts = []
-        at = 0
-        for basis, size in zip(bases, sizes):
-            x = [Fraction(0)] * d
-            for t in range(size):
-                for k in range(d):
-                    x[k] += coeff[at + t] * basis[t][k]
-            parts.append(tuple(x))
-            at += size
-        total = list(y)
-        for a in range(3):
-            for b in range(a + 1, 3):
-                br = structure.bracket(parts[a], parts[b])
-                for k in range(d):
-                    total[k] += Fraction(br[k], 2)
-        return tuple(total), parts
-
-    base = list(g.coords)
-    if der:
-        zero = [Fraction(0) if k in der else base[k] for k in range(d)]
-        f0, _ = log_of_product(zero)
-        cols = []
-        for k in der:
-            probe = list(zero)
-            probe[k] += 1
-            fk, _ = log_of_product(probe)
-            cols.append([fk[t] - f0[t] for t in der])
-        m = QMat(list(zip(*cols)))
-        rhs = QMat([[base[t] - f0[t]] for t in der])
-        try:
-            sol = m.solve(rhs)
-        except RankDeficient as exc:
-            raise NotDirectSum(
-                "derived-coordinate system is singular for this element; "
-                "the triple does not give product coordinates here") from exc
-        y = list(zero)
-        for idx, k in enumerate(der):
-            y[k] = zero[k] + sol.rows[idx][0]
-    else:
-        y = base
-    total, parts = log_of_product(tuple(y))
-    if tuple(total) != tuple(base):
-        raise NotDirectSum(
-            "product coordinates are not affine over this splitting at "
-            "this element; elimination through the step-2 formula fails")
-    gu, gv, gs = (nil_element(structure, part) for part in parts)
-    recomposed = nil_mul(gu, nil_mul(gv, gs))
-    if recomposed.coords != g.coords:
-        raise NotDirectSum("the u v s factors do not recompose the element")
-    return gu, gv, gs

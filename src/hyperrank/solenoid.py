@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import csv
 import math
-import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -37,6 +36,7 @@ import numpy as np
 from .errors import (DegenerateFit, LeavesDualLattice, NotAnAutomorphism,
                      PrecisionExhausted)
 from .exact import QMat, crt_integers, factor_int, vp_int
+from .exact.intmat import mat_mul_mod
 
 
 _GRID_BITS = 32         # sampled torus coordinates lie on 2^-32 Z
@@ -264,18 +264,20 @@ def exact_correlation(f: TrigFunction, g: TrigFunction, a: QMat, n_max):
     the integer numerators of the modes over one common denominator, the
     lcm of every mode denominator of f and g.
     """
-    cols = list(zip(*a.int_rows()))            # the rows of a^T
+    rows = a.int_rows()
     lcm = math.lcm(*(c.denominator for fn in (f, g) for m, _ in fn.terms
                      for c in m))
     targets = {tuple(-int(c * lcm) for c in m): coeff for m, coeff in g.terms}
     base = f.mean() * g.mean()
-    modes = [(tuple(int(c * lcm) for c in m), c) for m, c in f.terms]
+    modes = [tuple(int(c * lcm) for c in m) for m, _ in f.terms]
+    coeffs = [c for _, c in f.terms]
     out = []
     for _ in range(n_max + 1):
-        s = sum((c * targets[m] for m, c in modes if m in targets), 0j)
+        s = sum((c * targets[m] for m, c in zip(modes, coeffs)
+                 if m in targets), 0j)
         out.append(s - base)
-        modes = [(tuple(sum(map(operator.mul, col, m)) for col in cols), c)
-                 for m, c in modes]
+        # the row m a is the mode (a^T m)^T
+        modes = [tuple(m) for m in mat_mul_mod(modes, rows)]
     return out
 
 
@@ -300,8 +302,7 @@ def _escape_index(a: QMat, modes, radius):
     kappa = np.max(np.sum(np.abs(pinv), axis=1))
     threshold = radius * kappa * (1 + 1e-9)
     worst = 0
-    rows = a.transpose().int_rows()
-    d = len(rows)
+    rows = a.int_rows()
     for k in modes:
         w = [int(c) for c in k]
         n = 0
@@ -312,7 +313,7 @@ def _escape_index(a: QMat, modes, radius):
             n += 1
             if n > _ESCAPE_CAP:
                 return None
-            w = [sum(rows[i][j] * w[j] for j in range(d)) for i in range(d)]
+            w = mat_mul_mod([w], rows)[0]      # (a^T w)^T = w^T a
         worst = max(worst, n)
     return worst
 

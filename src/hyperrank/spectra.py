@@ -44,8 +44,6 @@ class ActionSpec:
     its solenoid extension when determinants are not +-1)."""
 
     generators: tuple
-    _powers: dict = field(default_factory=dict, init=False, repr=False,
-                          compare=False)   # (generator index, exponent) -> power
     cache: dict = field(default_factory=dict, init=False, repr=False,
                         compare=False)     # derived data kept per action
 
@@ -86,24 +84,13 @@ class ActionSpec:
         return sorted(out)
 
     def element(self, a):
-        """rho(a) = prod generators[i]^a[i]; rational when any a[i] < 0.
-
-        Generator powers are memoized per (generator, exponent).  A new one
-        costs one matmul when g^(e -+ 1) and g^(+-1) are known.
-        """
+        """rho(a) = prod generators[i]^a[i]; rational when any a[i] < 0."""
         if len(a) != self.rank:
             raise ValueError(f"element vector must have length {self.rank}")
         out = None
-        for i, (g, e) in enumerate(zip(self.generators, a)):
+        for g, e in zip(self.generators, a):
             if e:
-                key, step = (i, int(e)), (i, 1 if e > 0 else -1)
-                prev = (i, key[1] - step[1])
-                if key not in self._powers:
-                    self._powers[key] = (
-                        self._powers[prev] @ self._powers[step]
-                        if prev in self._powers and step in self._powers
-                        else g.power(key[1]))
-                power = self._powers[key]
+                power = g.power(int(e))
                 out = power if out is None else out @ power
         return QMat.identity(self.dim) if out is None else out
 

@@ -2,7 +2,7 @@
 
 Covers the Berkowitz charpoly over Z (with denominators cleared), the
 fraction-free polynomial gcd, the one Gauss-Jordan kernel behind rank,
-solve, kernel and inverse, the memoized generator powers of ActionSpec, and
+solve, kernel and inverse, the group elements of ActionSpec, and
 the cyclotomic ergodicity test.  sympy is a test-only dependency.
 """
 
@@ -146,7 +146,7 @@ def test_poly_gcd_zero_cases():
         poly_gcd(QPoly.zero(), QPoly.zero())
 
 
-# --- memoized generator powers ----------------------------------------------
+# --- group elements ---------------------------------------------------------
 
 
 @st.composite
@@ -170,18 +170,11 @@ def commuting_pairs(draw):
                 min_size=1, max_size=12))
 def test_element_matches_product_of_powers(pair, vecs):
     action = ActionSpec(pair)
-    for a in vecs + vecs:          # the second pass reads the memo
+    for a in vecs:
         want = QMat.identity(action.dim)
         for g, e in zip(pair, a):
             want = want @ g.power(e)
         assert action.element(a) == want
-
-
-def test_element_memo_holds_only_requested_exponents():
-    action = ActionSpec([[[2, 1], [1, 1]], [[3, 2], [2, 1]]])
-    action.element((3, 0))
-    action.element((-2, 1))
-    assert set(action._powers) == {(0, 3), (0, -2), (1, 1)}
 
 
 # --- ergodicity --------------------------------------------------------------

@@ -11,16 +11,16 @@ from fractions import Fraction
 
 import pytest
 
-from hyperrank import nil_structure_from_json
-from hyperrank.errors import (NotAnAutomorphism, NotDirectSum, NotSubalgebra,
-                              ParseError, ScalarMismatch, SplittingNotDirect)
+from hyperrank.cli import nil_structure_from_json
+from hyperrank.errors import (NotAnAutomorphism, ParseError, ScalarMismatch,
+                              SplittingNotDirect)
 from hyperrank.exact import PadicTruncated, QMat
 from hyperrank.nilpotent import (BracketReport, CrtSolution, NilElement,
                                  NilStructure, automorphism_action,
                                  bracket_inclusion_check, derived_series,
                                  heisenberg, nil_crt, nil_element,
                                  nil_element_padic, nil_inv, nil_mul,
-                                 nil_structure, uvs_decompose)
+                                 nil_structure)
 
 from helpers import nil_identity
 
@@ -498,96 +498,3 @@ class TestBracketInclusion:
             bracket_inclusion_check(
                 H, (((1,), ()), ((0,), ((1, 0, 0), (0, 1, 0), (0, 0, 1)))))
 
-
-class TestUvsDecompose:
-    TRIPLE = (((1, 0, 0),), ((0, 1, 0),), ((0, 0, 1),))
-
-    def test_heisenberg_cross_term(self):
-        g = nil_element(H, (1, 1, 0))
-        gu, gv, gs = uvs_decompose(H, self.TRIPLE, g)
-        assert gu.coords == (1, 0, 0)
-        assert gv.coords == (0, 1, 0)
-        assert gs.coords == (0, 0, -1)
-        assert nil_mul(gu, nil_mul(gv, gs)) == g
-
-    def test_neutral_element_passthrough(self):
-        g = nil_element(H, (0, 5, 0))
-        gu, gv, gs = uvs_decompose(H, self.TRIPLE, g)
-        assert gu == nil_identity(H) and gs == nil_identity(H)
-        assert gv == g
-
-    def test_abelian_linear_projection(self):
-        tri = (((1, 1),), ((1, -1),), ())
-        g = nil_element(ABELIAN2, (3, 1))
-        gu, gv, gs = uvs_decompose(ABELIAN2, tri, g)
-        assert gu.coords == (2, 2)
-        assert gv.coords == (1, -1)
-        assert gs.coords == (0, 0)
-
-    def test_recomposition_random(self):
-        rng = random.Random(17)
-        triples = (self.TRIPLE,
-                   (((1, 0, 0),), ((0, 1, 1),), ((0, 0, 1),)),
-                   (((1, 0, 0),), ((0, 1, 0), (0, 0, 1)), ()))
-        for tri in triples:
-            for _ in range(30):
-                g = rand_el(rng, H)
-                gu, gv, gs = uvs_decompose(H, tri, g)
-                assert nil_mul(gu, nil_mul(gv, gs)) == g
-                for part, basis in zip((gu, gv, gs), tri):
-                    cols = [list(b) for b in basis] or [[0] * H.dim]
-                    m = QMat(cols)
-                    rank0 = len(cols) - len(m.transpose().kernel())
-                    aug = cols + [list(part.coords)]
-                    m2 = QMat(aug)
-                    rank1 = len(aug) - len(m2.transpose().kernel())
-                    assert rank0 == rank1 or all(
-                        c == 0 for c in part.coords)
-
-    def test_projection_identity_stable_factor(self):
-        # middle-factor multiplicativity when the right factor has no
-        # unstable component
-        rng = random.Random(18)
-        for tri, mask in ((self.TRIPLE, (0, 1, 1)),
-                          ((((1, 0, 0),), ((0, 1, 0), (0, 0, 1)), ()),
-                           (0, 1, 1))):
-            for _ in range(30):
-                g1 = rand_el(rng, H)
-                g2 = nil_element(H, [c if m else Fraction(0)
-                                     for c, m in zip(rand_el(rng, H).coords,
-                                                     mask)])
-                left = uvs_decompose(H, tri, nil_mul(g1, g2))[1]
-                right = nil_mul(uvs_decompose(H, tri, g1)[1],
-                                uvs_decompose(H, tri, g2)[1])
-                assert left == right
-
-    def test_not_subalgebra(self):
-        tri = (((1, 0, 1), (0, 1, 0)), ((1, 0, 0),), ())
-        with pytest.raises(NotSubalgebra):
-            uvs_decompose(H, tri, nil_identity(H))
-
-    def test_not_direct_sum(self):
-        tri = (((1, 0, 0),), ((1, 0, 0),), ((0, 0, 1),))
-        with pytest.raises(NotDirectSum):
-            uvs_decompose(H, tri, nil_identity(H))
-        short = (((1, 0, 0),), ((0, 1, 0),), ())
-        with pytest.raises(NotDirectSum):
-            uvs_decompose(H, short, nil_identity(H))
-
-    def test_nonlinear_splitting_reported(self):
-        # central vectors split with bracketing components here, so the
-        # derived coordinate satisfies a genuine quadratic with no rational
-        # root at this element; must be reported, not silently missed
-        tri = (((1, 1, 0),), ((1, 0, 0),), ((0, 1, 1),))
-        with pytest.raises(NotDirectSum, match="not affine"):
-            uvs_decompose(H, tri, nil_element(H, (0, 0, 1)))
-
-    def test_rational_scalars_required(self):
-        g = nil_element_padic(H, (1, 0, 0), 5, 3)
-        with pytest.raises(ScalarMismatch):
-            uvs_decompose(H, self.TRIPLE, g)
-
-    def test_triple_arity_checked(self):
-        with pytest.raises(ValueError):
-            uvs_decompose(H, (((1, 0, 0),), ((0, 1, 0), (0, 0, 1))),
-                          nil_identity(H))

@@ -47,43 +47,19 @@ def test_vp_fraction_negative():
     assert vp_fraction(Fraction(9, 5), 3) == 2
 
 
-def test_padic_inverse_frozen():
-    # 3^{-1} in Z_2 at 4 digits is 11: 3 * 11 = 33 = 1 + 32
-    x = PadicTruncated(2, 4, 3)
-    assert x.inverse().residue == 11
-
-
 def test_padic_arithmetic():
     a = PadicTruncated(5, 3, 117)
     b = PadicTruncated(5, 3, 9)
     assert (a + b).residue == (117 + 9) % 125
     assert (a * b).residue == 117 * 9 % 125
     assert (a - b).residue == (117 - 9) % 125
-    assert (a / b * b).residue == a.residue
     assert (a + 0).residue == a.residue
     assert (Fraction(1, 2) * PadicTruncated(5, 3, 2)).residue == 1
 
 
 def test_padic_non_unit_raises():
     with pytest.raises(NonUnitInverse):
-        PadicTruncated(2, 4, 6).inverse()
-    with pytest.raises(NonUnitInverse):
         PadicTruncated.from_fraction(Fraction(1, 2), 2, 4)
-
-
-def test_padic_valuation_semantics():
-    assert PadicTruncated(2, 5, 12).valuation() == 2
-    assert PadicTruncated(2, 5, 12).valuation_is_exact()
-    zero = PadicTruncated(2, 5, 32)  # residue reduces to 0
-    assert zero.residue == 0
-    assert zero.valuation() == 5
-    assert not zero.valuation_is_exact()
-
-
-def test_padic_unit_part():
-    x = PadicTruncated(3, 4, 18)  # 2 * 3^2
-    u = x.unit_part()
-    assert (u.p, u.prec, u.residue) == (3, 2, 2)
 
 
 def test_crt_frozen_example():
