@@ -659,8 +659,7 @@ def cmd_crt(args):
     out.append(f"structure: dim {structure.dim}, derived coordinates "
                f"{list(structure.derived)}")
     for p in sorted(targets):
-        coords = tuple(c.residue for c in targets[p].coords)
-        out.append(f"target p={p}: {coords} to precision "
+        out.append(f"target p={p}: {targets[p].coords} to precision "
                    f"{targets[p].ring[2]}, level {levels[p]}")
     out.append(f"stage 1 (free coordinates):    n1 = "
                f"{tuple(int(v) for v in sol.abelian_stage)}")

@@ -32,7 +32,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DegenerateField, NoConvergence, NotExpanding
+from .errors import (DegenerateField, NoConvergence, NotExpanding,
+                     RootFindingFailure)
 from .exact import QMat
 from .spectra import real_lyapunov
 
@@ -116,7 +117,11 @@ class PerturbedMap:
     def check_expanding(self):
         if self.lin.det() == 0:
             raise NotExpanding("linear part is singular")
-        lam = self.min_modulus()
+        try:
+            lam = self.min_modulus()
+        except RootFindingFailure as exc:
+            raise NotExpanding(f"{exc}; the linear part is not shown to "
+                               "expand") from exc
         if lam <= 1.0 + 1e-12:
             raise NotExpanding(
                 f"smallest eigenvalue modulus {lam:.6g} is not > 1; "

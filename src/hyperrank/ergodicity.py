@@ -82,7 +82,6 @@ def _restrict_hnf(basis, m):
 class SplitBlock:
     basis: QMat                # saturated invariant lattice, HNF rows
     matrices: tuple            # restricted generators (integer)
-    charpolys: tuple
     field: bool                # the action's algebra is certified a field
                                # on the block, modulo nilpotents
 
@@ -180,7 +179,6 @@ def rational_splitting(obj):
     out = []
     for basis, mats, field in sorted(blocks, key=lambda b: (len(b[0]), b[0])):
         out.append(SplitBlock(basis=QMat(basis), matrices=tuple(mats),
-                              charpolys=tuple(m.charpoly() for m in mats),
                               field=field))
     return out
 

@@ -20,16 +20,8 @@ class ZeroPolynomial(HyperrankError):
     pass
 
 
-class LeadingCoeffVanishes(HyperrankError):
-    """Reduction mod p killed the leading coefficient."""
-
-
 class NotCoprime(HyperrankError):
     """Hensel input factors share a root mod p."""
-
-
-class NonUnitInverse(HyperrankError):
-    """Division by a non-unit in a truncated p-adic ring."""
 
 
 class PrecisionExhausted(HyperrankError):

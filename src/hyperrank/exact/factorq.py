@@ -22,15 +22,14 @@ from .poly import QPoly, squarefree_decomposition
 
 
 def _usable_primes(ints, count=3, limit=500):
-    """Primes where the reduction stays squarefree of full degree."""
+    """Primes where the reduction of the monic ints stays squarefree."""
     out = []
     p = 2
     while len(out) < count and p < limit:
-        if is_prime(p) and ints[-1] % p != 0:
+        if is_prime(p):
             fbar = modp.reduce_mod(ints, p)
-            if modp.deg(fbar) == len(ints) - 1:
-                if modp.is_one(modp.gcd(fbar, modp.derivative(fbar, p), p)):
-                    out.append(p)
+            if modp.is_one(modp.gcd(fbar, modp.derivative(fbar, p), p)):
+                out.append(p)
         p += 1
     return out
 
@@ -65,10 +64,9 @@ def _factor_squarefree_monic_int(ints):
     trials = []
     degree_sets = []
     for p in primes:
-        _, factors = modp.factor(ints, p)
-        pattern = [modp.deg(list(g)) for g, _ in factors]
-        trials.append((p, [list(g) for g, _ in factors]))
-        degree_sets.append(_attainable_degrees(pattern, deg))
+        factors = modp.factor(ints, p)
+        trials.append((p, factors))
+        degree_sets.append(_attainable_degrees(map(modp.deg, factors), deg))
     allowed = set.intersection(*degree_sets)
     if allowed == {0, deg}:
         return [list(ints)]

@@ -1,16 +1,16 @@
 """Polynomial arithmetic and factorization over F_p.
 
-Polynomials are ascending int lists with entries reduced into [0, p).  The
-factorization pipeline is the classical one: squarefree decomposition (char-p
-aware), distinct-degree, then seeded equal-degree splitting, so results are
-deterministic for a fixed seed.
+Polynomials are ascending int lists with entries reduced into [0, p).  A
+monic input that is squarefree mod p factors by distinct-degree, then seeded
+equal-degree splitting (J. von zur Gathen and J. Gerhard, Modern Computer
+Algebra, ch. 14), so results are deterministic for a fixed seed.
 """
 
 from __future__ import annotations
 
 import random
 
-from ..errors import LeadingCoeffVanishes, NotCoprime, ZeroPolynomial
+from ..errors import NotCoprime, ZeroPolynomial
 
 
 def trim(f):
@@ -127,40 +127,6 @@ def derivative(f, p):
     return trim([i * c % p for i, c in enumerate(f)][1:])
 
 
-def _pth_root(f, p):
-    # In F_p[x], a polynomial with zero derivative is g(x^p) and its p-th
-    # root just reindexes coefficients (Frobenius fixes F_p).
-    return trim([f[i] for i in range(0, len(f), p)])
-
-
-def squarefree_decomposition(f, p):
-    """[(g, m)] with f = lc * prod g^m, g monic squarefree pairwise coprime."""
-    f = monic(f, p)
-    if deg(f) < 1:
-        return []
-    out = []
-    fp = derivative(f, p)
-    if not fp:
-        for g, m in squarefree_decomposition(_pth_root(f, p), p):
-            out.append((g, m * p))
-        return out
-    c = gcd(f, fp, p)
-    w = divmod_p(f, c, p)[0]
-    i = 1
-    while not is_one(w):
-        y = gcd(w, c, p)
-        z = divmod_p(w, y, p)[0]
-        if not is_one(z):
-            out.append((z, i))
-        w = y
-        c = divmod_p(c, y, p)[0]
-        i += 1
-    if not is_one(c):
-        for g, m in squarefree_decomposition(_pth_root(c, p), p):
-            out.append((g, m * p))
-    return out
-
-
 def distinct_degree(f, p):
     """[(product of irreducibles of degree d, d)] for monic squarefree f."""
     out = []
@@ -212,26 +178,13 @@ def equal_degree_split(f, d, p, rng):
 
 
 def factor(f, p, seed=0):
-    """Full factorization of f mod p: (lead, [(irreducible monic, multiplicity)]).
-
-    The factor list is sorted (degree, then coefficients) so output is stable.
-    Raises LeadingCoeffVanishes when f reduces to a lower degree mod p and
-    ZeroPolynomial when it reduces to zero.
-    """
-    fbar = reduce_mod(f, p)
-    if not fbar:
-        raise ZeroPolynomial(f"polynomial vanishes identically mod {p}")
-    if deg(fbar) != deg(trim(list(f))):
-        raise LeadingCoeffVanishes(f"leading coefficient divisible by {p}")
-    lead = fbar[-1]
+    """Monic irreducible factors of f mod p, for f monic and squarefree mod
+    p, sorted by degree, then coefficients, so output is stable."""
     rng = random.Random(seed)
-    out = []
-    for g, m in squarefree_decomposition(fbar, p):
-        for h, d in distinct_degree(g, p):
-            for irr in equal_degree_split(h, d, p, rng):
-                out.append((tuple(irr), m))
-    out.sort(key=lambda t: (deg(list(t[0])), t[0]))
-    return lead, out
+    out = [irr for h, d in distinct_degree(reduce_mod(f, p), p)
+           for irr in equal_degree_split(h, d, p, rng)]
+    out.sort(key=lambda g: (deg(g), g))
+    return out
 
 
 # --- Hensel ----------------------------------------------------------------

@@ -1,23 +1,19 @@
-"""Truncated p-adic integers and the integer helpers of the exact core.
+"""The integer helpers of the exact core.
 
-The helpers are the package's one copy of each integer job: the p-adic
-valuation of an integer or a rational (vp_int, vp_fraction), the primality
-test (is_prime), the prime factorization (factor_int) and the integer
-Chinese remainder solve (crt_integers).
-
-A PadicTruncated value is a residue mod p^K.  It adds, subtracts and
-multiplies, exactly in Z/p^K; a rational enters through from_fraction only
-when its denominator is a p-adic unit.
+They are the package's one copy of each integer job: the p-adic valuation
+of an integer or a rational (vp_int, vp_fraction), the primality test
+(is_prime), the prime factorization (factor_int) and the integer Chinese
+remainder solve (crt_integers).  A p-adic quantity elsewhere in the package
+is a plain int residue mod p^K.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from ..errors import FactorSearchInconclusive, NonUnitInverse
+from ..errors import FactorSearchInconclusive
 
 
 def vp_int(n: int, p: int) -> int:
@@ -161,61 +157,3 @@ def crt_integers(residues_moduli):
         x = x + M * t
         M *= m
     return x % M, M
-
-
-@dataclass(frozen=True)
-class PadicTruncated:
-    """Element of Z_p / p^K, exact arithmetic on residues."""
-
-    p: int
-    prec: int
-    residue: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "residue", self.residue % self.p ** self.prec)
-
-    @classmethod
-    def from_fraction(cls, x, p, prec):
-        x = Fraction(x)
-        q = p ** prec
-        if x.denominator % p == 0:
-            raise NonUnitInverse(
-                f"{x} has negative {p}-adic valuation, not a {p}-adic integer")
-        return cls(p, prec, x.numerator * pow(x.denominator, -1, q))
-
-    def _check(self, other):
-        if self.p != other.p or self.prec != other.prec:
-            raise ValueError("mixed p or precision in p-adic arithmetic")
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        self._check(other)
-        return PadicTruncated(self.p, self.prec, self.residue + other.residue)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        self._check(other)
-        return PadicTruncated(self.p, self.prec, self.residue - other.residue)
-
-    def __neg__(self):
-        return PadicTruncated(self.p, self.prec, -self.residue)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        self._check(other)
-        return PadicTruncated(self.p, self.prec, self.residue * other.residue)
-
-    __radd__ = __add__
-    __rmul__ = __mul__
-
-    def _coerce(self, other):
-        if isinstance(other, PadicTruncated):
-            return other
-        if isinstance(other, int):
-            return PadicTruncated(self.p, self.prec, other)
-        if isinstance(other, Fraction):
-            return PadicTruncated.from_fraction(other, self.p, self.prec)
-        raise TypeError(f"cannot coerce {other!r} into Z_{self.p}")
-
-    def __repr__(self):
-        return f"PadicTruncated({self.residue} mod {self.p}^{self.prec})"

@@ -9,7 +9,8 @@ exact because every bracket lands in the center.  Structure constants are
 validated so that (a) basis vectors hit by brackets are central, which gives
 Jacobi and the step bound for free, and (b) half of every constant is an
 integer, so the integer lattice is closed under the product and the same
-formulas run unchanged over Z, Q, and truncated Z_p (any p, including 2).
+formulas run unchanged over Z, Q, and Z/p^K (any p, including 2), where a
+coordinate is an int residue mod p^K.
 
 The integer-approximation routine follows the two-stage recursion: match the
 abelianized coordinates by the ordinary Chinese remainder theorem, peel the
@@ -21,9 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (NonUnitInverse, NotAnAutomorphism, ScalarMismatch,
-                     SplittingNotDirect)
-from .exact import PadicTruncated, QMat, crt_integers
+from .errors import NotAnAutomorphism, ScalarMismatch, SplittingNotDirect
+from .exact import QMat, crt_integers
 
 
 # --- structures -------------------------------------------------------------
@@ -128,13 +128,19 @@ def heisenberg() -> NilStructure:
 @dataclass(frozen=True)
 class NilElement:
     structure: NilStructure
-    coords: tuple              # Fractions, or PadicTruncated sharing (p, prec)
+    coords: tuple              # Fractions, or ints reduced mod p^prec
+    padic: tuple = None        # (p, prec) for a p-adic element
 
     @property
     def ring(self):
-        if self.coords and isinstance(self.coords[0], PadicTruncated):
-            return ("padic", self.coords[0].p, self.coords[0].prec)
-        return ("rational",)
+        return ("padic",) + self.padic if self.padic else ("rational",)
+
+    def _reduced(self, coords):
+        """An element of this one's ring with the given coordinates."""
+        if self.padic:
+            q = self.padic[0] ** self.padic[1]
+            coords = (c % q for c in coords)
+        return NilElement(self.structure, tuple(coords), self.padic)
 
 
 def nil_element(structure, coords) -> NilElement:
@@ -145,13 +151,11 @@ def nil_element(structure, coords) -> NilElement:
 
 
 def nil_element_padic(structure, coords, p, prec) -> NilElement:
-    packed = tuple(c if isinstance(c, PadicTruncated)
-                   else PadicTruncated(p, prec, int(c)) for c in coords)
-    if len(packed) != structure.dim:
+    q = p ** prec
+    coords = tuple(int(c) % q for c in coords)
+    if len(coords) != structure.dim:
         raise ValueError("coordinate count disagrees with the structure")
-    if any(c.p != p or c.prec != prec for c in packed):
-        raise ScalarMismatch("mixed p-adic scalars in one element")
-    return NilElement(structure=structure, coords=packed)
+    return NilElement(structure=structure, coords=coords, padic=(p, prec))
 
 
 def _compatible(g: NilElement, h: NilElement):
@@ -168,13 +172,12 @@ def nil_mul(g: NilElement, h: NilElement) -> NilElement:
     z = [a + b for a, b in zip(x, y)]
     for i, j, k, hf in g.structure.half:
         z[k] = z[k] + (x[i] * y[j] - x[j] * y[i]) * hf
-    return NilElement(structure=g.structure, coords=tuple(z))
+    return g._reduced(z)
 
 
 def nil_inv(g: NilElement) -> NilElement:
     # exp(X)^{-1} = exp(-X); the BCH correction cancels identically
-    return NilElement(structure=g.structure,
-                      coords=tuple(-c for c in g.coords))
+    return g._reduced(-c for c in g.coords)
 
 
 def derived_series(structure: NilStructure):
@@ -226,21 +229,20 @@ def nil_crt(structure: NilStructure, targets, levels) -> CrtSolution:
 
     n1 = [0] * d
     for i in free:
-        n1[i] = crt_at(lambda p: targets[p].coords[i].residue)
+        n1[i] = crt_at(lambda p: targets[p].coords[i])
     n1_el = nil_element(structure, n1)
 
     residuals = {p: nil_mul(nil_inv(_embed(n1_el, p, targets[p].ring[2])), el)
                  for p, el in targets.items()}
     n2 = [0] * d
     for k in structure.derived:
-        n2[k] = crt_at(lambda p: residuals[p].coords[k].residue)
+        n2[k] = crt_at(lambda p: residuals[p].coords[k])
     n2_el = nil_element(structure, n2)
     n = nil_mul(n1_el, n2_el)
 
     checks = []
     for p, el in sorted(targets.items()):
-        res = nil_mul(nil_inv(_embed(n, p, el.ring[2])), el)
-        digits = tuple(c.residue for c in res.coords)
+        digits = nil_mul(nil_inv(_embed(n, p, el.ring[2])), el).coords
         if any(r % p ** levels[p] != 0 for r in digits):
             raise AssertionError("congruence verification failed; "
                                  "the structure validation let a bad "
@@ -251,9 +253,14 @@ def nil_crt(structure: NilStructure, targets, levels) -> CrtSolution:
 
 
 def _embed(g: NilElement, p, prec) -> NilElement:
-    return nil_element_padic(
-        g.structure, [PadicTruncated.from_fraction(c, p, prec)
-                      for c in g.coords], p, prec)
+    q = p ** prec
+    return NilElement(g.structure, tuple(_residue(c, q) for c in g.coords),
+                      (p, prec))
+
+
+def _residue(x: Fraction, q):
+    """x mod q, for a rational x whose denominator is prime to q."""
+    return x.numerator * pow(x.denominator, -1, q) % q
 
 
 # --- automorphisms ----------------------------------------------------------
@@ -279,19 +286,16 @@ def automorphism_action(structure: NilStructure, lin: QMat,
                     f"bracket [e_{i}, e_{j}] is not respected")
     if g.structure != structure:
         raise ScalarMismatch("element from a different structure")
-    ring = g.ring
-    if ring[0] == "rational":
+    if not g.padic:
         return nil_element(structure, lin.matvec(g.coords))
-    _, p, prec = ring
-    try:
-        ent = [[PadicTruncated.from_fraction(v, p, prec) for v in row]
-               for row in lin.rows]
-    except NonUnitInverse as exc:
-        raise NotAnAutomorphism(
-            f"map is not Z_{p}-integral: {exc}") from exc
-    coords = [sum((ent[i][j] * g.coords[j] for j in range(d)),
-                  PadicTruncated(p, prec, 0)) for i in range(d)]
-    return nil_element_padic(structure, coords, p, prec)
+    p, prec = g.padic
+    bad = [v for row in lin.rows for v in row if v.denominator % p == 0]
+    if bad:
+        raise NotAnAutomorphism(f"map is not Z_{p}-integral: {bad[0]} has "
+                                f"negative {p}-adic valuation")
+    q = p ** prec
+    return g._reduced(sum(_residue(v, q) * c for v, c in zip(row, g.coords))
+                      for row in lin.rows)
 
 
 # --- subspace machinery -----------------------------------------------------

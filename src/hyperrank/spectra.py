@@ -138,7 +138,7 @@ def real_lyapunov(matrix, tol=1e-9):
     if m.det() == 0:
         raise RankDeficient("singular matrix has a -infinity exponent")
     arr = np.array([[float(c) for c in row] for row in m.rows])
-    logm = np.sort(np.log(np.abs(np.linalg.eigvals(arr))))
+    logm = np.sort(_log_moduli(np.linalg.eigvals(arr)))
     out = []
     for v in logm:
         if out and v - out[-1][0] <= max(tol, 1e-10):
@@ -147,6 +147,16 @@ def real_lyapunov(matrix, tol=1e-9):
         else:
             out.append((float(v), 1))
     return [(float(v), m_) for v, m_ in out]
+
+
+def _log_moduli(eigs):
+    """log|lambda| of the float eigenvalues of a nonsingular matrix."""
+    mods = np.abs(eigs)
+    if not mods.all():
+        raise RootFindingFailure(
+            "a float eigenvalue of the nonsingular matrix underflows to "
+            "modulus 0; its log-modulus is not resolved at working precision")
+    return np.log(mods)
 
 
 # --- real joint refinement --------------------------------------------------
@@ -179,7 +189,7 @@ def _real_refine(action: ActionSpec, tol):
         for Q, vals in blocks:
             Ar = Q.T @ A @ Q
             eigs = np.linalg.eigvals(Ar)
-            logm = np.log(np.abs(eigs))
+            logm = _log_moduli(eigs)
             order = np.argsort(logm)
             groups = [[order[0]]]
             for idx in order[1:]:

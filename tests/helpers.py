@@ -543,7 +543,6 @@ def scalar_rational_splitting(obj):
                 raise RankDeficient("restriction to a saturated lattice "
                                     "produced non-integer entries")
         out.append(SplitBlock(basis=basis, matrices=tuple(mats),
-                              charpolys=tuple(m.charpoly() for m in mats),
                               field=field))
     return out
 

@@ -11,6 +11,7 @@ import re
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -33,6 +34,21 @@ def run(capsys, *argv):
 
 def fixture(name):
     return str(FIXTURES / name)
+
+
+def companion(e):
+    """Companion of x^3 + x^2 - 10^e x - 1: roots near +-10^(e/2) and
+    -10^-e, so at e >= 12 the smallest float eigenvalue underflows to 0."""
+    return [[0, 0, 1], [1, 0, 10 ** e], [0, 1, -1]]
+
+
+def run_quietly(capfd, *argv):
+    """run() with every warning an error; stderr read at the descriptor."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(list(argv))
+    captured = capfd.readouterr()
+    return code, captured.out, captured.err
 
 
 # 1000000000000000003 * 1000000000000000009, beyond Pollard rho's budget
@@ -337,6 +353,21 @@ class TestAnalyze:
         assert code == 1
         assert "padic_precision must be <= 4096" in err
         assert out == ""
+
+    @pytest.mark.parametrize("e", [12, 300])
+    def test_underflowing_eigenvalue_exit_three_without_noise(
+            self, capfd, tmp_path, e):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"format": 1,
+                                   "generators": [companion(e)]}))
+        out = tmp_path / "report.json"
+        code, stdout, err = run_quietly(capfd, "analyze", str(cfg),
+                                        "--out", str(out))
+        assert code == 3
+        assert (stdout, err) == ("", "")
+        report = json.loads(out.read_text())
+        assert report["verdict"] == "inconclusive"
+        assert "underflows to modulus 0" in report["error"]
 
     def test_unsplittable_determinant_exit_three(self, capsys, tmp_path):
         # two 21-digit prime factors: beyond Pollard rho's step budget
@@ -719,6 +750,19 @@ class TestConjugate:
         lines = csv_path.read_text().splitlines()
         assert lines[0] == "index,x0,h0"
         assert len(lines) == 1 + 4096
+
+    @pytest.mark.parametrize("e", [12, 300])
+    def test_underflowing_eigenvalue_exit_five_without_noise(
+            self, capfd, tmp_path, e):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"format": 1, "matrix": companion(e),
+                                   "perturbation": [], "grid": 8}))
+        code, stdout, err = run_quietly(
+            capfd, "conjugate", str(cfg), "--out", str(tmp_path / "f.csv"))
+        assert code == 5
+        assert stdout == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "underflows to modulus 0" in err
 
     def test_grid_flag_overrides_config(self, capsys, tmp_path):
         csv_path = tmp_path / "field.csv"

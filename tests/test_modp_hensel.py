@@ -1,7 +1,8 @@
 """Mod-p factorization and Hensel lifting.
 
 Irreducibility of returned factors is verified by an exhaustive-divisor
-oracle (all monic polynomials of smaller degree), which is independent of the
+oracle (all monic polynomials of smaller degree), and the factor lists by
+sympy's factor_list over GF(p), both independent of the
 distinct-degree/equal-degree pipeline under test.  The quadratic Hensel step
 is held to the one-digit lift it replaced (tests/helpers.py), bit for bit.
 """
@@ -10,9 +11,10 @@ import itertools
 import random
 
 import pytest
+import sympy
 
 from helpers import scalar_hensel_pair
-from hyperrank.errors import LeadingCoeffVanishes, NotCoprime, ZeroPolynomial
+from hyperrank.errors import NotCoprime
 from hyperrank.exact import modp
 from hyperrank.exact.modp import hensel_lift
 
@@ -37,29 +39,51 @@ def random_monic(rng, degree, p):
     return [rng.randrange(p) for _ in range(degree)] + [1]
 
 
+def is_squarefree(f, p):
+    return modp.is_one(modp.gcd(f, modp.derivative(f, p), p))
+
+
+def random_squarefree(rng, degree, p):
+    while True:
+        f = random_monic(rng, degree, p)
+        if is_squarefree(f, p):
+            return f
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_factor_rebuilds_and_irreducible(p):
     rng = random.Random(100 + p)
     for _ in range(25):
-        f = random_monic(rng, rng.randrange(1, 6), p)
-        lead, factors = modp.factor(f, p, seed=0)
-        assert lead == 1
+        f = random_squarefree(rng, rng.randrange(1, 6), p)
+        factors = modp.factor(f, p, seed=0)
         prod = [1]
-        for g, m in factors:
-            g = list(g)
+        for g in factors:
             assert g[-1] == 1
             if modp.deg(g) <= 3:
                 assert is_irreducible_oracle(g, p)
-            for _ in range(m):
-                prod = modp.mul(prod, g, p)
-        assert prod == modp.reduce_mod(f, p)
+            prod = modp.mul(prod, g, p)
+        assert prod == f
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_factor_matches_sympy(p):
+    rng = random.Random(1600 + p)
+    x = sympy.Symbol("x")
+    for _ in range(40):
+        f = random_squarefree(rng, rng.randint(1, 8), p)
+        _, facs = sympy.Poly(f[::-1], x, modulus=p).factor_list()
+        want = sorted(([int(c) % p for c in reversed(g.all_coeffs())]
+                       for g, m in facs if m == 1 and g.degree() > 0),
+                      key=lambda g: (len(g), g))
+        assert len(want) == len(facs)
+        assert modp.factor(f, p, seed=rng.randrange(100)) == want, (f, p)
 
 
 def test_factor_deterministic_across_seeds_content():
     # the factor multiset is canonical whatever the seed; the sorted output
     # must be literally identical
     p = 5
-    f = [2, 0, 1, 3, 1, 1]
+    f = [2, 0, 1, 3, 0, 1]   # (x + 2)(x^2 + x + 2)(x^2 + 2x + 3) mod 5
     out0 = modp.factor(f, p, seed=0)
     for seed in range(1, 8):
         assert modp.factor(f, p, seed=seed) == out0
@@ -67,48 +91,7 @@ def test_factor_deterministic_across_seeds_content():
 
 def test_factor_known_splitting():
     # x^2 + 1 mod 5 = (x + 2)(x + 3)
-    lead, factors = modp.factor([1, 0, 1], 5, seed=0)
-    assert lead == 1
-    assert sorted(f for f, _ in factors) == [(2, 1), (3, 1)]
-
-
-def test_factor_multiplicities():
-    p = 3
-    # (x+1)^2 (x^2+1) mod 3; x^2+1 is irreducible mod 3
-    f = modp.mul(modp.mul([1, 1], [1, 1], p), [1, 0, 1], p)
-    _, factors = modp.factor(f, p, seed=1)
-    assert ((1, 1), 2) in factors
-    assert ((1, 0, 1), 1) in factors
-
-
-def test_factor_pth_power():
-    p = 2
-    # (x^2 + x + 1)^2 has zero derivative mod 2
-    f = modp.mul([1, 1, 1], [1, 1, 1], p)
-    _, factors = modp.factor(f, p, seed=0)
-    assert factors == [((1, 1, 1), 2)]
-
-
-def test_factor_error_cases():
-    with pytest.raises(ZeroPolynomial):
-        modp.factor([5, 10], 5, seed=0)
-    with pytest.raises(LeadingCoeffVanishes):
-        modp.factor([1, 1, 5], 5, seed=0)
-
-
-def test_squarefree_decomposition_high_multiplicity():
-    p = 3
-    f = [1]
-    for g, m in [([1, 1], 3), ([2, 1], 1)]:
-        for _ in range(m):
-            f = modp.mul(f, g, p)
-    parts = modp.squarefree_decomposition(f, p)
-    rebuilt = [1]
-    for g, m in parts:
-        for _ in range(m):
-            rebuilt = modp.mul(rebuilt, g, p)
-    assert rebuilt == modp.monic(f, p)
-    assert ([1, 1], 3) in parts
+    assert modp.factor([1, 0, 1], 5, seed=0) == [[2, 1], [3, 1]]
 
 
 def test_hensel_frozen_example():
@@ -123,10 +106,9 @@ def test_hensel_random_roundtrip():
         for _ in range(20):
             f = random_monic(rng, rng.randrange(2, 7), p)
             # need squarefree mod p for coprime factors
-            if not modp.is_one(modp.gcd(f, modp.derivative(f, p), p)):
+            if not is_squarefree(f, p):
                 continue
-            _, factors = modp.factor(f, p, seed=3)
-            facs = [list(g) for g, _ in factors]
+            facs = modp.factor(f, p, seed=3)
             if len(facs) < 2:
                 continue
             K = 6
@@ -151,8 +133,7 @@ def test_hensel_deep_lift():
     # single pair, deep precision: f = x^2 - 2 mod 7^8 (2 is a QR mod 7)
     p, K = 7, 8
     f = [-2, 0, 1]
-    _, factors = modp.factor(f, p, seed=0)
-    facs = [list(g) for g, _ in factors]
+    facs = modp.factor(f, p, seed=0)
     assert len(facs) == 2
     lifted = hensel_lift(f, facs, p, K)
     q = p ** K
@@ -195,13 +176,12 @@ def test_hensel_lift_of_several_factors_matches_the_one_digit_lift(
         f = random_monic(rng, rng.randrange(3, 9), p)
         f = [c + p * rng.randint(-50, 50) for c in f[:-1]] + [1]
         fbar = modp.reduce_mod(f, p)
-        if not modp.is_one(modp.gcd(fbar, modp.derivative(fbar, p), p)):
+        if not is_squarefree(fbar, p):
             continue
-        _, factors = modp.factor(f, p, seed=1)
+        factors = modp.factor(f, p, seed=1)
         if len(factors) < 3:
             continue
-        cases.append((f, [list(g) for g, _ in factors], p,
-                      rng.randint(1, 40)))
+        cases.append((f, factors, p, rng.randint(1, 40)))
     got = [hensel_lift(*case) for case in cases]
     monkeypatch.setattr(modp, "_hensel_pair", scalar_hensel_pair)
     want = [hensel_lift(*case) for case in cases]

@@ -1,4 +1,4 @@
-"""Truncated p-adics, CRT, and Newton polygons.
+"""p-adic valuations, CRT, and Newton polygons.
 
 The polygon is cross-checked two ways: a gift-wrapping hull oracle (pick the
 next vertex by minimal slope, independent of the monotone-chain code), and
@@ -11,9 +11,8 @@ from fractions import Fraction
 
 import pytest
 
-from hyperrank.errors import NonUnitInverse
-from hyperrank.exact import (PadicTruncated, QPoly, crt_integers,
-                             newton_polygon, vp_fraction, vp_int)
+from hyperrank.exact import (QPoly, crt_integers, newton_polygon, vp_fraction,
+                             vp_int)
 
 
 def hull_oracle(points):
@@ -45,21 +44,6 @@ def test_vp_fraction_negative():
     assert vp_fraction(Fraction(3, 4), 2) == -2
     assert vp_fraction(Fraction(8, 3), 2) == 3
     assert vp_fraction(Fraction(9, 5), 3) == 2
-
-
-def test_padic_arithmetic():
-    a = PadicTruncated(5, 3, 117)
-    b = PadicTruncated(5, 3, 9)
-    assert (a + b).residue == (117 + 9) % 125
-    assert (a * b).residue == 117 * 9 % 125
-    assert (a - b).residue == (117 - 9) % 125
-    assert (a + 0).residue == a.residue
-    assert (Fraction(1, 2) * PadicTruncated(5, 3, 2)).residue == 1
-
-
-def test_padic_non_unit_raises():
-    with pytest.raises(NonUnitInverse):
-        PadicTruncated.from_fraction(Fraction(1, 2), 2, 4)
 
 
 def test_crt_frozen_example():
