@@ -660,7 +660,7 @@ def cmd_crt(args):
                f"{list(structure.derived)}")
     for p in sorted(targets):
         out.append(f"target p={p}: {targets[p].coords} to precision "
-                   f"{targets[p].ring[2]}, level {levels[p]}")
+                   f"{targets[p].padic[1]}, level {levels[p]}")
     out.append(f"stage 1 (free coordinates):    n1 = "
                f"{tuple(int(v) for v in sol.abelian_stage)}")
     out.append(f"stage 2 (central correction):  n2 = "

@@ -48,9 +48,6 @@ class TrigPerturbation:
     dim: int
     terms: tuple          # ((k tuple of ints, coeffs tuple of complex), ...)
 
-    def __call__(self, x):
-        return _point(self.at(_column(x)))
-
     def at(self, xs):
         """q at the columns of a (dim, count) array, as a (dim, count)
         array; rounded as the scalar sum of Re(c e^{2 pi i <k, x>}) over
@@ -66,13 +63,6 @@ class TrigPerturbation:
             for j, c in enumerate(coeffs):
                 out[j] = out[j] + (c.real * e.real - c.imag * e.imag)
         return out
-
-    def sup_bound(self):
-        """Componentwise-max bound on ||q||_inf: sum of |c| per component."""
-        if not self.terms:
-            return 0.0
-        return max(sum(abs(coeffs[j]) for _, coeffs in self.terms)
-                   for j in range(self.dim))
 
     def deriv_bound(self):
         # |d_l q_j| <= sum_t 2 pi |k_l| |c_j|; Frobenius of that entrywise
@@ -102,8 +92,7 @@ class PerturbedMap:
     """tau(x) = lin x + q(x) mod 1; build through perturbed_map()."""
 
     lin: QMat
-    q: object             # callable [0,1)^d -> R^d, 1-periodic
-    q_bound: float
+    q: object             # TrigPerturbation, or 1-periodic callable R^d -> R^d
     dq_bound: float
 
     @property
@@ -131,17 +120,14 @@ class PerturbedMap:
                 f"perturbation derivative bound {self.dq_bound:.6g} reaches "
                 f"the expansion margin {lam - 1.0:.6g}")
 
-    def tau(self, x):
-        return _point(self.tau_at(_column(x)))
-
     def tau_at(self, xs):
         """tau at the columns of a (dim, count) array."""
         return (_linear(self.lin, xs) + _q_at(self.q, xs)) % 1.0
 
 
-def perturbed_map(lin, q=None, q_bound=None, dq_bound=None) -> PerturbedMap:
-    """Validated constructor.  q may be a TrigPerturbation (bounds derived)
-    or any periodic callable (bounds must be supplied)."""
+def perturbed_map(lin, q=None, dq_bound=None) -> PerturbedMap:
+    """Validated constructor.  q may be a TrigPerturbation (derivative bound
+    derived) or any periodic callable (derivative bound must be supplied)."""
     m = lin if isinstance(lin, QMat) else QMat(lin)
     rows, cols = m.shape
     if rows != cols:
@@ -155,15 +141,11 @@ def perturbed_map(lin, q=None, q_bound=None, dq_bound=None) -> PerturbedMap:
         if q.dim != rows:
             raise ValueError("perturbation dimension disagrees with the "
                              "linear part")
-        q_bound = q.sup_bound() if q_bound is None else float(q_bound)
-        dq_bound = q.deriv_bound() if dq_bound is None else float(dq_bound)
-    else:
-        if q_bound is None or dq_bound is None:
-            raise ValueError("callable perturbations need explicit q_bound "
-                             "and dq_bound")
-        q_bound = float(q_bound)
-        dq_bound = float(dq_bound)
-    return PerturbedMap(lin=m, q=q, q_bound=q_bound, dq_bound=dq_bound)
+        if dq_bound is None:
+            dq_bound = q.deriv_bound()
+    elif dq_bound is None:
+        raise ValueError("callable perturbations need an explicit dq_bound")
+    return PerturbedMap(lin=m, q=q, dq_bound=float(dq_bound))
 
 
 # --- array helpers ----------------------------------------------------------
@@ -172,14 +154,6 @@ def perturbed_map(lin, q=None, q_bound=None, dq_bound=None) -> PerturbedMap:
 # below rounds each point exactly as the scalar formula it replaces: sums run
 # left to right from 0.0, and numpy's elementwise float operations are the
 # IEEE ones CPython uses.
-
-
-def _column(x):
-    return np.array(x, dtype=float).reshape(-1, 1)
-
-
-def _point(arr):
-    return tuple(arr[:, 0].tolist())
 
 
 def _linear(m: QMat, xs):
@@ -244,10 +218,6 @@ class ConjugacyField:
     residuals: tuple      # sup |h_new - h_old| per sweep
     rate_bound: float     # ||A^{-1}||_inf; certifies contraction if < 1
 
-    @property
-    def sweeps(self):
-        return len(self.residuals)
-
     @cached_property
     def array(self):
         """values as a (dim, grid**dim) float array."""
@@ -257,12 +227,6 @@ class ConjugacyField:
         """Multilinear periodic interpolation at the columns of a
         (dim, count) array of real points."""
         return _interpolate(self.array, _corners(xs, self.grid))
-
-    def displacement(self, x):
-        return _point(self.displacement_at(_column(x)))
-
-    def phi(self, x):
-        return tuple(t + d for t, d in zip(x, self.displacement(x)))
 
 
 def solve_conjugacy(pmap: PerturbedMap, grid, tol=1e-8,

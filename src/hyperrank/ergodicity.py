@@ -141,7 +141,7 @@ def _field_element(mats):
     return None
 
 
-def rational_splitting(obj):
+def rational_splitting(action: ActionSpec):
     """Split Q^d into rational invariant blocks on which the action's
     algebra is a field modulo nilpotents.
 
@@ -156,11 +156,9 @@ def rational_splitting(obj):
     generators restrict to it by restrict_rows on its HNF pivots, as QMats,
     so each one's charpoly is computed once.
     """
-    gens = obj.generators if isinstance(obj, ActionSpec) else [obj]
-    gens = [g if isinstance(g, QMat) else QMat(g) for g in gens]
-    ints = [g.int_rows() for g in gens]
-    d = len(ints[0])
-    todo = [(mat_pow_mod(ints[0], 0), gens)]
+    ints = [g.int_rows() for g in action.generators]
+    d = action.dim
+    todo = [(mat_pow_mod(ints[0], 0), action.generators)]
     blocks = []
     while todo:
         basis, mats = todo.pop()

@@ -42,7 +42,10 @@ class CommutativityViolated(HyperrankError):
 
 
 class RankDeficient(HyperrankError):
-    """A generator is singular; the action does not extend to the solenoid."""
+    """An exact linear-algebra step met a rank it cannot work with: a
+    singular generator or matrix, an inconsistent or underdetermined solve,
+    a restriction to a lattice with non-integer entries, or invariant
+    blocks that do not span."""
 
 
 class RootFindingFailure(HyperrankError):
@@ -74,7 +77,9 @@ class DegenerateFit(HyperrankError):
 # --- nilpotent -------------------------------------------------------------
 
 class ScalarMismatch(HyperrankError):
-    """Structure constants are not integral for the requested scalar ring."""
+    """Nilpotent elements that cannot be combined: different structures,
+    different scalar rings, or a crt target that is not p-adic at its
+    prime p."""
 
 
 class NotAnAutomorphism(HyperrankError):

@@ -1,18 +1,17 @@
 """Factorization over Q: squarefree split, then mod-p factors Hensel-lifted
 and recombined over Z.
 
-Inputs here are characteristic polynomials, so everything is monic (rational
-coefficients are descaled through a root rescaling first).  Degrees are <= 10
-at desk scale, which keeps subset recombination trivial; candidate factor
-degrees are pruned by intersecting the attainable-degree sets of the mod-p
-patterns at three usable primes.
+Inputs here are characteristic polynomials of integer matrices, so everything
+is monic with integer coefficients.  Degrees are <= 10 at desk scale, which
+keeps subset recombination trivial; candidate factor degrees are pruned by
+intersecting the attainable-degree sets of the mod-p patterns at three usable
+primes.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
 
 from ..errors import FactorSearchInconclusive
 from . import modp
@@ -112,19 +111,15 @@ def _factor_squarefree_monic_int(ints):
 
 
 def factor_over_q(f: QPoly):
-    """[(monic irreducible QPoly, multiplicity)], canonically sorted.
+    """[(monic irreducible QPoly, multiplicity)] of a monic integer
+    polynomial, canonically sorted.
 
-    Accepts any nonzero rational polynomial; the unit content is dropped.
+    The squarefree parts of a monic integer polynomial are monic integer
+    polynomials, and so are their irreducible factors (Gauss's lemma).
     """
     out = []
     for g, m in squarefree_decomposition(f):
-        den = g.denominator_lcm()
-        gint = g.scale_root(den)  # monic with integer coefficients
-        ints = [int(c) for c in gint.coeffs]
-        for fac in _factor_squarefree_monic_int(ints):
-            h = QPoly(fac)
-            if den != 1:
-                h = h.scale_root(Fraction(1, den))
-            out.append((h, m))
+        ints = [int(c) for c in g.coeffs]
+        out += [(QPoly(fac), m) for fac in _factor_squarefree_monic_int(ints)]
     out.sort(key=lambda t: (t[0].degree, t[0].coeffs))
     return out

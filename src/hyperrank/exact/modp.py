@@ -216,38 +216,15 @@ def _hensel_pair(f, g, h, s, t, p, K):
 
 
 def hensel_lift(f, factors, p, K):
-    """Lift pairwise-coprime monic factors of f mod p to factors mod p^K.
+    """Lift monic factors of f mod p, coprime in pairs, to monic factors of
+    f mod p^K, in the order given.
 
-    f is an integer coefficient list, monic mod p (leading coeff a unit is
-    normalized away first).  Returns the lifted monic factors in the order
-    given.  Raises NotCoprime when two input factors share a root mod p.
+    f is an integer coefficient list; the factors are reduced mod p and
+    multiply to f mod p, as both callers build them.  The factors split into
+    halves whose products are lifted as a pair, then each half recursively;
+    a pair that shares a root mod p has no Bezout relation at the split
+    that separates it, which raises NotCoprime.
     """
-    fbar = reduce_mod(f, p)
-    if not fbar:
-        raise ZeroPolynomial(f"polynomial vanishes mod {p}")
-    if fbar[-1] != 1:
-        inv = pow(fbar[-1], -1, p ** K)
-        f = [c * inv for c in f]
-        fbar = reduce_mod(f, p)
-    prod = [1]
-    for g in factors:
-        g = reduce_mod(g, p)
-        if not g or g[-1] != 1:
-            raise ValueError("factors must be monic mod p")
-        prod = mul(prod, g, p)
-    if prod != fbar:
-        raise ValueError("factor product does not match f mod p")
-    for i in range(len(factors)):
-        for j in range(i + 1, len(factors)):
-            d = gcd(reduce_mod(factors[i], p), reduce_mod(factors[j], p), p)
-            if not is_one(d):
-                raise NotCoprime(f"factors {i} and {j} share {d} mod {p}")
-    q = p ** K
-    fq = [c % q for c in f]
-    return _lift_tree(fq, [reduce_mod(g, p) for g in factors], p, K)
-
-
-def _lift_tree(f, factors, p, K):
     if len(factors) == 1:
         return [[c % p ** K for c in f]]
     mid = len(factors) // 2
@@ -259,7 +236,7 @@ def _lift_tree(f, factors, p, K):
         right = mul(right, g, p)
     d, s, t = ext_gcd(left, right, p)
     if not is_one(d):
-        raise NotCoprime("left/right products not coprime mod p")
+        raise NotCoprime(f"factor products share {d} mod {p}")
     lL, lR = _hensel_pair(f, left, right, s, t, p, K)
-    return (_lift_tree(lL, factors[:mid], p, K)
-            + _lift_tree(lR, factors[mid:], p, K))
+    return (hensel_lift(lL, factors[:mid], p, K)
+            + hensel_lift(lR, factors[mid:], p, K))

@@ -42,13 +42,6 @@ class QPoly:
     def monomial(cls, k, c=1):
         return cls((0,) * k + (c,))
 
-    @classmethod
-    def from_roots(cls, roots):
-        out = cls.one()
-        for r in roots:
-            out = out * cls((-Fraction(r), 1))
-        return out
-
     # --- basics ---
 
     @property
@@ -70,9 +63,6 @@ class QPoly:
         if not self.coeffs:
             raise ZeroPolynomial("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
-
-    def is_monic(self):
-        return bool(self.coeffs) and self.coeffs[-1] == 1
 
     def __eq__(self, other):
         if isinstance(other, QPoly):
@@ -181,16 +171,6 @@ class QPoly:
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
-
-    def reverse(self):
-        """x^deg * f(1/x); zero constant term is preserved as a dropped leading zero."""
-        return QPoly(tuple(reversed(self.coeffs)))
-
-    def scale_root(self, s):
-        """Polynomial whose roots are s * (roots of self), same leading coefficient."""
-        s = Fraction(s)
-        d = self.degree
-        return QPoly([c * s ** (d - i) for i, c in enumerate(self.coeffs)])
 
     def monic(self):
         lead = self.leading()

@@ -131,10 +131,6 @@ class NilElement:
     coords: tuple              # Fractions, or ints reduced mod p^prec
     padic: tuple = None        # (p, prec) for a p-adic element
 
-    @property
-    def ring(self):
-        return ("padic",) + self.padic if self.padic else ("rational",)
-
     def _reduced(self, coords):
         """An element of this one's ring with the given coordinates."""
         if self.padic:
@@ -161,8 +157,9 @@ def nil_element_padic(structure, coords, p, prec) -> NilElement:
 def _compatible(g: NilElement, h: NilElement):
     if g.structure != h.structure:
         raise ScalarMismatch("elements of different structures")
-    if g.ring != h.ring:
-        raise ScalarMismatch(f"mixed scalar rings {g.ring} and {h.ring}")
+    if g.padic != h.padic:
+        raise ScalarMismatch(f"mixed scalar rings {g.padic or 'Q'} and "
+                             f"{h.padic or 'Q'}")
 
 
 def nil_mul(g: NilElement, h: NilElement) -> NilElement:
@@ -209,15 +206,14 @@ def nil_crt(structure: NilStructure, targets, levels) -> CrtSolution:
     if set(targets) != set(levels):
         raise ValueError("targets and levels must list the same primes")
     for p, el in targets.items():
-        ring = el.ring
-        if ring[0] != "padic" or ring[1] != p:
+        if el.padic is None or el.padic[0] != p:
             raise ScalarMismatch(f"target for p = {p} is not a {p}-adic "
                                  "element")
         if el.structure != structure:
             raise ScalarMismatch("target from a different structure")
-        if not 0 <= levels[p] <= ring[2]:
-            raise ValueError(f"level {levels[p]} outside precision {ring[2]} "
-                             f"at p = {p}")
+        if not 0 <= levels[p] <= el.padic[1]:
+            raise ValueError(f"level {levels[p]} outside precision "
+                             f"{el.padic[1]} at p = {p}")
     d = structure.dim
     der = set(structure.derived)
     free = [i for i in range(d) if i not in der]
@@ -232,7 +228,7 @@ def nil_crt(structure: NilStructure, targets, levels) -> CrtSolution:
         n1[i] = crt_at(lambda p: targets[p].coords[i])
     n1_el = nil_element(structure, n1)
 
-    residuals = {p: nil_mul(nil_inv(_embed(n1_el, p, targets[p].ring[2])), el)
+    residuals = {p: nil_mul(nil_inv(_embed(n1_el, p, targets[p].padic[1])), el)
                  for p, el in targets.items()}
     n2 = [0] * d
     for k in structure.derived:
@@ -242,7 +238,7 @@ def nil_crt(structure: NilStructure, targets, levels) -> CrtSolution:
 
     checks = []
     for p, el in sorted(targets.items()):
-        digits = nil_mul(nil_inv(_embed(n, p, el.ring[2])), el).coords
+        digits = nil_mul(nil_inv(_embed(n, p, el.padic[1])), el).coords
         if any(r % p ** levels[p] != 0 for r in digits):
             raise AssertionError("congruence verification failed; "
                                  "the structure validation let a bad "

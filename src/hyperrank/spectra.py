@@ -117,17 +117,6 @@ class LyapunovSpectrum:
     functionals: tuple
     product_residual: float    # max over generators of |sum mult * value| (all places)
 
-    def by_place(self, place):
-        return [f for f in self.functionals if f.place == place]
-
-    @property
-    def places(self):
-        seen = []
-        for f in self.functionals:
-            if f.place not in seen:
-                seen.append(f.place)
-        return seen
-
 
 # --- single-matrix spectra --------------------------------------------------
 

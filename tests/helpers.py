@@ -26,7 +26,6 @@ from hyperrank.exact import QMat, QPoly, hnf_rows, modp, vp_int
 from hyperrank.exact.factorq import factor_over_q
 from hyperrank.exact.newton import newton_polygon
 from hyperrank.nilpotent import NilElement, nil_element
-from hyperrank.spectra import ActionSpec
 from hyperrank.solenoid import (_CLT_BINS, _CLT_REF_TERMS, _MIN_DIGITS,
                                 CltReport, McCorrelation, SolenoidPoint,
                                 TrigFunction, _orbit_sampler_bits,
@@ -510,15 +509,10 @@ def _scalar_field_element(mats):
     return None
 
 
-def scalar_rational_splitting(obj):
+def scalar_rational_splitting(action):
     """ergodicity.rational_splitting as it was on QMat: kernels by
     Gauss-Jordan over Fraction, restrictions by QMat.solve."""
-    if isinstance(obj, ActionSpec):
-        gens = list(obj.generators)
-    elif isinstance(obj, QMat):
-        gens = [obj]
-    else:
-        gens = [QMat(obj)]
+    gens = list(action.generators)
     d = gens[0].shape[0]
     todo = [(QMat.identity(d), gens)]
     blocks = []

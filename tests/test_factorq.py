@@ -6,7 +6,6 @@ not by the code under test.
 """
 
 import random
-from fractions import Fraction
 
 from hyperrank.exact import QPoly, cyclotomic, poly_gcd
 from hyperrank.exact.factorq import factor_over_q
@@ -60,20 +59,12 @@ def test_product_property_random_coeffs():
         got = factor_over_q(f)
         rebuilt = QPoly.one()
         for h, m in got:
-            assert h.is_monic()
+            assert h.leading() == 1
             rebuilt = rebuilt * h ** m
         assert rebuilt == f.monic()
         for i, (h, _) in enumerate(got):
             for g, _ in got[i + 1:]:
                 assert poly_gcd(h, g).degree == 0
-
-
-def test_rational_coefficients_descaled():
-    # roots 1/2 and 1/3
-    f = (X - Fraction(1, 2)) * (X - Fraction(1, 3))
-    got = factor_over_q(f)
-    assert sorted(h.coeffs for h, _ in got) == [
-        (Fraction(-1, 2), Fraction(1)), (Fraction(-1, 3), Fraction(1))]
 
 
 def test_cyclotomic_product_resolved():

@@ -124,9 +124,19 @@ def test_hensel_random_roundtrip():
 
 
 def test_hensel_not_coprime():
-    # (x+2)^2 mod 5: the product matches f but the factors share a root
-    with pytest.raises(NotCoprime):
-        hensel_lift([4, 4, 1], [[2, 1], [2, 1]], 5, 3)
+    # each product is f mod 5, but two of the factors share the root -2:
+    # an adjacent pair, then non-adjacent pairs, among two to four factors
+    for factors in ([[2, 1], [2, 1]],
+                    [[1, 1], [2, 1], [2, 1]],
+                    [[2, 1], [1, 1], [2, 1]],
+                    [[1, 1], [3, 1], [2, 1], [2, 1]],
+                    [[2, 1], [1, 1], [3, 1], [2, 1]],
+                    [[1, 1], [2, 1], [3, 1], [2, 1]]):
+        f = [1]
+        for g in factors:
+            f = modp.mul(f, g, 5)
+        with pytest.raises(NotCoprime):
+            hensel_lift(f, factors, 5, 3)
 
 
 def test_hensel_deep_lift():

@@ -330,7 +330,7 @@ class TestNilCrt:
             for p, l in levels.items():
                 lift = nil_element_padic(
                     HPLUSLINE, [int(c) for c in sol.element.coords], p,
-                    targets[p].ring[2])
+                    targets[p].padic[1])
                 res = nil_mul(nil_inv(lift), targets[p])
                 assert all(c % p ** l == 0 for c in res.coords)
 
@@ -375,7 +375,7 @@ class TestNilCrt:
                 for i, j, k, v in entries:
                     z[k] += v // 2 * (x[i] * y[j] - x[j] * y[i])
                 assert all(c % p ** level == 0 for c in z), (entries, p)
-                q = p ** targets[p].ring[2]
+                q = p ** targets[p].padic[1]
                 assert digits == tuple(c % q for c in z)
             assert sorted(p for p, _, _ in sol.checks) == sorted(levels)
 

@@ -100,7 +100,7 @@ def test_newton_polygon_zero_roots_split():
 def test_newton_polygon_mixed_slopes():
     # (x - p)(x - p^3) = x^2 - (p + p^3) x + p^4 at p = 3
     p = 3
-    f = QPoly.from_roots([p, p ** 3])
+    f = QPoly((p ** 4, -(p + p ** 3), 1))
     poly = newton_polygon(f, p)
     assert poly.valuations() == [Fraction(1), Fraction(3)]
 

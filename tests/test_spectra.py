@@ -116,7 +116,7 @@ class TestSingleMatrixSpectra:
 class TestJointSpectrum:
     def test_fibonacci_pair_real(self):
         spec = spectrum_of(CAT, FIB)
-        assert spec.places == ["real"]
+        assert {f.place for f in spec.functionals} == {"real"}
         funcs = sorted(spec.functionals, key=lambda f: f.values[0])
         assert [f.multiplicity for f in funcs] == [1, 1]
         assert abs(funcs[0].values[0] + 2 * L_FIB) < 1e-9
@@ -131,17 +131,20 @@ class TestJointSpectrum:
         a = [[2, 0, 0], [0, 2, 1], [0, 0, 3]]
         b = [[3, -1, 1], [0, 2, 0], [0, 0, 2]]
         spec = spectrum_of(a, b)
-        assert spec.places == ["real", 2, 3]
-        two = {(f.exact, f.multiplicity) for f in spec.by_place(2)}
+        places = [f.place for f in spec.functionals]
+        assert list(dict.fromkeys(places)) == ["real", 2, 3]
+        two = {(f.exact, f.multiplicity) for f in spec.functionals
+               if f.place == 2}
         assert two == {((Fraction(1), Fraction(0)), 1),
                        ((Fraction(1), Fraction(1)), 1),
                        ((Fraction(0), Fraction(1)), 1)}
-        three = {(f.exact, f.multiplicity) for f in spec.by_place(3)}
+        three = {(f.exact, f.multiplicity) for f in spec.functionals
+                 if f.place == 3}
         assert three == {((Fraction(0), Fraction(1)), 1),
                          ((Fraction(0), Fraction(0)), 1),
                          ((Fraction(1), Fraction(0)), 1)}
         reals = sorted((tuple(round(v, 9) for v in f.values), f.multiplicity)
-                       for f in spec.by_place("real"))
+                       for f in spec.functionals if f.place == "real")
         l2, l3 = round(math.log(2), 9), round(math.log(3), 9)
         assert reals == sorted([((l2, l3), 1), ((l2, l2), 1), ((l3, l2), 1)])
 
@@ -150,10 +153,10 @@ class TestJointSpectrum:
         # 1/2 and 3/2, each with multiplicity 2.
         a = QMat([[0, -2], [1, 0]])
         spec = spectrum_of(a, a.power(3))
-        (f2,) = spec.by_place(2)
+        (f2,) = [f for f in spec.functionals if f.place == 2]
         assert f2.exact == (Fraction(1, 2), Fraction(3, 2))
         assert f2.multiplicity == 2
-        (fr,) = spec.by_place("real")
+        (fr,) = [f for f in spec.functionals if f.place == "real"]
         assert fr.multiplicity == 2
         assert abs(fr.values[0] - 0.5 * math.log(2)) < 1e-9
         assert abs(fr.values[1] - 1.5 * math.log(2)) < 1e-9
@@ -161,7 +164,7 @@ class TestJointSpectrum:
     def test_precision_retry_on_deep_valuation(self):
         # v_2 = 40 exceeds the 32-digit base precision; the retry must land it.
         spec = spectrum_of([[2 ** 40]])
-        (f2,) = spec.by_place(2)
+        (f2,) = [f for f in spec.functionals if f.place == 2]
         assert f2.exact == (Fraction(40),)
 
     def test_product_formula_and_marginals_random(self):
@@ -180,13 +183,15 @@ class TestJointSpectrum:
             for g, gen in enumerate(act.generators):
                 for p in act.primes():
                     marg = {}
-                    for f in spec.by_place(p):
-                        v = f.exact[g]
-                        marg[v] = marg.get(v, 0) + f.multiplicity
+                    for f in spec.functionals:
+                        if f.place == p:
+                            v = f.exact[g]
+                            marg[v] = marg.get(v, 0) + f.multiplicity
                     oracle = dict(padic_lyapunov(gen, p))
                     assert marg == oracle, (a, p, g)
                 joint = _merge({}, ((f.values[g], f.multiplicity)
-                                    for f in spec.by_place("real")))
+                                    for f in spec.functionals
+                                    if f.place == "real"))
                 single = _merge({}, real_lyapunov(gen))
                 assert _close_multisets(joint, single), (a, g)
             done += 1
