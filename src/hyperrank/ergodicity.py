@@ -189,12 +189,13 @@ class RankOneReport:
 
 
 def _block_spectra(action: ActionSpec):
-    """[(SplitBlock, joint spectrum of its restricted action)], computed
-    once per action and kept in action.cache."""
+    """[(SplitBlock, joint spectrum of its restricted action)], kept in
+    action.cache; a lone block is the action itself and shares its spectrum."""
     if "block_spectra" not in action.cache:
-        action.cache["block_spectra"] = [
-            (blk, joint_spectrum(ActionSpec(blk.matrices)))
-            for blk in rational_splitting(action)]
+        split = rational_splitting(action)
+        action.cache["block_spectra"] = [(blk, joint_spectrum(
+            action if len(split) == 1 else ActionSpec(blk.matrices)))
+            for blk in split]
     return action.cache["block_spectra"]
 
 

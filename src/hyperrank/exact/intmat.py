@@ -42,10 +42,6 @@ class QMat:
     def identity(cls, n):
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def zeros(cls, m, n):
-        return cls([[0] * n for _ in range(m)])
-
     @property
     def shape(self):
         return (len(self.rows), len(self.rows[0]) if self.rows else 0)

@@ -35,10 +35,6 @@ class QPoly:
         return cls((1,))
 
     @classmethod
-    def x(cls):
-        return cls((0, 1))
-
-    @classmethod
     def monomial(cls, k, c=1):
         return cls((0,) * k + (c,))
 

@@ -44,8 +44,10 @@ class ActionSpec:
     its solenoid extension when determinants are not +-1)."""
 
     generators: tuple
+    # derived data kept per action: joint spectra by (tol, padic_prec) and
+    # block spectra, where a lone block shares the action's joint spectrum
     cache: dict = field(default_factory=dict, init=False, repr=False,
-                        compare=False)     # derived data kept per action
+                        compare=False)
 
     def __post_init__(self):
         gens = tuple(g if isinstance(g, QMat) else QMat(g) for g in self.generators)
@@ -410,8 +412,12 @@ def joint_spectrum(action: ActionSpec, tol=1e-9, padic_prec=32) -> LyapunovSpect
     Real values are floats (clustered within tol); p-adic functionals carry
     exact valuations.  The product-formula residual (sum of multiplicity
     times value over all places, per generator) is checked exactly in the
-    p-adic part and within float tolerance overall.
+    p-adic part and within float tolerance overall.  The result is memoized
+    in action.cache under ("spectrum", tol, padic_prec).
     """
+    key = ("spectrum", tol, padic_prec)
+    if key in action.cache:
+        return action.cache[key]
     functionals = []
     for vals, mult in _real_refine(action, tol):
         functionals.append(LyapunovFunctional(
@@ -443,9 +449,10 @@ def joint_spectrum(action: ActionSpec, tol=1e-9, padic_prec=32) -> LyapunovSpect
         if abs(real_sum - logdets[g]) > 1e-6 * max(1.0, action.dim):
             raise RootFindingFailure(
                 f"real exponents sum to {real_sum}, want log|det| = {logdets[g]}")
-    return LyapunovSpectrum(dim=action.dim, rank=action.rank,
-                            functionals=tuple(functionals),
-                            product_residual=residual)
+    action.cache[key] = LyapunovSpectrum(dim=action.dim, rank=action.rank,
+                                         functionals=tuple(functionals),
+                                         product_residual=residual)
+    return action.cache[key]
 
 
 # --- coarse classes and Weyl chambers ---------------------------------------

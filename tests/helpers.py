@@ -457,7 +457,7 @@ def least_sup_norm_in_sector(a0, a1, bound):
 
 
 def _scalar_poly_at(f: QPoly, m: QMat) -> QMat:
-    out = QMat.zeros(*m.shape)
+    out = QMat([[0] * m.shape[1] for _ in range(m.shape[0])])
     for c in reversed(f.coeffs):
         out = out @ m + QMat.identity(m.shape[0]).scalar(c)
     return out

@@ -36,6 +36,18 @@ def fixture(name):
     return str(FIXTURES / name)
 
 
+def count_refines(monkeypatch):
+    """The argument tuples of every spectra._real_refine call from now on."""
+    calls = []
+    refine = spectra._real_refine
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return refine(*args, **kwargs)
+    monkeypatch.setattr(spectra, "_real_refine", counted)
+    return calls
+
+
 def companion(e):
     """Companion of x^3 + x^2 - 10^e x - 1: roots near +-10^(e/2) and
     -10^-e, so at e >= 12 the smallest float eigenvalue underflows to 0."""
@@ -421,6 +433,37 @@ class TestAnalyze:
         run(capsys, "analyze", fixture("cubic_units_z2.json"),
             "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("name, shared", [
+        ("cubic_units_z2.json", True),
+        ("narrow_chamber.json", True),
+        ("rank_one_product.json", False),
+        ("double_split.json", False),
+    ])
+    def test_one_block_shares_the_report_spectrum(self, capsys, monkeypatch,
+                                                  name, shared):
+        # one refinement for the report, plus one per block unless the
+        # action is a single block, whose spectrum is the report's
+        calls = count_refines(monkeypatch)
+        _, out, _ = run(capsys, "analyze", fixture(name))
+        blocks = json.loads(out)["rank_one"]["blocks"]
+        assert (len(blocks) == 1) == shared
+        assert len(calls) == (1 if shared else 1 + len(blocks))
+
+    def test_other_precision_refines_again(self, capsys, tmp_path,
+                                           monkeypatch):
+        # the rank-one check runs at the default precision, so the
+        # report's spectrum at precision 16 cannot serve it
+        config = json.loads(Path(fixture("cubic_units_z2.json")).read_text())
+        config["padic_precision"] = 16
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(config))
+        calls = count_refines(monkeypatch)
+        code, out, _ = run(capsys, "analyze", str(cfg))
+        assert code == 0 and len(calls) == 2
+        _, default, _ = run(capsys, "analyze", fixture("cubic_units_z2.json"))
+        assert (json.loads(out)["z2_subgroup"]
+                == json.loads(default)["z2_subgroup"])
 
 
 # --- mixing -----------------------------------------------------------------

@@ -258,7 +258,7 @@ def companion(f):
 
 def poly_at(g, c):
     """g[0] + g[1] c + ... for the ascending coefficients g."""
-    out = QMat.zeros(*c.shape)
+    out = QMat([[0] * c.shape[1] for _ in range(c.shape[0])])
     for coeff in reversed(g):
         out = out @ c + QMat.identity(c.shape[0]).scalar(coeff)
     return out

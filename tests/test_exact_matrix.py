@@ -18,7 +18,7 @@ from hyperrank.exact.intmat import mat_mul_mod, mat_pow_mod, primitive_vector
 def charpoly_oracle(m: QMat) -> QPoly:
     """det(xI - A) by Laplace expansion over QPoly entries."""
     n = len(m.rows)
-    entries = [[QPoly((-m.rows[i][j],)) + (QPoly.x() if i == j else QPoly.zero())
+    entries = [[QPoly((-m.rows[i][j], int(i == j)))
                 for j in range(n)] for i in range(n)]
 
     def det(rows):

@@ -10,7 +10,7 @@ import random
 from hyperrank.exact import QPoly, cyclotomic, poly_gcd
 from hyperrank.exact.factorq import factor_over_q
 
-X = QPoly.x()
+X = QPoly((0, 1))
 
 
 def irreducible(f):

@@ -14,7 +14,9 @@ from fractions import Fraction
 
 import pytest
 
-from hyperrank.errors import CommutativityViolated, RankDeficient
+from hyperrank import spectra
+from hyperrank.errors import (CommutativityViolated, RankDeficient,
+                              RootFindingFailure)
 from hyperrank.exact import QMat
 from hyperrank.spectra import (ActionSpec, LyapunovFunctional, LyapunovSpectrum,
                                _simplest_between,
@@ -195,6 +197,30 @@ class TestJointSpectrum:
                 single = _merge({}, real_lyapunov(gen))
                 assert _close_multisets(joint, single), (a, g)
             done += 1
+
+    def test_memoized_per_tol_and_precision(self):
+        act = ActionSpec((CAT, FIB))
+        spec = joint_spectrum(act)
+        assert joint_spectrum(act) is spec
+        assert joint_spectrum(act, tol=1e-9, padic_prec=32) is spec
+        coarse = joint_spectrum(act, tol=1e-6)
+        assert coarse is not spec and joint_spectrum(act, tol=1e-6) is coarse
+        assert joint_spectrum(ActionSpec((CAT, FIB))) is not spec
+        assert sorted(k for k in act.cache if k[0] == "spectrum") == [
+            ("spectrum", 1e-9, 32), ("spectrum", 1e-6, 32)]
+
+    def test_failed_refinement_is_not_memoized(self, monkeypatch):
+        calls = []
+
+        def fail(*args, **kwargs):
+            calls.append(args)
+            raise RootFindingFailure("clusters not separated")
+        monkeypatch.setattr(spectra, "_real_refine", fail)
+        act = ActionSpec(([[3, 1], [1, 2]],))
+        for _ in range(2):
+            with pytest.raises(RootFindingFailure):
+                joint_spectrum(act)
+        assert len(calls) == 2 and not act.cache
 
 
 def _merge(out, pairs, tol=1e-6):
