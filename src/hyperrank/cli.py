@@ -377,7 +377,7 @@ def cmd_analyze(args):
                                      "reason": "the action has rank 1"}
             report["verdict"] = "ok"
         else:
-            rank_one = has_rank_one_factor(action, tol=tol)
+            rank_one = has_rank_one_factor(action, tol=tol, padic_prec=prec)
             report["rank_one"] = {
                 "applicable": True,
                 "found": rank_one.found,
@@ -394,7 +394,8 @@ def cmd_analyze(args):
             else:
                 try:
                     cert = ergodic_z2_subgroup(action, pair_bound=z2_pair,
-                                               combo_bound=z2_combo, tol=tol)
+                                               combo_bound=z2_combo, tol=tol,
+                                               padic_prec=prec)
                     report["z2_subgroup"] = {
                         "status": "certified",
                         "pair": [list(cert.pair[0]), list(cert.pair[1])],

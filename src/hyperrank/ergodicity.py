@@ -2,10 +2,11 @@
 
 A toral (or solenoid) automorphism is ergodic exactly when no eigenvalue is a
 root of unity, i.e. when the characteristic polynomial is coprime to every
-cyclotomic polynomial of degree <= d.  Non-ergodicity comes with a finite
-certificate: a period m and a primitive dual vector z fixed by the m-th power
-of the transpose, whose character orbit averages to a nonconstant invariant
-function.
+cyclotomic polynomial of degree <= d; its gcd with its reciprocal polynomial
+holds every such factor, so only that gcd is tested.  Non-ergodicity comes
+with a finite certificate: a period m and a primitive dual vector z fixed by
+the m-th power of the transpose, whose character orbit averages to a
+nonconstant invariant function.
 
 The splitting/rank machinery decides when a commuting family genuinely has
 higher rank.  Q^d splits into rational invariant blocks on which the action's
@@ -47,7 +48,10 @@ def is_ergodic(matrix) -> ErgodicityCertificate:
 
     Integer matrices are torus endomorphisms; rational ones act on the
     matching solenoid.  Either way the criterion is the same, and the witness
-    is returned as a primitive integer dual vector.
+    is returned as a primitive integer dual vector.  Every Phi_m is
+    self-reciprocal, so it divides cp exactly when it divides g = gcd(cp,
+    x^d cp(1/x)); only the Phi_m with phi(m) <= deg g are tried, none when
+    g = 1 (R. J. Bradford and J. H. Davenport, ISSAC '88, LNCS 358, 1989).
     """
     m = matrix if isinstance(matrix, QMat) else QMat(matrix)
     if not m.is_square():
@@ -56,8 +60,9 @@ def is_ergodic(matrix) -> ErgodicityCertificate:
     cp = m.charpoly()
     if cp[0] == 0:
         raise RankDeficient("singular matrix: no invertible dual action")
-    for idx in cyclotomic_indices_up_to_degree(d):
-        if poly_gcd(cp, cyclotomic(idx)).degree > 0:
+    g = poly_gcd(cp, QPoly(reversed(cp.coeffs)))
+    for idx in cyclotomic_indices_up_to_degree(g.degree):
+        if poly_gcd(g, cyclotomic(idx)).degree > 0:
             fixed = m.transpose().power(idx) - QMat.identity(d)
             kern = fixed.kernel()
             if not kern:
@@ -188,15 +193,17 @@ class RankOneReport:
     culprit: SplitBlock = None
 
 
-def _block_spectra(action: ActionSpec):
-    """[(SplitBlock, joint spectrum of its restricted action)], kept in
-    action.cache; a lone block is the action itself and shares its spectrum."""
-    if "block_spectra" not in action.cache:
+def _block_spectra(action: ActionSpec, tol, padic_prec):
+    """[(SplitBlock, joint spectrum of its restricted action at tol and
+    padic_prec)].  The split is kept in action.cache, and each block's
+    spectra in its own; a lone block is the action itself and shares its
+    spectrum."""
+    if "split" not in action.cache:
         split = rational_splitting(action)
-        action.cache["block_spectra"] = [(blk, joint_spectrum(
-            action if len(split) == 1 else ActionSpec(blk.matrices)))
-            for blk in split]
-    return action.cache["block_spectra"]
+        action.cache["split"] = [(blk, action if len(split) == 1 else
+                                  ActionSpec(blk.matrices)) for blk in split]
+    return [(blk, joint_spectrum(act, tol, padic_prec))
+            for blk, act in action.cache["split"]]
 
 
 def _value_matrix(spec):
@@ -209,7 +216,8 @@ def _numerical_rank(rows, tol):
     return int(np.sum(s > tol * max(1.0, s[0])))
 
 
-def has_rank_one_factor(action: ActionSpec, tol=1e-8) -> RankOneReport:
+def has_rank_one_factor(action: ActionSpec, tol=1e-8,
+                        padic_prec=32) -> RankOneReport:
     """Does some rational invariant block carry Lyapunov data of rank <= 1?
 
     Rank is that of the matrix whose rows are the value vectors of every
@@ -218,7 +226,7 @@ def has_rank_one_factor(action: ActionSpec, tol=1e-8) -> RankOneReport:
     """
     ranks = []
     culprit = None
-    for blk, spec in _block_spectra(action):
+    for blk, spec in _block_spectra(action, tol, padic_prec):
         rank = _numerical_rank(_value_matrix(spec), tol)
         ranks.append((blk.dim, rank))
         if rank <= 1 and culprit is None:
@@ -271,7 +279,7 @@ class Z2SubgroupCertificate:
 
 
 def ergodic_z2_subgroup(action: ActionSpec, pair_bound=2, combo_bound=20,
-                        tol=1e-8):
+                        tol=1e-8, padic_prec=32):
     """Find (a, b) such that every nonzero i a + j b is ergodic.
 
     On a field block B the eigenvalues of rho(v) are the Galois conjugates
@@ -287,7 +295,7 @@ def ergodic_z2_subgroup(action: ActionSpec, pair_bound=2, combo_bound=20,
     confirms i a + j b.  combo_bound bounds nothing; it is reported in the
     budget of a failure.
     """
-    blocks = _block_spectra(action)
+    blocks = _block_spectra(action, tol, padic_prec)
     budget = (pair_bound, combo_bound)
     for blk, _ in blocks:
         if not blk.field:

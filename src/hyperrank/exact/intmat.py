@@ -9,11 +9,12 @@ kernels on int rows live alongside, the package's one copy of each job:
 * mat_mul_mod and mat_pow_mod, the product and the power;
 * mat_poly_mod, a polynomial at a matrix by Horner;
 * restrict_rows, a matrix restricted to the lattice of some basis rows;
-* berkowitz_charpoly_mod, the one characteristic polynomial.
+* berkowitz_charpoly_mod, the one characteristic polynomial, which also
+  gives QMat's inverse by Cayley-Hamilton over Z.
 
-Each is exact over Z when q is None, as for QMat's product, power and
-charpoly and for the rational splitting, and works mod q otherwise, as for
-the p-adic refinement.
+Each is exact over Z when q is None, as for QMat's product, power,
+charpoly and inverse and for the rational splitting, and works mod q
+otherwise, as for the p-adic refinement.
 """
 
 from __future__ import annotations
@@ -113,14 +114,18 @@ class QMat:
         return self.charpoly()[0] * (-1) ** len(self.rows)
 
     def inverse(self):
+        """Cayley-Hamilton over Z: A = B/L, B integer with charpoly c_k =
+        L^(n-k) c_k(A), gives A^-1 = -L (sum_{k>=1} c_k B^(k-1)) / c_0."""
         if not self.is_square():
             raise ValueError("inverse of non-square matrix")
         n = len(self.rows)
-        a, pivots = QMat([list(r) + [int(i == j) for j in range(n)]
-                          for i, r in enumerate(self.rows)])._rref()
-        if pivots != list(range(n)):
+        lcm, ints = self._scaled()
+        cp = [int(c * lcm ** (n - k))
+              for k, c in enumerate(self.charpoly().coeffs)]
+        if cp[0] == 0:
             raise RankDeficient("matrix is singular")
-        return QMat([r[n:] for r in a])
+        return _divided([[lcm * x for x in r]
+                         for r in mat_poly_mod(cp[1:], ints)], -cp[0])
 
     def adjugate(self):
         """det * inverse for nonsingular input (exact)."""

@@ -248,6 +248,8 @@ def squarefree_decomposition(f: QPoly):
         return out
     fp = f.derivative()
     a = poly_gcd(f, fp)
+    if a.degree == 0:
+        return [(f, 1)]
     b = f.exact_div(a)
     c = fp.exact_div(a)
     i = 1

@@ -602,9 +602,10 @@ def min_expansion_rate(spectrum: LyapunovSpectrum):
     The objective is convex piecewise-linear on each facet, so the minimum is
     attained where (dim of the facet many) active constraints from
     {chi_i = 0} and {chi_i = +-chi_j} meet; candidates are enumerated over
-    all faces of the cube.  A face's systems are solved in batches of
-    _SOLVE_BATCH, and every float is formed by the same operations in the
-    same order as one scalar solve and sum per candidate would.
+    all faces of the cube.  The systems of every face with the same number
+    of free coordinates are solved together, in batches of _SOLVE_BATCH;
+    every float is formed by the same operations as one scalar solve and
+    sum per candidate would, and the minimum is taken in face order.
     """
     k = spectrum.rank
     rows = np.array([f.values for f in spectrum.functionals], dtype=float)
@@ -613,29 +614,37 @@ def min_expansion_rate(spectrum: LyapunovSpectrum):
         [rows[first] - rows[second], rows[first] + rows[second]],
         axis=1).reshape(-1, k)])
 
-    best = None
-    for fixed in itertools.product((-1, 0, 1), repeat=k):
-        free = [i for i, s in enumerate(fixed) if s == 0]
-        if len(free) == k:
-            continue  # interior of the cube is not on the sphere
-        rhs = np.zeros(len(hyperplanes))   # sum of h_i s_i over fixed i
-        for i, s in enumerate(fixed):
-            if s:
-                rhs = rhs + hyperplanes[:, i] * s
-        combos = itertools.combinations(range(len(hyperplanes)), len(free))
+    # the interior of the cube (no fixed coordinate) is not on the sphere
+    faces = [f for f in itertools.product((-1, 0, 1), repeat=k) if any(f)]
+    signs = np.array(faces, dtype=float)
+    rhs = np.zeros((len(faces), len(hyperplanes)))   # sum of h_i s_i, fixed i
+    for n, fixed in enumerate(faces):
+        for i in np.flatnonzero(fixed):
+            rhs[n] = rhs[n] + hyperplanes[:, i] * fixed[i]
+    owners, vals = [], []
+    for size in range(k):
+        combos = ((n, c) for n, f in enumerate(faces) if f.count(0) == size
+                  for c in itertools.combinations(range(len(hyperplanes)),
+                                                  size))
         while block := list(itertools.islice(combos, _SOLVE_BATCH)):
-            idx = np.array(block, dtype=np.intp)
-            cand = np.tile(np.array(fixed, dtype=float), (len(idx), 1))
-            if free:
-                cand[:, free] = _solve_each(hyperplanes[idx][:, :, free],
-                                            -rhs[idx])
-            cand = cand[~(np.max(np.abs(cand), axis=1) > 1 + 1e-9)]
+            owner = np.array([n for n, _ in block], dtype=np.intp)
+            cand = signs[owner]
+            if size:
+                idx = np.array([c for _, c in block], dtype=np.intp)
+                free = np.nonzero(cand == 0)[1].reshape(-1, size)
+                cand[np.arange(len(block))[:, None], free] = _solve_each(
+                    hyperplanes[idx[:, :, None], free[:, None, :]],
+                    -rhs[owner[:, None], idx])
+            keep = ~(np.max(np.abs(cand), axis=1) > 1 + 1e-9)
+            cand = cand[keep]
             acc = np.zeros((len(cand), len(rows)))
             for i in range(k):
                 acc = acc + cand[:, i, None] * rows[:, i]
-            for val in np.max(np.abs(acc), axis=1).tolist():
-                best = val if best is None else min(best, val)
-    return best
+            owners.append(owner[keep])
+            vals.append(np.max(np.abs(acc), axis=1))
+    # the builtin min is the left fold min(best, val), nan or not
+    order = np.argsort(np.concatenate(owners), kind="stable")
+    return min(np.concatenate(vals)[order].tolist())
 
 
 def _solve_each(a, b):

@@ -3,8 +3,8 @@
 None of these is reached from a command: the tests use them to set up
 points, observables and group elements, to cross-check the joint p-adic
 spectrum against single-matrix Newton polygons, and to hold the library's
-float engines, rational splitting and Hensel lifting to the code they
-replaced, bit for bit.
+float engines, rational splitting, Hensel lifting, root-of-unity test and
+inverse to the code they replaced, bit for bit.
 """
 
 import cmath
@@ -19,10 +19,12 @@ import numpy as np
 from hyperrank.conjugacy import (_HOLDER_BINS, _HOLDER_SPAN, ConjugacyField,
                                  HolderEstimate, ResidualReport,
                                  TrigPerturbation)
-from hyperrank.ergodicity import SplitBlock
+from hyperrank.ergodicity import ErgodicityCertificate, SplitBlock
 from hyperrank.errors import (DegenerateField, NoConvergence,
                               PrecisionExhausted, RankDeficient)
-from hyperrank.exact import QMat, QPoly, hnf_rows, modp, vp_int
+from hyperrank.exact import (QMat, QPoly, cyclotomic,
+                             cyclotomic_indices_up_to_degree, hnf_rows, modp,
+                             poly_gcd, vp_int)
 from hyperrank.exact.factorq import factor_over_q
 from hyperrank.exact.newton import newton_polygon
 from hyperrank.nilpotent import NilElement, nil_element
@@ -451,6 +453,35 @@ def least_sup_norm_in_sector(a0, a1, bound):
     norm = np.maximum(np.abs(x), np.abs(y))
     inside = in_sector(x, y, a0, a1) & (norm > 0)
     return int(norm[inside].min()) if inside.any() else None
+
+
+# --- the exact tests that the reciprocal gcd and Cayley-Hamilton replaced ---
+
+
+def scalar_is_ergodic(matrix) -> ErgodicityCertificate:
+    """The root-of-unity test with one gcd of the charpoly against every
+    cyclotomic Phi_m with phi(m) <= d, the first hit giving the period."""
+    m = matrix if isinstance(matrix, QMat) else QMat(matrix)
+    d = m.shape[0]
+    cp = m.charpoly()
+    if cp[0] == 0:
+        raise RankDeficient("singular matrix: no invertible dual action")
+    for idx in cyclotomic_indices_up_to_degree(d):
+        if poly_gcd(cp, cyclotomic(idx)).degree > 0:
+            fixed = m.transpose().power(idx) - QMat.identity(d)
+            z = tuple(int(x) for x in fixed.kernel()[0])
+            return ErgodicityCertificate(ergodic=False, period=idx, witness=z)
+    return ErgodicityCertificate(ergodic=True)
+
+
+def gauss_jordan_inverse(m: QMat) -> QMat:
+    """The inverse from the reduced row echelon form of [m | I]."""
+    n = m.shape[0]
+    a, pivots = QMat([list(r) + [int(i == j) for j in range(n)]
+                      for i, r in enumerate(m.rows)])._rref()
+    if pivots != list(range(n)):
+        raise RankDeficient("matrix is singular")
+    return QMat([r[n:] for r in a])
 
 
 # --- the rational splitting over QMat, and the one-digit Hensel lift --------

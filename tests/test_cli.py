@@ -452,18 +452,38 @@ class TestAnalyze:
 
     def test_other_precision_refines_again(self, capsys, tmp_path,
                                            monkeypatch):
-        # the rank-one check runs at the default precision, so the
-        # report's spectrum at precision 16 cannot serve it
+        # the rank-one and Z^2 checks run at the configured precision, so
+        # the report's spectrum at precision 16 serves them too
         config = json.loads(Path(fixture("cubic_units_z2.json")).read_text())
         config["padic_precision"] = 16
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps(config))
         calls = count_refines(monkeypatch)
         code, out, _ = run(capsys, "analyze", str(cfg))
-        assert code == 0 and len(calls) == 2
+        assert code == 0 and len(calls) == 1
         _, default, _ = run(capsys, "analyze", fixture("cubic_units_z2.json"))
         assert (json.loads(out)["z2_subgroup"]
                 == json.loads(default)["z2_subgroup"])
+
+    def test_blocks_refine_at_the_configured_precision(self, capsys, tmp_path,
+                                                        monkeypatch):
+        # diag(2, 1, 1) and diag(1, 1, 3): the report refines at 2 and 3,
+        # and so do the blocks of e_1 and e_3, all from base precision 16
+        config = json.loads(Path(fixture("double_split.json")).read_text())
+        config["padic_precision"] = 16
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(config))
+        calls = []
+        padic = spectra._padic_functionals
+
+        def recorded(action, p, base_prec):
+            calls.append((action.dim, p, base_prec))
+            return padic(action, p, base_prec)
+        monkeypatch.setattr(spectra, "_padic_functionals", recorded)
+        code, _, _ = run(capsys, "analyze", str(cfg))
+        assert code == 2
+        assert sorted(calls) == [(1, 2, 16), (1, 3, 16), (3, 2, 16),
+                                 (3, 3, 16)]
 
 
 # --- mixing -----------------------------------------------------------------

@@ -18,7 +18,8 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import scalar_rational_splitting, scalar_saturate_rows
+from helpers import (gauss_jordan_inverse, scalar_is_ergodic,
+                     scalar_rational_splitting, scalar_saturate_rows)
 from hyperrank.errors import NoErgodicSubgroupFound, RankDeficient
 from hyperrank.exact import QMat, QPoly, cyclotomic
 from hyperrank import ergodicity
@@ -115,6 +116,75 @@ class TestIsErgodic:
             if not cert.ergodic:
                 check_certificate(rows, cert)
             done += 1
+
+    def test_reciprocal_gcd_matches_the_per_index_loop(self):
+        # block-diagonal mixes of cyclotomic companions, unipotent, integer
+        # and rational blocks, hidden by a unimodular conjugation, and the
+        # elements a^i b^j of commuting pairs, negative exponents included.
+        # Lehmer's x^10 + x^9 - x^7 - ... - x^3 + x + 1 is self-reciprocal,
+        # irreducible and not cyclotomic: the reciprocal gcd is the charpoly
+        lehmer = companion([1, 1, 0, -1, -1, -1, -1, -1, 0, 1])
+        rng = random.Random(20261019)
+        cyclo = [m for m in range(1, 19) if cyclotomic(m).degree <= 6]
+        mats = [QMat(CAT), lehmer, QMat([[1, 1], [0, 1]])] + [
+            companion([int(c) for c in cyclotomic(m).coeffs[:-1]])
+            for m in cyclo]
+        while len(mats) < 300:
+            blocks, dim = [], rng.randint(1, 6)
+            while sum(len(b) for b in blocks) < dim:
+                room = dim - sum(len(b) for b in blocks)
+                kind = rng.random()
+                if kind < 0.3:
+                    cs = cyclotomic(rng.choice(cyclo)).coeffs
+                    block = companion([int(c) for c in cs[:-1]]).rows
+                elif kind < 0.45:
+                    sign = rng.choice((1, -1))
+                    block = [[sign, 1], [0, sign]]
+                elif kind < 0.75:
+                    n = rng.randint(1, 3)
+                    block = [[rng.randint(-3, 3) for _ in range(n)]
+                             for _ in range(n)]
+                else:
+                    n = rng.randint(1, 3)
+                    block = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                              for _ in range(n)] for _ in range(n)]
+                if len(block) <= room:
+                    blocks.append(block)
+            m = QMat(blocks[0])
+            for b in blocks[1:]:
+                m = QMat(blockdiag(m.rows, b))
+            s = QMat.identity(dim)
+            for _ in range(2 * dim if dim > 1 else 0):
+                i, j = rng.sample(range(dim), 2)
+                e = [[int(r == c) for c in range(dim)] for r in range(dim)]
+                e[i][j] = rng.randint(-2, 2)
+                s = s @ QMat(e)
+            mats.append(s @ m @ gauss_jordan_inverse(s))
+        for _ in range(30):
+            a = rng.choice(mats)
+            if a.det() == 0:
+                continue
+            shift = rng.randint(-2, 2)
+            b = a @ a - a.scalar(shift) if rng.random() < 0.5 else \
+                a + QMat.identity(a.shape[0]).scalar(shift)
+            if b.det() == 0:
+                continue
+            for i, j in itertools.product(range(-2, 3), repeat=2):
+                mats.append(a.power(i) @ b.power(j))
+        seen = set()
+        for rows in mats:
+            try:
+                want = scalar_is_ergodic(rows)
+            except RankDeficient:
+                with pytest.raises(RankDeficient):
+                    is_ergodic(rows)
+                continue
+            got = is_ergodic(rows)
+            assert (got.ergodic, got.period, got.witness) == \
+                (want.ergodic, want.period, want.witness), rows
+            seen.add(got.period)
+        assert is_ergodic(lehmer).ergodic and is_ergodic(CAT).ergodic
+        assert seen == {None, *cyclo}
 
 
 class TestRationalSplitting:

@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import gauss_jordan_inverse
 from hyperrank.errors import RankDeficient
 from hyperrank.exact import QMat, QPoly, berkowitz_charpoly_mod, hnf_rows
 from hyperrank.exact.intmat import mat_mul_mod, mat_pow_mod, primitive_vector
@@ -157,6 +158,46 @@ def test_mat_mul_and_pow_exact_over_z():
 def test_inverse_singular_raises():
     with pytest.raises(RankDeficient):
         QMat([[1, 2], [2, 4]]).inverse()
+
+
+def test_inverse_matches_gauss_jordan():
+    # integer and rational matrices of dimension 1-8 with entries up to
+    # 10^6, one with 10^30 entries, and singular ones of rank n - 1
+    rng = random.Random(21)
+    big = 10 ** 30
+    mats = [QMat([[big + 1, big], [big, big - 1]])]
+    for n in range(1, 9):
+        for _ in range(4):
+            bound = rng.choice((4, 10 ** 6))
+            m = random_int_matrix(rng, n, -bound, bound)
+            mats.append(m)
+            mats.append(QMat([[Fraction(x, rng.randint(1, 12)) for x in r]
+                              for r in m.rows]))
+            if n > 1:   # the last row a combination of the others
+                rows = [list(r) for r in m.rows[:-1]]
+                coef = [rng.randint(-2, 2) for _ in rows]
+                rows.append([sum(c * r[j] for c, r in zip(coef, rows))
+                             for j in range(n)])
+                mats.append(QMat(rows))
+    singular = 0
+    for m in mats:
+        try:
+            want = gauss_jordan_inverse(m)
+        except RankDeficient:
+            singular += 1
+            for method in (m.inverse, m.adjugate, lambda: m.power(-2)):
+                with pytest.raises(RankDeficient):
+                    method()
+            continue
+        assert m.inverse() == want, m           # charpoly computed here
+        assert m.inverse() == want              # and read from the memo
+        assert m.adjugate() == want.scalar(m.det())
+        for e in (1, 2, 3):
+            power = want
+            for _ in range(e - 1):
+                power = power @ want
+            assert m.power(-e) == power
+    assert singular >= 28
 
 
 def test_adjugate_identity():

@@ -439,3 +439,30 @@ class TestConesAndRates:
             alone.append((solved, singular))
             del calls[:]
         assert any(s for _, s in alone) and any(s for s, _ in alone)
+
+    def test_min_rate_batches_span_faces(self, monkeypatch):
+        # with 7 systems per batch, one batch holds the systems of several
+        # faces: each size of face costs ceil(its systems / 7) solves
+        rng = random.Random(20261019)
+        solve_each = spectra._solve_each
+        sizes = []
+
+        def spy(a, b):
+            sizes.append(len(a))
+            return solve_each(a, b)
+        monkeypatch.setattr(spectra, "_SOLVE_BATCH", 7)
+        monkeypatch.setattr(spectra, "_solve_each", spy)
+        for _ in range(300):
+            k = rng.choice((2, 3))
+            rows = [tuple(rng.choice((rng.randint(-2, 2), rng.uniform(-3, 3)))
+                          for _ in range(k))
+                    for _ in range(rng.randint(1, 4 if k < 3 else 3))]
+            spec = synthetic(k, [("real", v, None) for v in rows])
+            assert repr(min_expansion_rate(spec)) == \
+                repr(scalar_min_expansion_rate(spec)), rows
+            planes = len(rows) ** 2
+            want = sum(math.ceil(math.comb(k, s) * 2 ** (k - s)
+                                 * math.comb(planes, s) / 7)
+                       for s in range(1, k))
+            assert len(sizes) == want and max(sizes, default=0) <= 7, rows
+            del sizes[:]
