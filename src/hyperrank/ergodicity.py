@@ -216,7 +216,7 @@ def _numerical_rank(rows, tol):
     return int(np.sum(s > tol * max(1.0, s[0])))
 
 
-def has_rank_one_factor(action: ActionSpec, tol=1e-8,
+def has_rank_one_factor(action: ActionSpec, tol=1e-9,
                         padic_prec=32) -> RankOneReport:
     """Does some rational invariant block carry Lyapunov data of rank <= 1?
 
@@ -279,7 +279,7 @@ class Z2SubgroupCertificate:
 
 
 def ergodic_z2_subgroup(action: ActionSpec, pair_bound=2, combo_bound=20,
-                        tol=1e-8, padic_prec=32):
+                        tol=1e-9, padic_prec=32):
     """Find (a, b) such that every nonzero i a + j b is ergodic.
 
     On a field block B the eigenvalues of rho(v) are the Galois conjugates

@@ -17,7 +17,8 @@ inverse-branch arithmetic lean on.
 Phases are exact rationals end to end; floats appear only inside the final
 complex exponential and in Monte Carlo and Birkhoff averaging.  Monte Carlo
 evaluates every character on all samples at once, from integer phase
-numerators over a common denominator, and rounds exactly as the scalar
+numerators over a common denominator (summed mod 2^64 when that is 2^b with
+b <= 64, which is all such a phase needs), and rounds exactly as the scalar
 Fraction evaluation (float of the phase, then cmath.exp) would.  The CLT
 check steps all its orbits at once on exact integer states in the same way,
 and its Birkhoff sums round as the one-orbit-at-a-time loop's would.
@@ -75,16 +76,23 @@ class SolenoidPoint:
 
 def haar_sample(count, dim, primes=(), seed=0, prec=_MIN_DIGITS):
     """Haar-distributed points: uniform 2^-32 torus coordinates and
-    independent uniform residues in each fiber."""
-    rng = random.Random(seed)
+    independent uniform residues in each fiber.
+
+    Per point the torus coordinates are drawn first, then the residues prime
+    by prime in the order given; the fibers are stored ascending in p, and a
+    prime given twice keeps its last draw."""
+    randrange = random.Random(seed).randrange
     den = 1 << _GRID_BITS
+    mods = [p ** prec for p in primes]
+    last = {p: i for i, p in enumerate(primes)}
+    order = [(p, last[p]) for p in sorted(last)]
+    axes = range(dim)
     out = []
     for _ in range(count):
-        xs = tuple(Fraction(rng.randrange(den), den) for _ in range(dim))
-        xi = {p: (prec, tuple(rng.randrange(p ** prec) for _ in range(dim)))
-              for p in primes}
-        out.append(SolenoidPoint(x=xs, xi=tuple(
-            (p,) + xi[p] for p in sorted(xi))))
+        xs = tuple([Fraction(randrange(den), den) for _ in axes])
+        res = [tuple([randrange(q) for _ in axes]) for q in mods]
+        out.append(SolenoidPoint(x=xs, xi=tuple([(p, prec, res[i])
+                                                 for p, i in order])))
     return out
 
 
@@ -381,54 +389,74 @@ class McCorrelation:
 
 
 def _columns(pts):
-    """Haar points as integer columns: per torus axis the numerators over
-    2^32, and per prime of S and axis the fiber residues."""
+    """Haar points as integer columns, per torus axis the numerators over
+    2^32 and per prime of S and axis the fiber residues: once as object
+    arrays of Python ints, once as uint64 arrays of the same values mod 2^64
+    (the columns of _phases' wrapping path)."""
     den = 1 << _GRID_BITS
-    torus = [[c.numerator * (den // c.denominator) for c in axis]
-             for axis in zip(*(pt.x for pt in pts))]
-    fibers = [(slot[0][0], list(zip(*(res for _, _, res in slot))))
+    torus = [np.array([c.numerator * (den // c.denominator) for c in axis],
+                      dtype=object) for axis in zip(*(pt.x for pt in pts))]
+    fibers = [(slot[0][0], [np.array(col, dtype=object) for col in
+                            zip(*(res for _, _, res in slot))])
               for slot in zip(*(pt.xi for pt in pts))]
-    return torus, fibers
+    low = ([col.astype(np.uint64) for col in torus],
+           [(p, [(col & _LOW64).astype(np.uint64) for col in cols])
+            for p, cols in fibers])
+    return (torus, fibers), low
 
 
 def _combine(vec, cols, count):
-    """sum_j vec_j cols_j entrywise in Python ints, count entries."""
+    """sum_j vec_j cols_j entrywise over arrays of count entries.
+
+    On object arrays of Python ints the sum is exact.  On uint64 arrays it
+    is the sum mod 2^64: every coefficient is reduced mod 2^64 first (the
+    modes of a pushed-forward observable run to thousands of digits), and
+    every product and sum wraps."""
     out = None
     for c, col in zip(vec, cols):
+        if col.dtype == np.uint64:
+            c &= _LOW64
         if not c:
             continue
-        if out is None:
-            out = list(col) if c == 1 else [c * v for v in col]
-        else:
-            out = [n + c * v for n, v in zip(out, col)]
-    return [0] * count if out is None else out
+        term = col if c == 1 else c * col
+        out = term if out is None else out + term
+    return np.zeros(count, dtype=object) if out is None else out
 
 
 def _unit_phases(nums, q):
-    """(N mod q) / q for every N in nums as an array, rounded as the int
-    true division N % q / q is, but with no big-int division when q = 2^b.
+    """(N mod q) / q for every N in nums as a float array, rounded as the
+    int true division N % q / q is, but with no big-int division when
+    q = 2^b.
+
+    nums is a sequence or object array of Python ints, or, when q = 2^b
+    with b <= 64, a uint64 array of the N mod 2^64: N mod 2^b depends on
+    nothing else, so the wrapping sums of _combine give it exactly.  The
+    uint64 to float64 cast, like float() of an int, rounds correctly.
 
     float(r) is correctly rounded and scaling by a power of two is exact in
     the normal range, so float(r) * 2^-b equals r / 2^b for b <= _TOP_BITS.
     Beyond that, the top _TOP_BITS bits t of r = N mod 2^b round as r does
     unless t is a tie, and a tie with t >= 2^118 has its low 64 bits zero.
-    Those t, and t < 2^118, take the int division.
+    Those t, and t < 2^118, take the int division.  Every step is an array
+    operation, on Python ints element by element in object arrays.
     """
     b = q.bit_length() - 1
+    if isinstance(nums, np.ndarray) and nums.dtype == np.uint64:
+        return (nums & (q - 1)).astype(float) * 2.0 ** -b
+    nums = np.asarray(nums, dtype=object)
     if q != 1 << b:
-        return np.array([v % q / q for v in nums])
+        return (nums % q / q).astype(float)
     if b <= _TOP_BITS:
-        mask = q - 1
-        return np.array([float(v & mask) for v in nums]) * 2.0 ** -b
+        return (nums & (q - 1)).astype(float) * 2.0 ** -b
     # (N mod 2^b) >> shift == (N >> shift) mod 2^_TOP_BITS, also for N < 0
-    shift = b - _TOP_BITS
-    top = (1 << _TOP_BITS) - 1
-    scale = 2.0 ** -_TOP_BITS
-    return np.array([v % q / q if (t := v >> shift & top) < _TIE_FREE
-                     or not t & _LOW64 else float(t) * scale for v in nums])
+    t = nums >> (b - _TOP_BITS) & ((1 << _TOP_BITS) - 1)
+    out = t.astype(float) * 2.0 ** -_TOP_BITS
+    exact = np.flatnonzero((t < _TIE_FREE) | ((t & _LOW64) == 0))
+    out[exact] = (nums[exact] % q / q).astype(float)
+    return out
 
 
-def _phases(mode, torus, fibers, samples):
+def _phases(mode, wide, low, samples):
     """float(theta) for the exact phase theta of chi_mode at every sample.
 
     With l the lcm of the mode's denominators, D = 2^32 l and M = l m, the
@@ -437,11 +465,15 @@ def _phases(mode, torus, fibers, samples):
         N = sum_j M_j u_j + sum_{p | l} k_p sum_j M_j xi_pj,
 
     u the torus numerators over 2^32, xi_p the fiber residues and
-    k_p = ((l / p^t)^-1 mod p^t) D / p^t for p^t || l.  N is a Python int,
-    so N mod D / D is the correctly rounded float(theta) for every D.
+    k_p = ((l / p^t)^-1 mod p^t) D / p^t for p^t || l.  When D = 2^b with
+    b <= 64 (every integer mode, and dyadic ones up to denominator 2^32) N
+    is summed in wrapping uint64 on the low columns, since N mod 2^b is all
+    the phase needs; any other D sums N exactly in Python ints on the wide
+    ones.  Either way N mod D / D is the correctly rounded float(theta).
     """
     lcm = math.lcm(*(c.denominator for c in mode))
     mod = lcm << _GRID_BITS
+    torus, fibers = low if mod <= 1 << 64 and not mod & (mod - 1) else wide
     ints = [int(c * lcm) for c in mode]
     vec, cols = list(ints), list(torus)
     for p, fcols in fibers:
@@ -476,10 +508,10 @@ def _character_sum(terms, count):
     return re, im
 
 
-def _evaluate(fn: TrigFunction, torus, fibers, samples):
+def _evaluate(fn: TrigFunction, wide, low, samples):
     """fn at every sample as (real, imag) arrays, rounded as the scalar
     evaluation of every character from its Fraction phase."""
-    return _character_sum(((c, _phases(mode, torus, fibers, samples))
+    return _character_sum(((c, _phases(mode, wide, low, samples))
                            for mode, c in fn.terms), samples)
 
 
@@ -489,13 +521,15 @@ def monte_carlo_correlation(f: TrigFunction, g: TrigFunction, a: QMat, n,
     """Haar-sampled estimate of the same functional exact_correlation
     computes; fibers carry as many digits as the modes evaluated need.
 
-    The points are drawn one by one, then every character is evaluated on
-    all of them at once from its exact integer phase numerators.  A caller
+    The points are drawn one by one and turned into integer columns, then
+    every character is evaluated on all of them at once from its exact
+    integer phase numerators: in wrapping uint64 when its phase modulus is
+    2^b with b <= 64, in Python ints otherwise (see _phases).  A caller
     that estimates several lags may pass the same dict as draws to each
-    call: it keeps the drawn points, keyed by everything the draw depends
-    on, so each fibre precision is drawn once, and next to them the values
-    of every g evaluated on them, so g is evaluated once per point set.
-    The dict lives as long as the caller keeps it."""
+    call: it keeps the drawn points as columns, keyed by everything the
+    draw depends on, so each fibre precision is drawn once, and next to
+    them the values of every g evaluated on them, so g is evaluated once
+    per point set.  The dict lives as long as the caller keeps it."""
     if f.primes != g.primes:
         raise ValueError("observables live on different solenoids")
     fn = f.pushforward(a.power(n)) if n else f
@@ -505,10 +539,10 @@ def monte_carlo_correlation(f: TrigFunction, g: TrigFunction, a: QMat, n,
     if key not in draws:
         draws[key] = (*_columns(haar_sample(samples, f.dim, primes=f.primes,
                                             seed=seed, prec=prec)), {})
-    torus, fibers, g_values = draws[key]
+    wide, low, g_values = draws[key]
     if g not in g_values:
-        g_values[g] = _evaluate(g, torus, fibers, samples)
-    fr, fi = _evaluate(fn, torus, fibers, samples)
+        g_values[g] = _evaluate(g, wide, low, samples)
+    fr, fi = _evaluate(fn, wide, low, samples)
     gr, gi = g_values[g]
     prod = np.empty(samples, dtype=complex)
     prod.real = fr * gr - fi * gi
@@ -551,9 +585,13 @@ def clt_check(f: TrigFunction, a: QMat, n=1024, orbits=200,
     not collapse onto a coarse invariant subgrid, and their fibers carry as
     many digits as the modes of f need.
 
-    All orbits step together: their states are per-coordinate lists of
-    Python ints, every phase is exact before it is rounded, and the sums
-    round as the one-orbit-at-a-time loop would.
+    All orbits step together: their states, fibre residues and carries are
+    per-coordinate object arrays of Python ints, one entry per orbit, and
+    every phase goes through _unit_phases exactly before it is rounded.
+    The grid 2^-bits has bits > 64, so no phase takes the wrapping uint64
+    path of Monte Carlo; past _TOP_BITS only the orbits whose top bits are
+    short or a tie take the int division.  The sums round as the
+    one-orbit-at-a-time loop would.
 
     An integer mode m has the phase (K u mod 2^bits) / 2^bits at step k,
     with u the start of the orbit and the key K = (A^T)^k m mod 2^bits, so
@@ -563,8 +601,9 @@ def clt_check(f: TrigFunction, a: QMat, n=1024, orbits=200,
     observable sum_k c_k cos(2 pi 2^k x) under doubling thus computes two
     new characters per step.  Modes with denominators are computed every
     step: their float phase adds a torus part and fibre parts rounded
-    apart, so equal rational phases need not round equally.  The real parts are summed _CLT_BLOCK steps at a time, term by
-    term in order, and the block's steps are added into the sums in order.
+    apart, so equal rational phases need not round equally.  The real
+    parts are summed _CLT_BLOCK steps at a time, term by term in order, and
+    the block's steps are added into the sums in order.
     """
     d = f.dim
     rows = a.int_rows()
@@ -578,7 +617,7 @@ def clt_check(f: TrigFunction, a: QMat, n=1024, orbits=200,
     starts = [[rng.randrange(den) for _ in range(d)]
               + [rng.randrange(q) for q in modulus.values() for _ in range(d)]
               for _ in range(orbits)]
-    cols = [list(c) for c in zip(*starts)]
+    cols = [np.array(c, dtype=object) for c in zip(*starts)]
     num = cols[:d]
     xi = {p: cols[d * (i + 1):d * (i + 2)] for i, p in enumerate(modulus)}
     # mode terms as (integer vector, modulus l * den, p-adic fibres, coeff)
@@ -595,15 +634,16 @@ def clt_check(f: TrigFunction, a: QMat, n=1024, orbits=200,
     # the keys of all terms as columns, one per coordinate; only the terms
     # of integer modes (modulus den) look theirs up
     keyed = [q == den for _, q, _, _ in compiled]
-    keys = [[ivec[i] & mask for ivec, _, _, _ in compiled] for i in range(d)]
+    keys = [np.array([ivec[i] & mask for ivec, _, _, _ in compiled],
+                     dtype=object) for i in range(d)]
     dual = list(zip(*rows))             # the rows of A^T
 
     def character(ivec, q, fibres):
         """exp(2 pi i theta) of the mode at every orbit state."""
         theta = _unit_phases(_combine(ivec, num, orbits), q)
         for p, qq, inv in fibres:
-            theta = theta + np.array([
-                s * inv % qq / qq for s in _combine(ivec, xi[p], orbits)])
+            s = _combine(ivec, xi[p], orbits)
+            theta = theta + (s * inv % qq / qq).astype(float)
         return _cis(theta)
 
     center = f.mean().real
@@ -621,8 +661,7 @@ def clt_check(f: TrigFunction, a: QMat, n=1024, orbits=200,
                 now[key] = e
             out.append(e)
         last = now
-        keys = [[v & mask for v in _combine(r, keys, len(compiled))]
-                for r in dual]
+        keys = [_combine(r, keys, len(compiled)) & mask for r in dual]
         if step % _CLT_BLOCK == _CLT_BLOCK - 1 or step == n - 1:
             # vals[s] is the observable at step s of the block, its terms
             # added in order from 0 as the scalar complex sum adds them
@@ -637,12 +676,11 @@ def clt_check(f: TrigFunction, a: QMat, n=1024, orbits=200,
             for row in vals:
                 total += row
         w = [_combine(r, num, orbits) for r in rows]
-        num = [[v & mask for v in wi] for wi in w]
+        num = [wi & mask for wi in w]
         if modulus:
-            kv = [[v >> bits for v in wi] for wi in w]
-            xi = {p: [[(s + k) % q
-                       for s, k in zip(_combine(r, xi[p], orbits), ki)]
-                      for r, ki in zip(rows, kv)]
+            kv = [wi >> bits for wi in w]
+            xi = {p: [(_combine(r, xi[p], orbits) + k) % q
+                      for r, k in zip(rows, kv)]
                   for p, q in modulus.items()}
     arr = total / math.sqrt(n)
     corr = exact_correlation(f, f, a, min(_CLT_REF_TERMS, n - 1))

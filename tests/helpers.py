@@ -28,10 +28,10 @@ from hyperrank.exact import (QMat, QPoly, cyclotomic,
 from hyperrank.exact.factorq import factor_over_q
 from hyperrank.exact.newton import newton_polygon
 from hyperrank.nilpotent import NilElement, nil_element
-from hyperrank.solenoid import (_CLT_BINS, _CLT_REF_TERMS, _MIN_DIGITS,
-                                CltReport, McCorrelation, SolenoidPoint,
-                                TrigFunction, _orbit_sampler_bits,
-                                haar_sample)
+from hyperrank.solenoid import (_CLT_BINS, _CLT_REF_TERMS, _GRID_BITS,
+                                _MIN_DIGITS, CltReport, McCorrelation,
+                                SolenoidPoint, TrigFunction,
+                                _orbit_sampler_bits)
 
 
 def padic_lyapunov(matrix, p):
@@ -136,12 +136,26 @@ def evaluate(f: TrigFunction, pt: SolenoidPoint) -> complex:
     return sum((coeff * character_value(m, pt) for m, coeff in f.terms), 0j)
 
 
+def scalar_haar_sample(count, dim, primes=(), seed=0, prec=_MIN_DIGITS):
+    rng = random.Random(seed)
+    den = 1 << _GRID_BITS
+    out = []
+    for _ in range(count):
+        xs = tuple(Fraction(rng.randrange(den), den) for _ in range(dim))
+        xi = {p: (prec, tuple(rng.randrange(p ** prec) for _ in range(dim)))
+              for p in primes}
+        out.append(SolenoidPoint(x=xs, xi=tuple(
+            (p,) + xi[p] for p in sorted(xi))))
+    return out
+
+
 def scalar_monte_carlo_correlation(f, g, a, n, samples=10000, seed=0):
     if f.primes != g.primes:
         raise ValueError("observables live on different solenoids")
     fn = f.pushforward(a.power(n)) if n else f
     prec = max(_MIN_DIGITS, fn.fiber_digits(), g.fiber_digits())
-    pts = haar_sample(samples, f.dim, primes=f.primes, seed=seed, prec=prec)
+    pts = scalar_haar_sample(samples, f.dim, primes=f.primes, seed=seed,
+                             prec=prec)
     vals = [evaluate(fn, pt) * evaluate(g, pt) for pt in pts]
     mean = sum(vals) / samples
     est = mean - f.mean() * g.mean()

@@ -22,14 +22,14 @@ from helpers import (gauss_jordan_inverse, scalar_is_ergodic,
                      scalar_rational_splitting, scalar_saturate_rows)
 from hyperrank.errors import NoErgodicSubgroupFound, RankDeficient
 from hyperrank.exact import QMat, QPoly, cyclotomic
-from hyperrank import ergodicity
+from hyperrank import ergodicity, spectra
 from hyperrank.ergodicity import (ErgodicityCertificate, Z2SubgroupCertificate,
                                   _field_element, _polynomial_on_kernel,
                                   ergodic_z2_subgroup, has_rank_one_factor,
                                   is_ergodic, rational_splitting)
 from hyperrank.exact.intmat import kernel_lattice, restrict_rows
 from hyperrank.exact.factorq import factor_over_q
-from hyperrank.spectra import ActionSpec
+from hyperrank.spectra import ActionSpec, joint_spectrum
 
 CAT = [[2, 1], [1, 1]]
 CUBIC = [[0, 0, 1], [1, 0, 2], [0, 1, -1]]     # companion of x^3 + x^2 - 2x - 1
@@ -302,6 +302,23 @@ class TestSearch:
             vec = tuple(i * x + j * y for x, y in zip(a, b))
             assert is_ergodic(ActionSpec((CUBIC, CUBIC_PLUS)).element(vec)
                               ).ergodic, (i, j)
+
+    def test_library_defaults_refine_once(self, monkeypatch):
+        # joint_spectrum and the block spectra of both checks default to
+        # one tolerance, so the cubic units' one block, the action itself,
+        # is refined once
+        tols = []
+        refine = spectra._real_refine
+
+        def counted(action, tol):
+            tols.append(tol)
+            return refine(action, tol)
+        monkeypatch.setattr(spectra, "_real_refine", counted)
+        action = ActionSpec((CUBIC, CUBIC_PLUS))
+        joint_spectrum(action)
+        assert not has_rank_one_factor(action).found
+        assert isinstance(ergodic_z2_subgroup(action), Z2SubgroupCertificate)
+        assert tols == [1e-9]
 
     def test_z2_subgroup_product_action_obstructed(self):
         with pytest.raises(NoErgodicSubgroupFound) as ei:

@@ -27,13 +27,13 @@ from hyperrank import solenoid
 from hyperrank.cli import main as cli_main
 from hyperrank.exact import QMat
 from hyperrank.solenoid import (_CLT_BLOCK, TrigFunction, _unit_phases,
-                                clt_check, exact_correlation,
+                                clt_check, exact_correlation, haar_sample,
                                 monte_carlo_correlation)
 
 from helpers import (displacement, scalar_clt_check,
-                     scalar_exact_correlation, scalar_holder_estimate,
-                     scalar_monte_carlo_correlation, scalar_q,
-                     scalar_solve_conjugacy, scalar_tau,
+                     scalar_exact_correlation, scalar_haar_sample,
+                     scalar_holder_estimate, scalar_monte_carlo_correlation,
+                     scalar_q, scalar_solve_conjugacy, scalar_tau,
                      scalar_verify_conjugacy)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -75,6 +75,16 @@ def s_adic(max_exp):
 def matrices(dim, low=-3, high=3):
     return st.lists(st.lists(st.integers(low, high), min_size=dim,
                              max_size=dim), min_size=dim, max_size=dim)
+
+
+@pytest.mark.parametrize("dim, primes, prec", [
+    (0, (), 32), (1, (), 32), (3, (2,), 40), (2, (3, 2), 32),
+    (2, (5, 2, 5), 33), (1, (2 ** 70 + 25, 2), 32)])
+def test_haar_sample(dim, primes, prec):
+    # residues are drawn in the order the primes are given and stored
+    # ascending in p; a repeated prime keeps its last draw
+    assert_identical(haar_sample(30, dim, primes, seed=dim, prec=prec),
+                     scalar_haar_sample(30, dim, primes, seed=dim, prec=prec))
 
 
 def check_mc(terms_f, terms_g, primes, matrix, n, samples, seed):
@@ -122,6 +132,30 @@ def test_monte_carlo_deep_mode(n):
     deep = Fraction(1, 2 ** 40)
     terms = [((deep,), 0.5), ((-deep,), 0.5), ((Fraction(3, 8),), 0.25j)]
     check_mc(terms, terms, (2,), [[2]], n, 50, 7)
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_monte_carlo_wrapping_boundary(n):
+    # denominator 2^32 puts D at 2^64, the last modulus summed in wrapping
+    # uint64 with the 2-adic fibre; 2^33 puts it at 2^65, summed in exact
+    # ints; lag 1 keeps modes of both denominators
+    terms = [((Fraction(1, 2 ** 32), 5), 0.5), ((Fraction(-3, 2 ** 32), 1),
+                                               0.25 - 0.5j),
+             ((Fraction(7, 2 ** 33), -2), 0.75j), ((Fraction(-1, 2 ** 33),
+                                                    Fraction(1, 2)), -0.3)]
+    check_mc(terms, terms, (2,), [[2, 1], [1, 3]], n, 60, 21)
+
+
+def test_monte_carlo_wrapping_huge_modes():
+    # at lag 60 the pushed-forward modes of the cat map have entries beyond
+    # 2^64, of both signs; the wrapping sums reduce them mod 2^64 first
+    a = QMat([[2, 1], [1, 1]])
+    terms = [((1, -2), 0.5 + 0.25j), ((-3, 1), 0.5), ((0, 1), -0.125j)]
+    f = TrigFunction.build(terms)
+    modes = [m for m, _ in f.pushforward(a.power(60)).terms]
+    assert max(abs(c) for m in modes for c in m) > 2 ** 64
+    assert min(c for m in modes for c in m) < 0
+    check_mc(terms, terms, (), [[2, 1], [1, 1]], 60, 50, 13)
 
 
 def test_monte_carlo_shared_draws():
@@ -214,20 +248,32 @@ def dyadic_cases(b, rng):
     return [r + k * q for r in rs for k in (0, 1, -1, -3)]
 
 
-@pytest.mark.parametrize("b", [32, 53, 64, 256, 999, 1000, 1001, 1064, 1100,
-                               4160])
+def forms(nums, q):
+    """nums as _unit_phases takes them: a list and an object array of the
+    ints, and for q = 2^b with b <= 64 a uint64 array of them mod 2^64,
+    the wrapping path's numerators."""
+    out = [nums, np.array(nums, dtype=object)]
+    if q <= 2 ** 64 and not q & (q - 1):
+        out.append(np.array([v % 2 ** 64 for v in nums], dtype=np.uint64))
+    return out
+
+
+@pytest.mark.parametrize("b", [32, 53, 63, 64, 65, 256, 999, 1000, 1001,
+                               1064, 1100, 4160])
 def test_unit_phases_dyadic(b):
     q = 1 << b
     nums = dyadic_cases(b, random.Random(b))
-    got = _unit_phases(nums, q).tolist()
-    assert [repr(x) for x in got] == [repr(v % q / q) for v in nums]
+    want = [repr(v % q / q) for v in nums]
+    for form in forms(nums, q):
+        assert [repr(x) for x in _unit_phases(form, q).tolist()] == want
 
 
 @pytest.mark.parametrize("q", [3, 6 << 32, 12 << 1100, 2 ** 70 + 25])
 def test_unit_phases_other_moduli(q):
     rng = random.Random(q)
     nums = [rng.randrange(-3 * q, 3 * q) for _ in range(200)] + [0, q, -q]
-    assert _unit_phases(nums, q).tolist() == [v % q / q for v in nums]
+    for form in forms(nums, q):
+        assert _unit_phases(form, q).tolist() == [v % q / q for v in nums]
 
 
 # --- central limit diagnostics ----------------------------------------------
