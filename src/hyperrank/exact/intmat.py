@@ -64,22 +64,13 @@ class QMat:
             return self.rows == other.rows
         return NotImplemented
 
-    def __hash__(self):
-        return hash(self.rows)
-
-    def __repr__(self):
-        return f"QMat({[[str(c) for c in r] for r in self.rows]})"
-
-    def __add__(self, other):
+    def __add__(self, other):       # __sub__'s partner, for test oracles
         return QMat([[a + b for a, b in zip(ra, rb)]
                      for ra, rb in zip(self.rows, other.rows)])
 
     def __sub__(self, other):
         return QMat([[a - b for a, b in zip(ra, rb)]
                      for ra, rb in zip(self.rows, other.rows)])
-
-    def __neg__(self):
-        return QMat([[-a for a in r] for r in self.rows])
 
     def scalar(self, c):
         c = Fraction(c)
@@ -128,7 +119,7 @@ class QMat:
                          for r in mat_poly_mod(cp[1:], ints)], -cp[0])
 
     def adjugate(self):
-        """det * inverse for nonsingular input (exact)."""
+        """det * inverse, exact; inverse_levels reads its valuations."""
         d = self.det()
         if d == 0:
             raise RankDeficient("adjugate via inverse needs a nonsingular matrix")

@@ -47,9 +47,6 @@ class QPoly:
     def is_zero(self):
         return not self.coeffs
 
-    def __bool__(self):
-        return bool(self.coeffs)
-
     def __getitem__(self, i):
         if 0 <= i < len(self.coeffs):
             return self.coeffs[i]
@@ -60,6 +57,10 @@ class QPoly:
             raise ZeroPolynomial("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
+    # __bool__, __eq__, __hash__: without them truth is True, == identity
+    def __bool__(self):
+        return bool(self.coeffs)
+
     def __eq__(self, other):
         if isinstance(other, QPoly):
             return self.coeffs == other.coeffs
@@ -67,21 +68,6 @@ class QPoly:
 
     def __hash__(self):
         return hash(self.coeffs)
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "QPoly(0)"
-        terms = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                terms.append(str(c))
-            elif i == 1:
-                terms.append(f"{c}*x" if c != 1 else "x")
-            else:
-                terms.append(f"{c}*x^{i}" if c != 1 else f"x^{i}")
-        return "QPoly(" + " + ".join(terms) + ")"
 
     # --- ring ops ---
 
@@ -97,9 +83,6 @@ class QPoly:
 
     def __sub__(self, other):
         return self + (-_coerce(other))
-
-    def __rsub__(self, other):
-        return _coerce(other) + (-self)
 
     def __mul__(self, other):
         other = _coerce(other)
@@ -133,40 +116,16 @@ class QPoly:
                     rem[j + k] -= c * b
         return QPoly(quo), QPoly(rem[:other.degree])
 
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
-
     def exact_div(self, other):
         q, r = divmod(self, other)
         if not r.is_zero():
-            raise ValueError(f"{other!r} does not divide {self!r}")
+            raise ValueError(f"{other.coeffs} does not divide {self.coeffs}")
         return q
 
-    def __pow__(self, n):
-        if n < 0:
-            raise ValueError("negative polynomial power")
-        out, base = QPoly.one(), self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
-    # --- calculus / evaluation ---
+    # --- derivative and monic part ---
 
     def derivative(self):
         return QPoly([i * c for i, c in enumerate(self.coeffs)][1:])
-
-    def __call__(self, x):
-        # Horner; x may be Fraction, int, float, or complex.
-        acc = 0 * x if not isinstance(x, (int, Fraction)) else Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
 
     def monic(self):
         lead = self.leading()

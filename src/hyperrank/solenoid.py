@@ -168,27 +168,18 @@ def apply_inverse(a: QMat, pt: SolenoidPoint) -> SolenoidPoint:
            for i in range(pt.dim)]
     x = tuple(r % 1 for r in raw)
     carry = [int(r - r % 1) for r in raw]
-    adj = a.adjugate()
     xi = []
     for p, prec, res in pt.xi:
-        l = levels.get(p, 0)
-        dv = vp_int(det, p)
-        m0 = dv - l
-        adjr = [[int(c) // p ** m0 for c in row] for row in adj.rows]
-        u = det // p ** dv
-        q = p ** prec
-        uinv = pow(u, -1, q)
-        new_prec = prec - l
+        new_prec = prec - levels.get(p, 0)
+        v = [sum(ainv.rows[i][j] * (res[j] - n[j]) for j in range(pt.dim))
+             for i in range(pt.dim)]
+        if any(c.denominator % p == 0 for c in v):
+            raise PrecisionExhausted(
+                "branch translate failed to clear the level")
         qn = p ** new_prec
-        new_res = []
-        for i in range(pt.dim):
-            w = sum(adjr[i][j] * (res[j] - n[j]) for j in range(pt.dim))
-            w = w * uinv % q
-            if w % p ** l:
-                raise PrecisionExhausted(
-                    "branch translate failed to clear the level")
-            new_res.append((w // p ** l + carry[i]) % qn)
-        xi.append((p, new_prec, tuple(new_res)))
+        xi.append((p, new_prec, tuple(
+            (c.numerator * pow(c.denominator, -1, qn) + k) % qn
+            for c, k in zip(v, carry))))
     return SolenoidPoint(x=x, xi=tuple(xi))
 
 
@@ -295,8 +286,9 @@ def _escape_index(a: QMat, modes, radius):
 
     Float eigen-splitting with a conservative margin: once the expanding
     coordinates of the orbit carry enough mass, they grow monotonically and
-    bound the sup norm from below.  Returns None when a^T has (numerically)
-    unimodular eigenvalues or _ESCAPE_CAP steps do not suffice.
+    bound the sup norm from below.  Rational modes run as L k against the
+    radius L r, L the lcm of their denominators.  Returns None when a^T has
+    (numerically) unimodular eigenvalues or _ESCAPE_CAP steps do not suffice.
     """
     at = np.array(a.transpose().int_rows(), dtype=float)
     eigvals, eigvecs = np.linalg.eig(at)
@@ -308,11 +300,12 @@ def _escape_index(a: QMat, modes, radius):
         return None
     pinv = np.linalg.inv(eigvecs)
     kappa = np.max(np.sum(np.abs(pinv), axis=1))
-    threshold = radius * kappa * (1 + 1e-9)
+    lcm = math.lcm(*(c.denominator for k in modes for c in k))
+    threshold = float(radius * lcm) * kappa * (1 + 1e-9)
     worst = 0
     rows = a.int_rows()
     for k in modes:
-        w = [int(c) for c in k]
+        w = [int(c * lcm) for c in k]
         n = 0
         while True:
             coords = pinv @ np.array(w, dtype=float)
@@ -350,13 +343,12 @@ def mixing_curve(f: TrigFunction, g: TrigFunction, a: QMat, n_max,
         if values[i] != 0:
             break
         zero_from = i
-    radius = max((max(abs(float(c)) for c in m)
-                  for m, _ in g.terms if any(c != 0 for c in m)), default=None)
-    cert = None
-    if radius is not None:
-        nz = [m for m, _ in f.terms if any(c != 0 for c in m)]
-        if nz and all(c.denominator == 1 for m in nz for c in m):
-            cert = _escape_index(a, nz, radius)
+    radius = max((abs(c) for m, _ in g.terms for c in m), default=0)
+    nz = [m for m, _ in f.terms if any(m)]
+    try:
+        cert = _escape_index(a, nz, radius) if radius and nz else None
+    except OverflowError:       # modes past the float range: no certificate
+        cert = None
     pts = [(n, math.log(abs(values[n])))
            for n in (fit_range if fit_range is not None
                      else range(len(values)))

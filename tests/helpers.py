@@ -21,17 +21,18 @@ from hyperrank.conjugacy import (_HOLDER_BINS, _HOLDER_SPAN, ConjugacyField,
                                  TrigPerturbation)
 from hyperrank.ergodicity import ErgodicityCertificate, SplitBlock
 from hyperrank.errors import (DegenerateField, NoConvergence,
-                              PrecisionExhausted, RankDeficient)
-from hyperrank.exact import (QMat, QPoly, cyclotomic,
-                             cyclotomic_indices_up_to_degree, hnf_rows, modp,
-                             poly_gcd, vp_int)
+                              NotAnAutomorphism, PrecisionExhausted,
+                              RankDeficient)
+from hyperrank.exact import (QMat, QPoly, crt_integers, cyclotomic,
+                             cyclotomic_indices_up_to_degree, factor_int,
+                             hnf_rows, modp, poly_gcd, vp_int)
 from hyperrank.exact.factorq import factor_over_q
 from hyperrank.exact.newton import newton_polygon
 from hyperrank.nilpotent import NilElement, nil_element
 from hyperrank.solenoid import (_CLT_BINS, _CLT_REF_TERMS, _GRID_BITS,
                                 _MIN_DIGITS, CltReport, McCorrelation,
                                 SolenoidPoint, TrigFunction,
-                                _orbit_sampler_bits)
+                                _orbit_sampler_bits, inverse_levels)
 
 
 def padic_lyapunov(matrix, p):
@@ -87,8 +88,9 @@ def nil_identity(structure) -> NilElement:
 #
 # The one-point-at-a-time Monte Carlo, CLT and conjugacy code the library's
 # array engines replaced, the Fraction mode stepping of the exact
-# correlation, and the one-solve-per-system expansion rate, kept verbatim as
-# the oracles they must match bit for bit.
+# correlation, the one-solve-per-system expansion rate and the adjugate form
+# of the solenoid inverse, kept verbatim as the oracles they must match bit
+# for bit.
 
 
 def scalar_exact_correlation(f: TrigFunction, g: TrigFunction, a: QMat,
@@ -147,6 +149,60 @@ def scalar_haar_sample(count, dim, primes=(), seed=0, prec=_MIN_DIGITS):
         out.append(SolenoidPoint(x=xs, xi=tuple(
             (p,) + xi[p] for p in sorted(xi))))
     return out
+
+
+def scalar_apply_inverse(a: QMat, pt: SolenoidPoint) -> SolenoidPoint:
+    """solenoid.apply_inverse through the adjugate: each fibre divides the
+    adjugate by p^m0 and multiplies by the inverse of det's unit part."""
+    det = int(a.det())
+    if det == 0:
+        raise NotAnAutomorphism("singular matrix")
+    have = set(pt.primes)
+    for p in factor_int(det):
+        if p not in have:
+            raise NotAnAutomorphism(
+                f"determinant prime {p} is not inverted in this solenoid")
+    levels = inverse_levels(a)
+    for p, l in levels.items():
+        prec, _ = pt.xi_at(p)
+        if prec < l:
+            raise PrecisionExhausted(
+                f"need {l} digits at p = {p}, have {prec}")
+    n = []
+    for i in range(pt.dim):
+        pairs = []
+        for p, l in sorted(levels.items()):
+            if l > 0:
+                _, res = pt.xi_at(p)
+                pairs.append((res[i] % p ** l, p ** l))
+        n.append(crt_integers(pairs)[0] if pairs else 0)
+    ainv = a.inverse()
+    raw = [sum(ainv.rows[i][j] * (pt.x[j] + n[j]) for j in range(pt.dim))
+           for i in range(pt.dim)]
+    x = tuple(r % 1 for r in raw)
+    carry = [int(r - r % 1) for r in raw]
+    adj = a.adjugate()
+    xi = []
+    for p, prec, res in pt.xi:
+        l = levels.get(p, 0)
+        dv = vp_int(det, p)
+        m0 = dv - l
+        adjr = [[int(c) // p ** m0 for c in row] for row in adj.rows]
+        u = det // p ** dv
+        q = p ** prec
+        uinv = pow(u, -1, q)
+        new_prec = prec - l
+        qn = p ** new_prec
+        new_res = []
+        for i in range(pt.dim):
+            w = sum(adjr[i][j] * (res[j] - n[j]) for j in range(pt.dim))
+            w = w * uinv % q
+            if w % p ** l:
+                raise PrecisionExhausted(
+                    "branch translate failed to clear the level")
+            new_res.append((w // p ** l + carry[i]) % qn)
+        xi.append((p, new_prec, tuple(new_res)))
+    return SolenoidPoint(x=x, xi=tuple(xi))
 
 
 def scalar_monte_carlo_correlation(f, g, a, n, samples=10000, seed=0):

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from hyperrank import spectra
+from hyperrank import ergodicity, spectra
 from hyperrank.cli import main
 from hyperrank.exact import padic
 from hyperrank.errors import PrecisionExhausted, RootFindingFailure
@@ -109,6 +109,26 @@ class TestAnalyze:
         assert report["rank_one"]["found"] is False
         assert len(report["weyl_chambers"]) == 6
         assert report["min_expansion_rate"] > 0
+
+    def test_repeated_generator_rejects_pairs_first(self, capsys, tmp_path,
+                                                    monkeypatch):
+        # with V twice, every candidate pair before the certified one has a
+        # combination that is the identity
+        directions = []
+        rounded = ergodicity._rounded_direction
+
+        def recorded(v):
+            directions.append(rounded(v))
+            return directions[-1]
+        monkeypatch.setattr(ergodicity, "_rounded_direction", recorded)
+        out = tmp_path / "report.json"
+        code, _, _ = run(capsys, "analyze", fixture("repeated_generator.json"),
+                         "--out", str(out))
+        assert code == 0
+        z2 = json.loads(out.read_text())["z2_subgroup"]
+        assert z2["status"] == "certified"
+        assert z2["pair"] == [[0, 0, 1], [1, -1, -1]]
+        assert directions == [(0, 1), (1, -1), (2, -1)]
 
     def test_product_action_rank_one_exit_two(self, capsys, tmp_path):
         out = tmp_path / "report.json"
@@ -694,6 +714,19 @@ class TestMixing:
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps(config))
         return str(cfg)
+
+    @pytest.mark.parametrize("mode,cert", [
+        (str(10 ** 400), None),              # the entry is past float range
+        ("1/" + str(2 ** 1100), 1),          # the lcm is past float range
+        ("1/2", 1)], ids=["huge_entry", "huge_denominator", "half"])
+    def test_certificate_with_huge_modes(self, capsys, tmp_path, mode, cert):
+        summary = tmp_path / "s.json"
+        cfg = self._with(tmp_path, f=[{"mode": [mode], "coeff": [1, 0]}],
+                         n_max=3)
+        code, _, err = run(capsys, "mixing", cfg, "--out",
+                           str(tmp_path / "c.csv"), "--summary", str(summary))
+        assert (code, err) == (0, "")
+        assert json.loads(summary.read_text())["certified_zero_from"] == cert
 
     def test_fit_range_is_inclusive(self, capsys, tmp_path):
         summary = tmp_path / "s.json"

@@ -25,7 +25,8 @@ SIZE_KEYS = {"grid", "n_max", "z2", "pair_bound", "combo_bound", "mc",
              "padic_precision", "precision"}
 
 ANALYZE = ["cat_analyze", "cubic_units_z2", "double_split", "malformed",
-           "rank_one_product", "unsaturated_split", "z2_budget"]
+           "rank_one_product", "repeated_generator", "unsaturated_split",
+           "z2_budget"]
 MIXING = ["bad_modes", "cat_mixing", "doubling_mixing"]
 CONJUGATE = ["doubling_conjugate", "not_expanding"]
 

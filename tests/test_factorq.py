@@ -5,6 +5,7 @@ independent grounds (cyclotomics, Eisenstein at 2, negative discriminants),
 not by the code under test.
 """
 
+import math
 import random
 
 from hyperrank.exact import QPoly, cyclotomic, poly_gcd
@@ -21,11 +22,12 @@ def irreducible(f):
 STOCK_IRREDUCIBLE = [
     X - 1,
     X + 3,
-    X ** 2 - 2,            # Eisenstein at 2
-    X ** 2 + 1,            # Phi_4
-    X ** 2 - 3 * X + 1,    # disc 5, not a square
-    X ** 3 - 2,            # Eisenstein at 2
-    X ** 3 + X ** 2 - 2 * X - 1,  # totally real cubic, disc 49, no rational root
+    QPoly.monomial(2) - 2,            # Eisenstein at 2
+    QPoly.monomial(2) + 1,            # Phi_4
+    QPoly.monomial(2) - 3 * X + 1,    # disc 5, not a square
+    QPoly.monomial(3) - 2,            # Eisenstein at 2
+    # totally real cubic, disc 49, no rational root
+    QPoly.monomial(3) + QPoly.monomial(2) - 2 * X - 1,
     cyclotomic(5),
     cyclotomic(12),
 ]
@@ -45,7 +47,7 @@ def test_random_products_recovered():
             g = rng.choice(STOCK_IRREDUCIBLE)
             m = rng.randrange(1, 3)
             chosen[g.coeffs] = chosen.get(g.coeffs, 0) + m
-            f = f * g ** m
+            f = math.prod([g] * m, start=f)
         got = factor_over_q(f)
         assert sorted((h.coeffs, m) for h, m in got) == sorted(chosen.items())
 
@@ -60,7 +62,7 @@ def test_product_property_random_coeffs():
         rebuilt = QPoly.one()
         for h, m in got:
             assert h.leading() == 1
-            rebuilt = rebuilt * h ** m
+            rebuilt = math.prod([h] * m, start=rebuilt)
         assert rebuilt == f.monic()
         for i, (h, _) in enumerate(got):
             for g, _ in got[i + 1:]:
@@ -77,14 +79,15 @@ def test_cyclotomic_product_resolved():
 
 
 def test_high_multiplicity():
-    f = (X ** 2 + 1) ** 3 * (X - 2) ** 2
+    g = QPoly.monomial(2) + 1
+    f = math.prod([g] * 3 + [X - 2] * 2, start=QPoly.one())
     got = factor_over_q(f)
-    assert ((X ** 2 + 1).coeffs, 3) in [(h.coeffs, m) for h, m in got]
+    assert (g.coeffs, 3) in [(h.coeffs, m) for h, m in got]
     assert ((X - 2).coeffs, 2) in [(h.coeffs, m) for h, m in got]
 
 
 def test_swinnerton_dyer_style_recombination():
     # minimal poly of sqrt2 + sqrt3: irreducible of degree 4 that splits into
     # four linears mod every prime, the classic recombination stress case
-    f = X ** 4 - 10 * X ** 2 + 1
+    f = QPoly.monomial(4) - 10 * QPoly.monomial(2) + 1
     assert irreducible(f)

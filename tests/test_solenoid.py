@@ -26,7 +26,7 @@ from hyperrank.solenoid import (CorrelationRow, SolenoidPoint, TrigFunction,
                                 monte_carlo_correlation)
 
 from helpers import (character_phase, character_value, cosine, evaluate,
-                     solenoid_point)
+                     scalar_apply_inverse, solenoid_point)
 
 CAT = QMat([[2, 1], [1, 1]])
 DOUBLING = QMat([[2]])
@@ -188,6 +188,41 @@ class TestDynamics:
         with pytest.raises(PrecisionExhausted):
             apply_inverse(DOUBLING, pt)
 
+    def test_inverse_matches_the_scalar_oracle(self):
+        # whole inverse orbits, step by step until an exception, against the
+        # adjugate form; exceptions must agree in type and message too
+        rng = random.Random(23)
+        mats = [[[2]], [[6]], [[3]], [[-6]], [[4, 2], [2, 2]],
+                [[2, 0], [0, 4]], [[2, 1], [1, 1]], [[12, 0], [0, 18]],
+                [[2, 1], [0, 2]], [[0, 2], [3, 0]],
+                [[2, 1, 0], [1, 2, 1], [0, 1, 2]]]
+        steps = 0
+        for rows in mats:
+            a = QMat(rows)
+            for primes in [(2, 3), (2, 3, 5), (2,), (3,)]:
+                for prec in range(1, 13):
+                    for _ in range(2):
+                        dim = len(rows)
+                        x = [Fraction(rng.randrange(60), rng.randint(1, 60))
+                             for _ in range(dim)]
+                        xi = {p: (prec, tuple(rng.randrange(p ** prec)
+                                              for _ in range(dim)))
+                              for p in primes}
+                        pt = solenoid_point(x, xi=xi)
+                        for _ in range(prec + 2):
+                            try:
+                                want = scalar_apply_inverse(a, pt)
+                            except (NotAnAutomorphism,
+                                    PrecisionExhausted) as exc:
+                                with pytest.raises(type(exc)) as got:
+                                    apply_inverse(a, pt)
+                                assert str(got.value) == str(exc)
+                                break
+                            pt = apply_inverse(a, pt)
+                            assert pt == want
+                            steps += 1
+        assert steps > 2000
+
     def test_not_an_automorphism(self):
         with pytest.raises(NotAnAutomorphism):
             apply_inverse(QMat([[1, 1], [1, 1]]),
@@ -337,10 +372,42 @@ class TestMixingCurve:
         curve = mixing_curve(cosine((1, 0)), cosine((1, 0)), shear, 4)
         assert curve.certified_zero_from is None
 
-    def test_no_certificate_for_fractional_modes(self):
+    def test_certificate_for_fractional_modes(self):
         f = TrigFunction.build([((Fraction(1, 2),), 1.0)], primes=(2,))
         curve = mixing_curve(f, f.conjugate(), DOUBLING, 4)
-        assert curve.certified_zero_from is None
+        assert curve.zero_from == curve.certified_zero_from == 1
+        # x2 on the 2-solenoid: 2^n / 2 - 2 = 0 only at n = 2
+        g = TrigFunction.build([((-2,), 1.0)], primes=(2,))
+        curve = mixing_curve(f, g, DOUBLING, 6)
+        assert curve.values[2] != 0
+        assert curve.zero_from == curve.certified_zero_from == 3
+
+    def test_certificate_holds_on_solenoid_modes(self):
+        # modes with 2- and 3-power denominators; g meets f's first mode at
+        # lag j, so the certificate must come after j, and the exact curve
+        # must vanish from it up to ten times it
+        rng = random.Random(15)
+        mats = [QMat([[2]]), QMat([[3]]), QMat([[-6]]), CAT,
+                QMat([[3, 1], [1, 1]]), QMat([[2, 0], [0, 3]])]
+        for _ in range(60):
+            a = rng.choice(mats)
+            d = a.shape[0]
+
+            def mode():      # no zero entry, so never the zero mode
+                den = 2 ** rng.randrange(4) * 3 ** rng.randrange(4)
+                return tuple(Fraction(rng.choice((-1, 1)) * rng.randint(1, 9),
+                                      den) for _ in range(d))
+            k = mode()
+            j = rng.randrange(4)
+            hit = QMat([k]) @ a.power(j)       # the row ((a^T)^j k)^T
+            f = TrigFunction.build([(k, 1.0), (mode(), 0.5j)], primes=(2, 3))
+            g = TrigFunction.build([(tuple(-c for c in hit.rows[0]), 2.0),
+                                    (mode(), 1.5)], primes=(2, 3))
+            c = mixing_curve(f, g, a, 4).certified_zero_from
+            assert c is not None and c > j
+            values = exact_correlation(f, g, a, 10 * c)
+            assert values[j] != 0
+            assert all(v == 0 for v in values[c:])
 
     def test_degenerate_fit(self):
         f = cosine((1,))

@@ -1,6 +1,8 @@
 """Properties of the source tree itself."""
 
 import ast
+import json
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -243,3 +245,76 @@ def test_every_functools_cache_is_allowlisted():
     assert not found, f"functools caches off the allowlist: {found}"
     assert cached == CACHE_ALLOWLIST, "stale allowlist entries: " \
         f"{sorted(CACHE_ALLOWLIST - cached)}"
+
+
+# Members of the exact value classes that no command run of
+# test_value_class_members_are_entered enters, each with its reason.
+VALUE_CLASS_ALLOWLIST = {
+    "QMat.scalar": "criterion 8, through inverse_levels",
+    "QMat.adjugate": "criterion 8, through inverse_levels",
+    "QMat.__add__": "__sub__'s partner, used by the reference oracles",
+    "QPoly.__mul__": "criterion 3",
+    "QPoly.__eq__": "value semantics",
+    "QPoly.__hash__": "value semantics",
+    "QPoly.__bool__": "value semantics",
+}
+
+
+def _value_class_members():
+    """{code object: "Class.function"} of every function QMat and QPoly
+    define, dunders included; an alias such as __rmul__ is its function."""
+    from hyperrank.exact import QMat, QPoly
+    out = {}
+    for cls in (QMat, QPoly):
+        for member in vars(cls).values():
+            func = getattr(member, "fget", None) or getattr(
+                member, "__func__", member)
+            if hasattr(func, "__code__"):
+                out[func.__code__] = f"{cls.__name__}.{func.__name__}"
+    return out
+
+
+def test_value_class_members_are_entered(tmp_path, capsys):
+    # a binding-level guard: the static one above matches names and exempts
+    # dunders, so it cannot see an operator no command runs.  It records
+    # which functions a run enters and judges no time.
+    from hyperrank.cli import main
+    from hyperrank.exact import cyclotomic
+    cyclotomic.cache_clear()       # so an earlier test cannot hide a call
+    fixtures = SRC.parent / "fixtures"
+    configs = {str(p): json.loads(p.read_text())
+               for p in sorted(fixtures.glob("*.json"))}
+    summary = ["--summary", str(tmp_path / "summary.json")]
+    runs = [["analyze", path] for path, c in configs.items()
+            if "generators" in c]
+    runs += [["mixing", path, "--mc", "50", *summary]
+             for path, c in configs.items() if "f" in c]
+    runs += [["conjugate", path, *summary]
+             for path, c in configs.items() if "perturbation" in c]
+    runs.append(["crt", str(fixtures / "heisenberg_structure.json"),
+                 str(fixtures / "heisenberg_targets.json")])
+    readme = (SRC.parent / "README.md").read_text()
+    examples = [block.split("```")[0]
+                for block in readme.split("```python\n")[1:]]
+    members = _value_class_members()
+    entered = set()
+
+    def probe(frame, event, arg):
+        if event == "call" and frame.f_code in members:
+            entered.add(members[frame.f_code])
+
+    sys.setprofile(probe)
+    try:
+        for argv in runs:
+            main(argv + ["--out", str(tmp_path / "out")])
+        for code in examples:
+            exec(compile(code, "README.md", "exec"), {})
+    finally:
+        sys.setprofile(None)
+    capsys.readouterr()
+    unentered = set(members.values()) - entered
+    assert unentered == set(VALUE_CLASS_ALLOWLIST), (
+        f"entered by no run and not allowlisted: "
+        f"{sorted(unentered - set(VALUE_CLASS_ALLOWLIST))}; "
+        f"allowlisted but entered or gone: "
+        f"{sorted(set(VALUE_CLASS_ALLOWLIST) - unentered)}")
