@@ -202,7 +202,7 @@ class TrigFunction:
 
     @classmethod
     def build(cls, terms, primes=()):
-        primes = tuple(sorted(primes))
+        primes = tuple(sorted(set(primes)))
         merged = {}
         dim = None
         for mode, coeff in terms:
@@ -345,10 +345,15 @@ def mixing_curve(f: TrigFunction, g: TrigFunction, a: QMat, n_max,
         zero_from = i
     radius = max((abs(c) for m, _ in g.terms for c in m), default=0)
     nz = [m for m, _ in f.terms if any(m)]
-    try:
-        cert = _escape_index(a, nz, radius) if radius and nz else None
-    except OverflowError:       # modes past the float range: no certificate
-        cert = None
+    if not nz or (not radius and a.det() != 0):
+        # a constant f meets only g's mean term, and a constant g under an
+        # invertible A only f's: that term cancels
+        cert = 0
+    else:
+        try:
+            cert = _escape_index(a, nz, radius) if radius else None
+        except OverflowError:   # modes past the float range: no certificate
+            cert = None
     pts = [(n, math.log(abs(values[n])))
            for n in (fit_range if fit_range is not None
                      else range(len(values)))
@@ -597,6 +602,9 @@ def clt_check(f: TrigFunction, a: QMat, n=1024, orbits=200,
     parts are summed _CLT_BLOCK steps at a time, term by term in order, and
     the block's steps are added into the sums in order.
     """
+    if n < 1 or orbits < 2:
+        raise ValueError(f"clt_check needs n >= 1 and orbits >= 2, got "
+                         f"n = {n}, orbits = {orbits}")
     d = f.dim
     rows = a.int_rows()
     bits = _orbit_sampler_bits(a, n)

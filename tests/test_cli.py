@@ -728,6 +728,19 @@ class TestMixing:
         assert (code, err) == (0, "")
         assert json.loads(summary.read_text())["certified_zero_from"] == cert
 
+    def test_repeated_prime_changes_nothing(self, capsys, tmp_path):
+        # a prime listed twice once drew a second fibre for every sample
+        outputs = []
+        for primes in ([2, 2], [2]):
+            out, summary = tmp_path / "c.csv", tmp_path / "s.json"
+            code, _, err = run(capsys, "mixing",
+                               self._with(tmp_path, primes=primes),
+                               "--mc", "200", "--out", str(out),
+                               "--summary", str(summary))
+            assert (code, err) == (0, "")
+            outputs.append((out.read_bytes(), summary.read_bytes()))
+        assert outputs[0] == outputs[1]
+
     def test_fit_range_is_inclusive(self, capsys, tmp_path):
         summary = tmp_path / "s.json"
         code, _, _ = run(capsys, "mixing",

@@ -409,6 +409,21 @@ class TestMixingCurve:
             assert values[j] != 0
             assert all(v == 0 for v in values[c:])
 
+    def test_constant_observable_certified_from_zero(self):
+        # only the mean term pairs with a constant, and it cancels
+        f = TrigFunction.build([((1, 0), 1.0), ((0, 0), 2.0)])
+        const = TrigFunction.build([((0, 0), 3.0)])
+        singular = QMat([[2, 0], [0, 0]])
+        for curve in (mixing_curve(f, const, CAT, 6),
+                      mixing_curve(const, f, CAT, 6),
+                      mixing_curve(const, f, singular, 6)):
+            assert curve.zero_from == curve.certified_zero_from == 0
+        # but a singular A can send a nonconstant mode of f to zero
+        g = TrigFunction.build([((0, 1), 1.0)])
+        curve = mixing_curve(g, const, singular, 3)
+        assert curve.values[1] == 3
+        assert curve.zero_from is None and curve.certified_zero_from is None
+
     def test_degenerate_fit(self):
         f = cosine((1,))
         with pytest.raises(DegenerateFit):
@@ -471,6 +486,12 @@ class TestClt:
         assert rep.sigma2_ref == 0.5
         assert abs(rep.variance - 0.5) < 0.25
         assert abs(rep.mean) < 0.2
+
+    @pytest.mark.parametrize("n, orbits", [(0, 200), (16, 1)])
+    def test_degenerate_arguments_refused(self, n, orbits):
+        # n = 0 divided by zero and one orbit has no sample variance
+        with pytest.raises(ValueError, match="n >= 1 and orbits >= 2"):
+            clt_check(cosine((1,)), DOUBLING, n=n, orbits=orbits)
 
 
 class TestCsv:

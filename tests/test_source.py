@@ -92,119 +92,6 @@ def test_only_the_cli_parses_json():
     assert not found, f"json parsed outside cli.py: {found}"
 
 
-# Reached by no command yet; ROADMAP item 9 wires them into `analyze`.
-# Public members of public classes are listed as "Class.member".
-NOT_YET_WIRED = {
-    "derived_series",           # ROADMAP item 9
-    "automorphism_action",      # ROADMAP item 9
-    "bracket_inclusion_check",  # ROADMAP item 9
-    "BracketReport",            # ROADMAP item 9
-    "SplittingNotDirect",       # ROADMAP item 9
-    "NilStructure.bracket",     # ROADMAP item 9
-}
-
-
-def _imported_from_hyperrank(tree):
-    return {alias.name for node in ast.walk(tree)
-            if isinstance(node, ast.ImportFrom)
-            and (node.module or "").startswith("hyperrank")
-            for alias in node.names}
-
-
-def _names_used(node):
-    return {n.id if isinstance(n, ast.Name) else n.attr
-            for n in ast.walk(node)
-            if isinstance(n, (ast.Name, ast.Attribute))}
-
-
-def _dunder(name):
-    return name.startswith("__") and name.endswith("__")
-
-
-def _public_and_reached():
-    """(module path, name) of every public function and class in src/ and
-    of every public member ("Class.member") of a public class, and the
-    names reached from main, the acceptance tests and the README examples.
-
-    A module-level name is reached when a root imports it or a reached
-    body uses it.  A reached class's body counts without its non-dunder
-    methods; such a method is reached, as "Class.method", only when a
-    reached body, the acceptance tests or a README example uses its
-    name."""
-    units = []                 # (name, owning class or None, names used)
-    public = []
-    for path in sorted(SRC.rglob("*.py")):
-        where = path.relative_to(SRC)
-        for node in ast.parse(path.read_text(), str(path)).body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                names = [node.name]
-                if not node.name.startswith("_"):
-                    public.append((where, node.name))
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = (node.targets if isinstance(node, ast.Assign)
-                           else [node.target])
-                names = [t.id for t in targets if isinstance(t, ast.Name)]
-            else:
-                continue
-            parts = [node]
-            if isinstance(node, ast.ClassDef):
-                parts = node.decorator_list + node.bases
-                for m in node.body:
-                    if not isinstance(m, ast.FunctionDef) or _dunder(m.name):
-                        parts.append(m)
-                        continue
-                    units.append((m.name, node.name, _names_used(m)))
-                    if not (node.name.startswith("_")
-                            or m.name.startswith("_")):
-                        public.append((where, f"{node.name}.{m.name}"))
-            used = set().union(*map(_names_used, parts))
-            units += [(name, None, used) for name in names]
-    root = SRC.parent
-    acceptance = ast.parse(
-        (root / "tests" / "test_acceptance.py").read_text())
-    examples = [ast.parse(block.split("```")[0]) for block in
-                (root / "README.md").read_text().split("```python\n")[1:]]
-    reached = {"main"} | _imported_from_hyperrank(acceptance)
-    members = _names_used(acceptance)
-    for tree in examples:
-        reached |= _imported_from_hyperrank(tree)
-        members |= _names_used(tree)
-    done = set()
-    while True:
-        todo = [i for i, (name, owner, _) in enumerate(units)
-                if i not in done and (
-                    name in reached if owner is None else
-                    owner in reached and (name in reached or name in members))]
-        if not todo:
-            break
-        for i in todo:
-            name, owner, used = units[i]
-            done.add(i)
-            reached |= used
-            if owner is not None:
-                reached.add(f"{owner}.{name}")
-    return public, reached
-
-
-def test_every_public_name_is_reached():
-    # a public function or class that no command, no acceptance criterion
-    # and no documented example reaches is dead weight in the library
-    public, reached = _public_and_reached()
-    # a member of an excused class is excused with it
-    dead = [f"{where}:{name}" for where, name in public
-            if name not in reached
-            and not {name, name.split(".")[0]} & NOT_YET_WIRED]
-    assert not dead, f"public names nothing reaches: {dead}"
-
-
-def test_not_yet_wired_has_no_stale_entry():
-    # an entry whose name is gone, or is reached now, excuses nothing
-    public, reached = _public_and_reached()
-    unreached = {name for _, name in public} - reached
-    assert NOT_YET_WIRED <= unreached, "stale allowlist entries: " \
-        f"{sorted(NOT_YET_WIRED - unreached)}"
-
-
 # functools caches in src/, as "path:function".  A cache outlives the call
 # that fills it, so one keyed on input values would let a repeated input
 # run faster than a new one, in every benchmark pass after the first.
@@ -247,40 +134,88 @@ def test_every_functools_cache_is_allowlisted():
         f"{sorted(CACHE_ALLOWLIST - cached)}"
 
 
-# Members of the exact value classes that no command run of
-# test_value_class_members_are_entered enters, each with its reason.
-VALUE_CLASS_ALLOWLIST = {
-    "QMat.scalar": "criterion 8, through inverse_levels",
-    "QMat.adjugate": "criterion 8, through inverse_levels",
-    "QMat.__add__": "__sub__'s partner, used by the reference oracles",
-    "QPoly.__mul__": "criterion 3",
-    "QPoly.__eq__": "value semantics",
-    "QPoly.__hash__": "value semantics",
-    "QPoly.__bool__": "value semantics",
+# Functions and classes of src/ that no run of test_every_def_is_entered
+# enters, as "module.qualified name", listed under their reason.
+UNENTERED_ALLOWLIST = {
+    "an error path no run takes": [
+        "cli._Parser.error", "errors.CommutativityViolated.__init__",
+        "errors.NoConvergence.__init__", "exact.padic._pollard_brent"],
+    "value semantics": ["exact.poly.QPoly.__eq__", "exact.poly.QPoly.__hash__",
+                        "exact.poly.QPoly.__bool__"],
+    "__sub__'s partner, used by the reference oracles": [
+        "exact.intmat.QMat.__add__"],
+    "criterion 3": ["exact.newton.NewtonPolygon.valuations",
+                    "exact.poly.QPoly.__mul__"],
+    "criterion 4": ["solenoid.TrigFunction.conjugate"],
+    "criterion 7": ["nilpotent.heisenberg"],
+    "criterion 8": [
+        "exact.intmat.QMat.adjugate", "exact.intmat.QMat.scalar",
+        "solenoid.SolenoidPoint.dim", "solenoid.SolenoidPoint.primes",
+        "solenoid.SolenoidPoint.xi_at", "solenoid.apply",
+        "solenoid.apply_inverse", "solenoid.inverse_levels"],
+    "criterion 10": [
+        "solenoid.clt_check", "solenoid.clt_check.character",
+        "solenoid._orbit_sampler_bits", "solenoid.CltReport"],
+    "ROADMAP item 9": [
+        "nilpotent.derived_series", "nilpotent.automorphism_action",
+        "nilpotent.bracket_inclusion_check", "nilpotent.NilStructure.bracket",
+        "nilpotent._in_span", "nilpotent.BracketReport",
+        "errors.SplittingNotDirect", "errors.NotAnAutomorphism"],
 }
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
-def _value_class_members():
-    """{code object: "Class.function"} of every function QMat and QPoly
-    define, dunders included; an alias such as __rmul__ is its function."""
-    from hyperrank.exact import QMat, QPoly
-    out = {}
-    for cls in (QMat, QPoly):
-        for member in vars(cls).values():
-            func = getattr(member, "fget", None) or getattr(
-                member, "__func__", member)
-            if hasattr(func, "__code__"):
-                out[func.__code__] = f"{cls.__name__}.{func.__name__}"
+def _units():
+    """{(path, first line, name): (qualified name, names its body uses
+    but for nested defs)} of every def in src/, the first line counting
+    decorators as its code object's does; {qualified name: name} of every
+    class."""
+    defs, classes = {}, {}
+    todo = [(ast.parse(p.read_text(), str(p)), p, ".".join(
+        p.relative_to(SRC / "hyperrank").with_suffix("").parts) + ".")
+        for p in sorted(SRC.rglob("*.py"))]
+    while todo:
+        node, path, prefix = todo.pop()
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                classes[prefix + child.name] = child.name
+            elif isinstance(child, _DEFS):
+                first = min(d.lineno for d in [child, *child.decorator_list])
+                defs[str(path), first, child.name] = (
+                    prefix + child.name, _own_names(list(child.body)))
+            else:
+                todo.append((child, path, prefix))
+                continue
+            todo.append((child, path, f"{prefix}{child.name}."))
+    return defs, classes
+
+
+def _own_names(todo):
+    out = set()
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif not isinstance(node, (*_DEFS, ast.ClassDef)):
+            todo += ast.iter_child_nodes(node)
     return out
 
 
-def test_value_class_members_are_entered(tmp_path, capsys):
-    # a binding-level guard: the static one above matches names and exempts
-    # dunders, so it cannot see an operator no command runs.  It records
-    # which functions a run enters and judges no time.
-    from hyperrank.cli import main
+def _imported(tree):
+    return {alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            and (node.module or "").startswith("hyperrank")
+            for alias in node.names}
+
+
+def test_every_def_is_entered(tmp_path, monkeypatch):
+    # a def counts when a command run or a README example enters its code,
+    # not when a name is spelt the same; a class, when an entered body names
+    # it or the acceptance tests or an example import it.  No time judged.
+    from hyperrank import cli
     from hyperrank.exact import cyclotomic
     cyclotomic.cache_clear()       # so an earlier test cannot hide a call
+    monkeypatch.setattr(cli, "_parser", None)     # nor build_parser
     fixtures = SRC.parent / "fixtures"
     configs = {str(p): json.loads(p.read_text())
                for p in sorted(fixtures.glob("*.json"))}
@@ -293,28 +228,33 @@ def test_value_class_members_are_entered(tmp_path, capsys):
              for path, c in configs.items() if "perturbation" in c]
     runs.append(["crt", str(fixtures / "heisenberg_structure.json"),
                  str(fixtures / "heisenberg_targets.json")])
-    readme = (SRC.parent / "README.md").read_text()
-    examples = [block.split("```")[0]
-                for block in readme.split("```python\n")[1:]]
-    members = _value_class_members()
-    entered = set()
+    examples = [block.split("```")[0] for block in (
+        SRC.parent / "README.md").read_text().split("```python\n")[1:]]
+    codes = set()
 
     def probe(frame, event, arg):
-        if event == "call" and frame.f_code in members:
-            entered.add(members[frame.f_code])
+        if event == "call":
+            codes.add(frame.f_code)
 
     sys.setprofile(probe)
     try:
         for argv in runs:
-            main(argv + ["--out", str(tmp_path / "out")])
+            cli.main(argv + ["--out", str(tmp_path / "out")])
         for code in examples:
             exec(compile(code, "README.md", "exec"), {})
     finally:
         sys.setprofile(None)
-    capsys.readouterr()
-    unentered = set(members.values()) - entered
-    assert unentered == set(VALUE_CLASS_ALLOWLIST), (
-        f"entered by no run and not allowlisted: "
-        f"{sorted(unentered - set(VALUE_CLASS_ALLOWLIST))}; "
-        f"allowlisted but entered or gone: "
-        f"{sorted(set(VALUE_CLASS_ALLOWLIST) - unentered)}")
+    entered = {(str(Path(c.co_filename).resolve()), c.co_firstlineno,
+                c.co_name) for c in codes}
+    defs, classes = _units()
+    named = _imported(ast.parse(
+        (SRC.parent / "tests" / "test_acceptance.py").read_text())).union(
+        *map(_imported, map(ast.parse, examples)),
+        *(used for key, (_, used) in defs.items() if key in entered))
+    unentered = {qual for key, (qual, _) in defs.items() if key not in entered}
+    unentered |= {qual for qual, name in classes.items() if name not in named}
+    allowed = {name for names in UNENTERED_ALLOWLIST.values()
+               for name in names}
+    assert unentered == allowed, "entered by no run and not allowlisted: " \
+        f"{sorted(unentered - allowed)}; allowlisted but entered or gone: " \
+        f"{sorted(allowed - unentered)}"
