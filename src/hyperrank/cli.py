@@ -477,6 +477,11 @@ def cmd_mixing(args):
                      ["primes", "matrix", "f"])
     primes = _list(config["primes"], f"{where}: primes", each=_prime)
     matrix = _int_matrix(config["matrix"], f"{where}: matrix")
+    amat = QMat(matrix)
+    if amat.det() == 0:
+        # a singular A is not onto, so it preserves no Haar measure
+        raise ParseError(f"{where}: matrix has determinant 0; mixing "
+                         "needs a nonsingular matrix")
 
     def observable(key):
         terms = _terms(config[key], f"{where}: {key}",
@@ -507,7 +512,6 @@ def cmd_mixing(args):
                       10000 if "mc" in config else None, low=1,
                       high=_MAX_SAMPLES, flag=("--mc", args.mc))
 
-    amat = QMat(matrix)
     curve = mixing_curve(f, g, amat, n_max, fit_range=fit_range)
 
     rows = [CorrelationRow(n=n, value=v, method="exact")

@@ -246,7 +246,6 @@ def solve_conjugacy(pmap: PerturbedMap, grid, tol=1e-8,
     d = pmap.dim
     ainv = pmap.lin.inverse()
     rate = float(max(sum(abs(c) for c in row) for row in ainv.rows))
-    ainv_f = [[float(c) for c in row] for row in ainv.rows]
     # grid points, row-major with the last axis fastest
     pts = np.indices((grid,) * d).reshape(d, -1) / grid
     qx = _q_at(pmap.q, pts)
@@ -254,11 +253,7 @@ def solve_conjugacy(pmap: PerturbedMap, grid, tol=1e-8,
     h = np.zeros((d, grid ** d))
     history = []
     for _ in range(budget):
-        pulled = qx + _interpolate(h, corners)
-        new = np.zeros_like(h)
-        for j in range(d):
-            for l in range(d):
-                new[j] = new[j] + ainv_f[j][l] * pulled[l]
+        new = _linear(ainv, qx + _interpolate(h, corners))
         # fmax skips NaN as the scalar running max(residual, r) does
         residual = float(np.fmax.reduce(np.abs(new - h), axis=None,
                                         initial=0.0))

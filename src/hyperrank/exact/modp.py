@@ -1,14 +1,21 @@
-"""Polynomial arithmetic and factorization over F_p.
+"""Polynomial arithmetic over Q or mod q, and factorization over F_p.
 
-Polynomials are ascending int lists with entries reduced into [0, p).  A
-monic input that is squarefree mod p factors by distinct-degree, then seeded
-equal-degree splitting (J. von zur Gathen and J. Gerhard, Modern Computer
-Algebra, ch. 14), so results are deterministic for a fixed seed.
+Polynomials are ascending coefficient lists (f[i] multiplies x^i).  The ring
+kernels (add, sub, mul, scalar_mul, divmod_p, monic, derivative) are exact
+over Q, on int or Fraction coefficients, when the modulus is None; QPoly
+(poly.py) is a value type over them.  Otherwise they reduce each result into
+[0, q), from inputs that may be unreduced or negative.  q need not be prime
+so long as every leading coefficient inverted is a unit mod q, though
+factoring needs a prime p: a monic input that is squarefree mod p factors by
+distinct-degree, then seeded equal-degree splitting (J. von zur Gathen and
+J. Gerhard, Modern Computer Algebra, ch. 14), so results are deterministic
+for a fixed seed.
 """
 
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 from ..errors import NotCoprime, ZeroPolynomial
 
@@ -20,7 +27,12 @@ def trim(f):
 
 
 def reduce_mod(coeffs, p):
-    return trim([int(c) % p for c in coeffs])
+    """coeffs reduced into [0, p) and trimmed; only trimmed if p is None."""
+    return trim(list(coeffs) if p is None else [c % p for c in coeffs])
+
+
+def _inverse(c, p):
+    return Fraction(1) / c if p is None else pow(c, -1, p)
 
 
 def deg(f):
@@ -32,13 +44,12 @@ def is_one(f):
 
 
 def add(f, g, p):
-    n = max(len(f), len(g))
-    out = [0] * n
-    for i in range(n):
-        a = f[i] if i < len(f) else 0
-        b = g[i] if i < len(g) else 0
-        out[i] = (a + b) % p
-    return trim(out)
+    if len(f) < len(g):
+        f, g = g, f
+    out = list(f)
+    for i, b in enumerate(g):
+        out[i] += b
+    return reduce_mod(out, p)
 
 
 def sub(f, g, p):
@@ -52,31 +63,32 @@ def mul(f, g, p):
     for i, a in enumerate(f):
         if a:
             for j, b in enumerate(g):
-                out[i + j] = (out[i + j] + a * b) % p
-    return trim(out)
+                out[i + j] += a * b
+    return reduce_mod(out, p)
 
 
 def scalar_mul(c, f, p):
-    c %= p
-    return trim([c * a % p for a in f])
+    return reduce_mod([c * a for a in f], p)
 
 
 def divmod_p(f, g, p):
     if not g:
-        raise ZeroPolynomial("division by zero mod p")
+        raise ZeroPolynomial("division by the zero polynomial")
     f = list(f)
     dg, df = deg(g), deg(f)
     if df < dg:
-        return [], trim(f)
-    inv_lead = pow(g[-1], -1, p)
+        return [], reduce_mod(f, p)
+    inv_lead = _inverse(g[-1], p)
     quo = [0] * (df - dg + 1)
     for k in range(df - dg, -1, -1):
-        c = f[dg + k] * inv_lead % p
+        c = f[dg + k] * inv_lead
+        if p is not None:
+            c %= p
         quo[k] = c
         if c:
             for j, b in enumerate(g):
-                f[j + k] = (f[j + k] - c * b) % p
-    return trim(quo), trim(f[:dg])
+                f[j + k] -= c * b
+    return trim(quo), reduce_mod(f[:dg], p)
 
 
 def mod(f, g, p):
@@ -86,7 +98,7 @@ def mod(f, g, p):
 def monic(f, p):
     if not f:
         return []
-    return scalar_mul(pow(f[-1], -1, p), f, p)
+    return scalar_mul(_inverse(f[-1], p), f, p)
 
 
 def gcd(f, g, p):
@@ -108,7 +120,7 @@ def ext_gcd(f, g, p):
         t0, t1 = t1, sub(t0, mul(q, t1, p), p)
     if not r0:
         return [], s0, t0
-    c = pow(r0[-1], -1, p)
+    c = _inverse(r0[-1], p)
     return scalar_mul(c, r0, p), scalar_mul(c, s0, p), scalar_mul(c, t0, p)
 
 
@@ -124,7 +136,7 @@ def pow_mod(f, n, g, p):
 
 
 def derivative(f, p):
-    return trim([i * c % p for i, c in enumerate(f)][1:])
+    return reduce_mod([i * c for i, c in enumerate(f)][1:], p)
 
 
 def distinct_degree(f, p):

@@ -1,9 +1,11 @@
 """Dense univariate polynomials over Q, exact throughout.
 
-Coefficients are ascending (coeffs[i] multiplies x^i) and stored as Fraction.
-The zero polynomial has an empty coefficient tuple and degree -1.  Everything
-here is desk scale (degree <= a few dozen), so the quadratic algorithms are
-fine and favored for being auditable.
+QPoly is a value type over modp's list kernels, run with the modulus None:
+its ring operations, derivative and monic part are theirs.  Coefficients
+are ascending (coeffs[i] multiplies x^i) and stored as Fraction.  The zero
+polynomial has an empty coefficient tuple and degree -1.  Everything here
+is desk scale (degree <= a few dozen), so the quadratic algorithms are fine
+and favored for being auditable.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import math
 from fractions import Fraction
 
 from ..errors import BothZero, ZeroPolynomial
+from . import modp
 
 
 class QPoly:
@@ -69,52 +72,27 @@ class QPoly:
     def __hash__(self):
         return hash(self.coeffs)
 
-    # --- ring ops ---
+    # --- ring ops, on the kernels of modp with the modulus None ---
 
     def __add__(self, other):
-        other = _coerce(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return QPoly([self[i] + other[i] for i in range(n)])
+        return QPoly(modp.add(self.coeffs, _coerce(other).coeffs, None))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QPoly([-c for c in self.coeffs])
+        return QPoly(modp.scalar_mul(-1, self.coeffs, None))
 
     def __sub__(self, other):
         return self + (-_coerce(other))
 
     def __mul__(self, other):
-        other = _coerce(other)
-        if not self.coeffs or not other.coeffs:
-            return QPoly.zero()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return QPoly(out)
+        return QPoly(modp.mul(self.coeffs, _coerce(other).coeffs, None))
 
     __rmul__ = __mul__
 
     def __divmod__(self, other):
-        other = _coerce(other)
-        if other.is_zero():
-            raise ZeroPolynomial("division by the zero polynomial")
-        if self.degree < other.degree:
-            return QPoly.zero(), self
-        rem = list(self.coeffs)
-        lead = other.leading()
-        dq = self.degree - other.degree
-        quo = [Fraction(0)] * (dq + 1)
-        for k in range(dq, -1, -1):
-            c = rem[other.degree + k] / lead
-            quo[k] = c
-            if c != 0:
-                for j, b in enumerate(other.coeffs):
-                    rem[j + k] -= c * b
-        return QPoly(quo), QPoly(rem[:other.degree])
+        q, r = modp.divmod_p(self.coeffs, _coerce(other).coeffs, None)
+        return QPoly(q), QPoly(r)
 
     def exact_div(self, other):
         q, r = divmod(self, other)
@@ -125,13 +103,12 @@ class QPoly:
     # --- derivative and monic part ---
 
     def derivative(self):
-        return QPoly([i * c for i, c in enumerate(self.coeffs)][1:])
+        return QPoly(modp.derivative(self.coeffs, None))
 
     def monic(self):
-        lead = self.leading()
-        if lead == 1:
+        if self.leading() == 1:
             return self
-        return QPoly([c / lead for c in self.coeffs])
+        return QPoly(modp.monic(self.coeffs, None))
 
     # --- integer normal forms ---
 

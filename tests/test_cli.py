@@ -7,6 +7,7 @@ indirectly via python -m to keep the packaging honest.
 
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -16,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from hyperrank import ergodicity, spectra
+from hyperrank import cli, ergodicity, spectra
 from hyperrank.cli import main
 from hyperrank.exact import padic
 from hyperrank.errors import PrecisionExhausted, RootFindingFailure
@@ -34,6 +35,17 @@ def run(capsys, *argv):
 
 def fixture(name):
     return str(FIXTURES / name)
+
+
+def run_module(*argv):
+    """python -m hyperrank.cli in a child process that imports the package
+    from this checkout's src, installed or not."""
+    src = str(FIXTURES.parent / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=src + os.pathsep + path if path else src)
+    return subprocess.run([sys.executable, "-m", "hyperrank.cli", *argv],
+                          env=env, capture_output=True, text=True)
 
 
 def count_refines(monkeypatch):
@@ -591,6 +603,29 @@ class TestMixing:
         assert code == 1
         assert "finite" in err
         assert out == ""
+
+    @pytest.mark.parametrize("primes, mode", [([], [0, 1]),
+                                              ([2], ["1/2", 1])])
+    def test_singular_matrix_exit_one(self, capsys, tmp_path, monkeypatch,
+                                      primes, mode):
+        # [[2, 0], [0, 0]] is not onto, so no Haar measure is invariant;
+        # before the refusal this exited 0 with a "decay rate" of a curve
+        # that is 3 at every lag n >= 1
+        def no_curve_work(*args):
+            raise AssertionError("curve work before the refusal")
+        monkeypatch.setattr(cli, "_most_lags", no_curve_work)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(
+            {"format": 1, "primes": primes, "matrix": [[2, 0], [0, 0]],
+             "f": [{"mode": mode, "coeff": [1, 0]}],
+             "g": [{"mode": [0, 0], "coeff": [3, 0]}]}))
+        out_csv, summary = tmp_path / "c.csv", tmp_path / "s.json"
+        code, out, err = run(capsys, "mixing", str(cfg), "--out",
+                             str(out_csv), "--summary", str(summary))
+        assert code == 1
+        assert "determinant 0" in err
+        assert out == ""
+        assert not out_csv.exists() and not summary.exists()
 
     def test_matrix_entry_beyond_float_range_exit_one(self, capsys,
                                                       tmp_path):
@@ -1179,18 +1214,14 @@ class TestCrt:
 
 class TestProcess:
     def test_module_entry_point(self):
-        result = subprocess.run(
-            [sys.executable, "-m", "hyperrank.cli", "analyze",
-             fixture("cat_analyze.json")],
-            capture_output=True, text=True)
+        result = run_module("analyze", fixture("cat_analyze.json"))
         assert result.returncode == 0
         assert json.loads(result.stdout)["verdict"] == "ok"
 
     def test_usage_error_exits_one(self):
-        result = subprocess.run(
-            [sys.executable, "-m", "hyperrank.cli", "frobnicate"],
-            capture_output=True, text=True)
+        result = run_module("frobnicate")
         assert result.returncode == 1
+        assert "usage: hyperrank" in result.stderr
 
     def test_flags_do_not_outlive_their_call(self, capsys):
         # one parser serves every call in a process; a flag of one call
@@ -1210,7 +1241,6 @@ class TestProcess:
         assert code == 3
 
     def test_no_arguments_exits_one(self):
-        result = subprocess.run(
-            [sys.executable, "-m", "hyperrank.cli"],
-            capture_output=True, text=True)
+        result = run_module()
         assert result.returncode == 1
+        assert "usage: hyperrank" in result.stderr
