@@ -91,6 +91,13 @@ _MAX_CORNERS = 1 << 22
 # limit)
 _MAX_LAG = 10 ** 4
 _MAX_MODE_DIGITS = 4300
+# coefficient l1 norms, of an observable and of each perturbation component:
+# correlation values are then at most 2 ||f^||_1 ||g^||_1 <= 2e150 in
+# modulus, the Monte Carlo variance sums at most _MAX_SAMPLES squares of
+# 4e150, and conjugate's derivative bound stays finite.  Perturbation modes
+# pair with points in doubles, and past 2^53 float(k) is not k.
+_MAX_COEFF_L1 = 1e75
+_MAX_MODE = 1 << 53
 # the p-adic digits analyze starts its refinement with; it doubles them
 # itself, as far as the determinants need
 _MAX_PADIC_PRECISION = 1 << 12
@@ -229,6 +236,12 @@ def _fraction(v, name):
 
 def _complex_pair(v, name):
     return complex(*_list(v, name, 2, _number))
+
+
+def _l1_capped(coeffs, name):
+    if not sum(map(abs, coeffs)) <= _MAX_COEFF_L1:
+        raise ParseError(f"{name}: the coefficients' l1 norm is above "
+                         f"{_MAX_COEFF_L1:g}")
 
 
 def _terms(v, name, mode, coeff, nonempty=False):
@@ -487,6 +500,7 @@ def cmd_mixing(args):
         terms = _terms(config[key], f"{where}: {key}",
                        lambda v, name: _list(v, name, len(matrix), _fraction),
                        _complex_pair, nonempty=True)
+        _l1_capped([c for _, c in terms], f"{where}: {key}")
         return TrigFunction.build(terms, primes)
 
     f = observable("f")
@@ -516,7 +530,6 @@ def cmd_mixing(args):
 
     rows = [CorrelationRow(n=n, value=v, method="exact")
             for n, v in enumerate(curve.values)]
-    mc_report = []
     if mc_samples is not None:
         draws = {}   # the Haar points, drawn once per fibre precision
         for lag in mc_lags:
@@ -526,11 +539,6 @@ def cmd_mixing(args):
             rows.append(CorrelationRow(n=est.n, value=est.value, method="mc",
                                        samples=est.samples,
                                        stderr=est.stderr))
-            mc_report.append({"n": est.n,
-                              "re": est.value.real,
-                              "im": est.value.imag,
-                              "stderr": est.stderr,
-                              "samples": est.samples})
 
     buf = io.StringIO()
     correlation_csv(rows, buf)
@@ -543,7 +551,9 @@ def cmd_mixing(args):
                "fit_points": curve.fit_points,
                "zero_from": curve.zero_from,
                "certified_zero_from": curve.certified_zero_from,
-               "mc": mc_report}
+               "mc": [{"n": r.n, "re": r.value.real, "im": r.value.imag,
+                       "stderr": r.stderr, "samples": r.samples}
+                      for r in rows if r.method == "mc"]}
     _write_text(args.summary, _dump_json(summary))
     return EXIT_OK
 
@@ -560,8 +570,12 @@ def cmd_conjugate(args):
     matrix = _int_matrix(config["matrix"], f"{where}: matrix")
     dim = len(matrix)
     terms = _terms(config["perturbation"], f"{where}: perturbation",
-                   lambda v, name: _int_list(v, name, dim),
+                   lambda v, name: _int_list(v, name, dim, low=-_MAX_MODE,
+                                             high=_MAX_MODE),
                    lambda v, name: _list(v, name, dim, _complex_pair))
+    for j in range(dim):
+        _l1_capped([c[j] for _, c in terms],
+                   f"{where}: perturbation component {j}")
     # grid^dim points and (2 grid)^dim corners at most; the default grid
     # obeys the caps too
     top = int(_MAX_GRID_POINTS ** (1 / dim)) + 1

@@ -16,12 +16,13 @@ inverse-branch arithmetic lean on.
 
 Phases are exact rationals end to end; floats appear only inside the final
 complex exponential and in Monte Carlo and Birkhoff averaging.  Monte Carlo
-evaluates every character on all samples at once, from integer phase
-numerators over a common denominator (summed mod 2^64 when that is 2^b with
-b <= 64, which is all such a phase needs), and rounds exactly as the scalar
-Fraction evaluation (float of the phase, then cmath.exp) would.  The CLT
-check steps all its orbits at once on exact integer states in the same way,
-and its Birkhoff sums round as the one-orbit-at-a-time loop's would.
+and the CLT check share one phase kernel: each character is evaluated on
+all points at once from integer phase numerators N over a common
+denominator D (summed mod 2^64 when D = 2^b with b <= 64, which is all
+such a phase needs), and N mod D / D is rounded once, as the scalar
+Fraction evaluation (float of the phase, then cmath.exp) rounds.  The CLT
+check steps its orbits at once on exact integer states, and its Birkhoff
+sums round as the one-orbit-at-a-time loop's would.
 """
 
 from __future__ import annotations
@@ -186,13 +187,6 @@ def apply_inverse(a: QMat, pt: SolenoidPoint) -> SolenoidPoint:
 # --- characters and trigonometric observables -------------------------------
 
 
-def _mode_primes(mode):
-    out = set()
-    for c in mode:
-        out.update(factor_int(Fraction(c).denominator))
-    return out
-
-
 @dataclass(frozen=True)
 class TrigFunction:
     """Finite combination sum_m c_m chi_m with modes in Z[1/S]^d."""
@@ -211,7 +205,8 @@ class TrigFunction:
                 dim = len(mode)
             elif len(mode) != dim:
                 raise ValueError("modes of mixed dimension")
-            bad = _mode_primes(mode) - set(primes)
+            bad = {p for c in mode
+                   for p in factor_int(c.denominator)} - set(primes)
             if bad:
                 raise LeavesDualLattice(
                     f"mode {tuple(str(c) for c in mode)} has denominator "
@@ -387,18 +382,18 @@ class McCorrelation:
 
 def _columns(pts):
     """Haar points as integer columns, per torus axis the numerators over
-    2^32 and per prime of S and axis the fiber residues: once as object
+    2^32 and per prime of S its fiber residues per axis: once as object
     arrays of Python ints, once as uint64 arrays of the same values mod 2^64
     (the columns of _phases' wrapping path)."""
     den = 1 << _GRID_BITS
     torus = [np.array([c.numerator * (den // c.denominator) for c in axis],
                       dtype=object) for axis in zip(*(pt.x for pt in pts))]
-    fibers = [(slot[0][0], [np.array(col, dtype=object) for col in
-                            zip(*(res for _, _, res in slot))])
-              for slot in zip(*(pt.xi for pt in pts))]
+    fibers = {slot[0][0]: [np.array(col, dtype=object) for col in
+                           zip(*(res for _, _, res in slot))]
+              for slot in zip(*(pt.xi for pt in pts))}
     low = ([col.astype(np.uint64) for col in torus],
-           [(p, [(col & _LOW64).astype(np.uint64) for col in cols])
-            for p, cols in fibers])
+           {p: [(col & _LOW64).astype(np.uint64) for col in cols]
+            for p, cols in fibers.items()})
     return (torus, fibers), low
 
 
@@ -453,33 +448,43 @@ def _unit_phases(nums, q):
     return out
 
 
-def _phases(mode, wide, low, samples):
-    """float(theta) for the exact phase theta of chi_mode at every sample.
+def _phase_form(mode, primes, bits):
+    """The phase of chi_mode as the form (D, weights, the primes it reads).
 
-    With l the lcm of the mode's denominators, D = 2^32 l and M = l m, the
-    phase is N / D mod 1 for the integer
+    With l the lcm of the mode's denominators, D = 2^bits l and M = l m, the
+    phase at a point with torus numerators u over 2^bits and fiber residues
+    xi_p is N / D mod 1 for the integer
 
         N = sum_j M_j u_j + sum_{p | l} k_p sum_j M_j xi_pj,
 
-    u the torus numerators over 2^32, xi_p the fiber residues and
-    k_p = ((l / p^t)^-1 mod p^t) D / p^t for p^t || l.  When D = 2^b with
-    b <= 64 (every integer mode, and dyadic ones up to denominator 2^32) N
-    is summed in wrapping uint64 on the low columns, since N mod 2^b is all
-    the phase needs; any other D sums N exactly in Python ints on the wide
-    ones.  Either way N mod D / D is the correctly rounded float(theta).
-    """
+    k_p = ((l / p^t)^-1 mod p^t) D / p^t for p^t || l.  The weights are M,
+    then k_p M for each prime p of primes that divides l, and N mod D, so
+    the phase, depends on M only through M mod D."""
     lcm = math.lcm(*(c.denominator for c in mode))
-    mod = lcm << _GRID_BITS
-    torus, fibers = low if mod <= 1 << 64 and not mod & (mod - 1) else wide
+    mod = lcm << bits
     ints = [int(c * lcm) for c in mode]
-    vec, cols = list(ints), list(torus)
-    for p, fcols in fibers:
+    weights, reads = list(ints), []
+    for p in primes:
         if lcm % p == 0:
             q = p ** vp_int(lcm, p)
             k = pow(lcm // q, -1, q) * (mod // q)
-            vec += [k * c for c in ints]
-            cols += fcols
-    return _unit_phases(_combine(vec, cols, samples), mod)
+            weights += [k * c for c in ints]
+            reads.append(p)
+    return mod, weights, reads
+
+
+def _phases(form, wide, low, samples):
+    """float(N / D mod 1) for a _phase_form at every sample, the columns
+    given as (torus, {p: fiber columns}).  When D = 2^b with b <= 64 (every
+    integer mode on the 2^-32 grid, and dyadic ones up to denominator 2^32)
+    N is summed in wrapping uint64 on the low columns, since N mod 2^b is
+    all the phase needs; any other D sums N exactly in Python ints on the
+    wide ones, and low may be None when D > 2^64.  Either way N mod D / D
+    is rounded once, correctly, so equal exact phases give equal floats."""
+    mod, weights, reads = form
+    torus, fibers = low if mod <= 1 << 64 and not mod & (mod - 1) else wide
+    cols = list(torus) + [c for p in reads for c in fibers[p]]
+    return _unit_phases(_combine(weights, cols, samples), mod)
 
 
 def _cis(theta):
@@ -508,8 +513,9 @@ def _character_sum(terms, count):
 def _evaluate(fn: TrigFunction, wide, low, samples):
     """fn at every sample as (real, imag) arrays, rounded as the scalar
     evaluation of every character from its Fraction phase."""
-    return _character_sum(((c, _phases(mode, wide, low, samples))
-                           for mode, c in fn.terms), samples)
+    return _character_sum(
+        ((c, _phases(_phase_form(mode, fn.primes, _GRID_BITS), wide, low,
+                     samples)) for mode, c in fn.terms), samples)
 
 
 def monte_carlo_correlation(f: TrigFunction, g: TrigFunction, a: QMat, n,
@@ -584,21 +590,21 @@ def clt_check(f: TrigFunction, a: QMat, n=1024, orbits=200,
 
     All orbits step together: their states, fibre residues and carries are
     per-coordinate object arrays of Python ints, one entry per orbit, and
-    every phase goes through _unit_phases exactly before it is rounded.
-    The grid 2^-bits has bits > 64, so no phase takes the wrapping uint64
-    path of Monte Carlo; past _TOP_BITS only the orbits whose top bits are
-    short or a tie take the int division.  The sums round as the
-    one-orbit-at-a-time loop would.
+    every character goes through _phases on the orbit grid: its exact
+    phase N mod D / D is rounded once, as in Monte Carlo.  The grid
+    2^-bits has bits > 64, so no phase takes the wrapping uint64 path;
+    past _TOP_BITS only the orbits whose top bits are short or a tie take
+    the int division.  The sums round as the one-orbit-at-a-time loop
+    would.
 
-    An integer mode m has the phase (K u mod 2^bits) / 2^bits at step k,
-    with u the start of the orbit and the key K = (A^T)^k m mod 2^bits, so
-    modes with equal keys have bit-equal characters.  Each key steps with
-    the state, and a character is computed only when its key is new: the
-    step before and the same step are looked up first.  A lacunary
-    observable sum_k c_k cos(2 pi 2^k x) under doubling thus computes two
-    new characters per step.  Modes with denominators are computed every
-    step: their float phase adds a torus part and fibre parts rounded
-    apart, so equal rational phases need not round equally.  The real
+    A mode m with the form (D, M, ...) has at step k the phase of the mode
+    with numerators (A^T)^k M against the start of the orbit, which depends
+    only on the key (D, K), K = (A^T)^k M mod D.  Equal exact phases round
+    equally, so terms with equal keys have bit-equal characters, with or
+    without denominators.  Each key steps with the state, and a character
+    is computed only when its key is new: the step before and the same step
+    are looked up first.  A lacunary observable sum_k c_k cos(2 pi 2^k x)
+    under doubling thus computes two new characters per step.  The real
     parts are summed _CLT_BLOCK steps at a time, term by term in order, and
     the block's steps are added into the sums in order.
     """
@@ -620,53 +626,32 @@ def clt_check(f: TrigFunction, a: QMat, n=1024, orbits=200,
     cols = [np.array(c, dtype=object) for c in zip(*starts)]
     num = cols[:d]
     xi = {p: cols[d * (i + 1):d * (i + 2)] for i, p in enumerate(modulus)}
-    # mode terms as (integer vector, modulus l * den, p-adic fibres, coeff)
-    compiled = []
-    for mode, coeff in f.terms:
-        l = math.lcm(*(c.denominator for c in mode))
-        fibres = []   # (p, p^t, (l / p^t)^-1 mod p^t) for p^t || l
-        for p in f.primes:
-            if l % p == 0:
-                qq = p ** vp_int(l, p)
-                fibres.append((p, qq, pow(l // qq, -1, qq)))
-        compiled.append((tuple(int(c * l) for c in mode), l * den, fibres,
-                         coeff))
-    # the keys of all terms as columns, one per coordinate; only the terms
-    # of integer modes (modulus den) look theirs up
-    keyed = [q == den for _, q, _, _ in compiled]
-    keys = [np.array([ivec[i] & mask for ivec, _, _, _ in compiled],
-                     dtype=object) for i in range(d)]
+    forms = [_phase_form(mode, f.primes, bits) for mode, _ in f.terms]
+    # the keys of all terms as columns, one per coordinate (the first d
+    # weights are M), and their moduli
+    mods = np.array([mod for mod, _, _ in forms], dtype=object)
+    keys = [np.array([w[i] for _, w, _ in forms], dtype=object) % mods
+            for i in range(d)]
     dual = list(zip(*rows))             # the rows of A^T
-
-    def character(ivec, q, fibres):
-        """exp(2 pi i theta) of the mode at every orbit state."""
-        theta = _unit_phases(_combine(ivec, num, orbits), q)
-        for p, qq, inv in fibres:
-            s = _combine(ivec, xi[p], orbits)
-            theta = theta + (s * inv % qq / qq).astype(float)
-        return _cis(theta)
-
     center = f.mean().real
     total = np.zeros(orbits)
-    pending = [[] for _ in compiled]    # per term its characters this block
+    pending = [[] for _ in forms]       # per term its characters this block
     last = {}                           # key -> character one step back
     for step in range(n):
         now = {}
-        for (ivec, q, fibres, _), has_key, key, out in zip(
-                compiled, keyed, zip(*keys), pending):
-            e = now.get(key, last.get(key)) if has_key else None
+        for form, key, out in zip(forms, zip(mods, *keys), pending):
+            e = now.get(key, last.get(key))
             if e is None:
-                e = character(ivec, q, fibres)
-            if has_key:
-                now[key] = e
+                e = _cis(_phases(form, (num, xi), None, orbits))
+            now[key] = e
             out.append(e)
         last = now
-        keys = [_combine(r, keys, len(compiled)) & mask for r in dual]
+        keys = [_combine(r, keys, len(forms)) % mods for r in dual]
         if step % _CLT_BLOCK == _CLT_BLOCK - 1 or step == n - 1:
             # vals[s] is the observable at step s of the block, its terms
             # added in order from 0 as the scalar complex sum adds them
             vals = np.zeros((step % _CLT_BLOCK + 1, orbits))
-            for (_, _, _, c), out in zip(compiled, pending):
+            for (_, c), out in zip(f.terms, pending):
                 e = np.stack(out)
                 out.clear()
                 t = c.real * e.real

@@ -228,7 +228,9 @@ def scalar_clt_check(f: TrigFunction, a: QMat, n=1024, orbits=200,
     Orbits start on a dyadic grid fine enough (orbit-length times the matrix
     growth rate, plus slack) that n steps of the exact integer dynamics do
     not collapse onto a coarse invariant subgrid, and their fibers carry as
-    many digits as the modes of f need.
+    many digits as the modes of f need.  Each orbit state is evaluated as a
+    SolenoidPoint through evaluate, every character from its Fraction
+    phase, as the Monte Carlo reference evaluates its points.
     """
     d = f.dim
     rows = a.int_rows()
@@ -236,19 +238,6 @@ def scalar_clt_check(f: TrigFunction, a: QMat, n=1024, orbits=200,
     den = 1 << bits
     rng = random.Random(seed)
     center = f.mean()
-    # precompiled integer phase evaluation, loop invariants hoisted: mode
-    # terms as (integer vector, modulus l * den, p-adic fibres, coeff)
-    compiled = []
-    for mode, coeff in f.terms:
-        l = math.lcm(*(c.denominator for c in mode))
-        fibres = []   # (p, p^t, (l / p^t)^-1 mod p^t) for p^t || l
-        for p in f.primes:
-            if l % p == 0:
-                qq = p ** vp_int(l, p)
-                fibres.append((p, qq, pow(l // qq, -1, qq)))
-        compiled.append((tuple(int(c * l) for c in mode), l * den, fibres,
-                         coeff))
-    tau = 2j * math.pi
     mask = den - 1
     prec = max(_MIN_DIGITS, f.fiber_digits())
     modulus = {p: p ** prec for p in f.primes}
@@ -259,14 +248,10 @@ def scalar_clt_check(f: TrigFunction, a: QMat, n=1024, orbits=200,
               for p in f.primes}
         total = 0.0
         for _ in range(n):
-            val = 0j
-            for ivec, q, fibres, coeff in compiled:
-                theta = sum(map(operator.mul, ivec, num)) % q / q
-                for p, qq, inv in fibres:
-                    s = sum(map(operator.mul, ivec, xi[p]))
-                    theta += s * inv % qq / qq
-                val += coeff * cmath.exp(tau * theta)
-            total += (val - center).real
+            pt = SolenoidPoint(
+                x=tuple(Fraction(u, den) for u in num),
+                xi=tuple((p, prec, tuple(xi[p])) for p in sorted(xi)))
+            total += (evaluate(f, pt) - center).real
             w = [sum(map(operator.mul, row, num)) for row in rows]
             kv = [wi >> bits for wi in w]
             num = [wi & mask for wi in w]

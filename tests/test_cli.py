@@ -83,6 +83,31 @@ def _no_rho(n):
     raise AssertionError(f"Pollard rho called on {n}")
 
 
+def strict_json(text):
+    """json.loads refusing NaN and Infinity, which JSON does not have."""
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+def no_work(*args):
+    raise AssertionError("work before the refusal")
+
+
+def refused_without_output(capsys, tmp_path, command, cfg, *argv):
+    """The stderr of a run of command on the config object cfg that must
+    exit 1, printing nothing and writing neither output file."""
+    path, out_csv, summary = (tmp_path / name
+                              for name in ("c.json", "c.csv", "s.json"))
+    path.write_text(json.dumps(cfg))
+    code, out, err = run(capsys, command, str(path), "--out", str(out_csv),
+                         "--summary", str(summary), *argv)
+    assert code == 1
+    assert out == "" and "Traceback" not in err
+    assert not out_csv.exists() and not summary.exists()
+    return err
+
+
 # --- analyze ----------------------------------------------------------------
 
 
@@ -872,6 +897,44 @@ class TestMixing:
         assert code == 0
         assert len(csv_path.read_text().splitlines()) == 1 + 4
 
+    @pytest.mark.parametrize("f, g, key", [
+        # before the cap this exited 0 with a CSV row 0 of inf,inf and
+        # every Monte Carlo number of the summary NaN
+        ([([1], [1e308, 1e308])], [([-1], [1e308, 0])], "f"),
+        ([([1], [0.5, 0])], [([-1], [1e308, 0])], "g"),
+        # no coefficient passes the cap, their l1 norm does
+        ([([1], [6e74, 0]), ([-1], [0, 6e74])], [([-1], [1, 0])], "f"),
+    ], ids=["f_and_g_overflow", "g_overflows", "sum_above_the_cap"])
+    def test_coefficient_norm_above_the_cap_exit_one(
+            self, capsys, tmp_path, monkeypatch, f, g, key):
+        monkeypatch.setattr(cli, "_most_lags", no_work)
+        cfg = {"format": 1, "primes": [2], "matrix": [[2]]}
+        for name, terms in (("f", f), ("g", g)):
+            cfg[name] = [{"mode": m, "coeff": c} for m, c in terms]
+        err = refused_without_output(capsys, tmp_path, "mixing", cfg,
+                                     "--mc", "10")
+        assert f": {key}: the coefficients' l1 norm is above 1e+75" in err
+
+    def test_coefficient_norm_at_the_cap_stays_finite(self, capsys,
+                                                      tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(
+            {"format": 1, "primes": [2], "matrix": [[2]],
+             "f": [{"mode": [1], "coeff": [5e74, 0]},
+                   {"mode": [-1], "coeff": [0, 5e74]}],
+             "g": [{"mode": [-1], "coeff": [1e75, 0]}]}))
+        out_csv, summary = tmp_path / "c.csv", tmp_path / "s.json"
+        code, _, _ = run(capsys, "mixing", str(cfg), "--mc", "100",
+                         "--out", str(out_csv), "--summary", str(summary))
+        assert code == 0
+        s = strict_json(summary.read_text())
+        numbers = [v for row in s["mc"] for v in row.values()]
+        assert len(numbers) == 5 * 13
+        assert all(math.isfinite(v) for v in numbers)
+        for line in out_csv.read_text().splitlines()[1:]:
+            n, re_, im_, _, _, stderr = line.split(",")
+            assert all(map(math.isfinite, map(float, (re_, im_, stderr))))
+
 
 # --- conjugate --------------------------------------------------------------
 
@@ -1046,6 +1109,40 @@ class TestConjugate:
         code, _, err = run(capsys, "conjugate", str(cfg))
         assert code == 1
 
+    @pytest.mark.parametrize("mode, coeff, message", [
+        # an OverflowError traceback from the derivative bound
+        ([10 ** 400], [0, -0.1], "mode[0] must be <= 9007199254740992"),
+        # exit 0 with a NaN verify sup and mean
+        ([10 ** 308], [0, 0], "mode[0] must be <= 9007199254740992"),
+        ([-2 ** 53 - 1], [0, 0], "mode[0] must be >= -9007199254740992"),
+        # exit 0 with the same NaNs, after numpy overflow warnings
+        ([0], [1e308, 1e308], "perturbation component 0: the coefficients' "
+                              "l1 norm is above 1e+75"),
+    ], ids=["mode_1e400", "mode_1e308", "mode_below_-2^53", "coeff_1e308"])
+    def test_perturbation_beyond_the_float_engine_exit_one(
+            self, capsys, tmp_path, monkeypatch, mode, coeff, message):
+        monkeypatch.setattr(cli, "perturbed_map", no_work)
+        err = refused_without_output(
+            capsys, tmp_path, "conjugate",
+            {"format": 1, "matrix": [[2]], "grid": 8,
+             "perturbation": [{"mode": mode, "coeff": [coeff]}]})
+        assert message in err
+
+    def test_perturbation_at_the_caps_runs(self, capsys, tmp_path):
+        # 2^53 is still a double, and the coefficients' l1 norm is 1e75;
+        # 10^93 expands past the derivative bound 2 pi 2^53 1e75
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(
+            {"format": 1, "matrix": [[10 ** 93]], "grid": 8,
+             "perturbation": [{"mode": [2 ** 53], "coeff": [[5e74, 0]]},
+                              {"mode": [-2 ** 53], "coeff": [[0, 5e74]]}]}))
+        summary = tmp_path / "s.json"
+        code, _, err = run(capsys, "conjugate", str(cfg), "--out",
+                           str(tmp_path / "c.csv"), "--summary", str(summary))
+        assert (code, err) == (0, "")
+        s = strict_json(summary.read_text())
+        assert math.isfinite(s["verify"]["sup"])
+
 
 # --- crt --------------------------------------------------------------------
 
@@ -1207,6 +1304,28 @@ class TestCrt:
         _, second, _ = run(capsys, "crt", fixture("heisenberg_structure.json"),
                            fixture("heisenberg_targets.json"))
         assert first == second
+
+
+# --- every report ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("command, argv", [
+    ("analyze", []), ("mixing", ["--mc", "200"]), ("conjugate", [])])
+def test_every_report_is_strict_json(capsys, tmp_path, command, argv):
+    # each command on every fixture; the runs whose config the command
+    # cannot take exit 1 and write nothing
+    out, summary = tmp_path / "out", tmp_path / "s.json"
+    report = out if command == "analyze" else summary
+    if command != "analyze":
+        argv = [*argv, "--summary", str(summary)]
+    reports = 0
+    for path in sorted(FIXTURES.glob("*.json")):
+        report.unlink(missing_ok=True)
+        run(capsys, command, str(path), "--out", str(out), *argv)
+        if report.exists():
+            strict_json(report.read_text())
+            reports += 1
+    assert reports
 
 
 # --- process-level behaviour ------------------------------------------------

@@ -2,7 +2,7 @@
 
 Monte Carlo evaluates characters from exact integer phase numerators, the
 CLT check steps all its orbits at once on exact integer states, reuses the
-characters of repeated integer modes and sums its steps in blocks, and the
+characters of repeated modes and sums its steps in blocks, and the
 conjugacy solver, its off-grid check and the Holder estimate interpolate on
 arrays.  Each must reproduce the one-point-at-a-time code kept in
 tests/helpers.py exactly: results are compared with == and by repr, which
@@ -381,8 +381,8 @@ def test_clt_modes_equal_mod_the_grid():
 
 
 def test_clt_s_adic_integer_and_fractional_modes():
-    # integer modes are keyed and reused, modes with denominators 2 and 3
-    # are evaluated every step with their fibre parts
+    # integer modes and modes with denominators 2 and 3 are keyed and
+    # reused alike, the latter read their fibre parts
     f = TrigFunction.build(
         [((1, 0), 0.5), ((-1, 0), 0.5), ((6, 1), 0.2j), ((36, 0), -0.1),
          ((Fraction(1, 2), 1), 0.3), ((Fraction(-1, 3), Fraction(1, 9)),
@@ -390,10 +390,8 @@ def test_clt_s_adic_integer_and_fractional_modes():
     check_clt(f, [[6, 1], [0, -6]], 2 * _CLT_BLOCK + 1, 8, 10)
 
 
-def test_clt_computes_each_repeated_character_once(monkeypatch):
-    # six cosine terms at the benchmark's size: twelve characters at the
-    # first step, then the two new ones per step, 12 + 2 * 191 = 394
-    # phase evaluations where each character every step took 12 * 192
+def count_unit_phases(monkeypatch):
+    """The moduli of every solenoid._unit_phases call from now on."""
     calls = []
     unit_phases = solenoid._unit_phases
 
@@ -402,7 +400,26 @@ def test_clt_computes_each_repeated_character_once(monkeypatch):
         return unit_phases(nums, q)
 
     monkeypatch.setattr(solenoid, "_unit_phases", counted)
+    return calls
+
+
+def test_clt_computes_each_repeated_character_once(monkeypatch):
+    # six cosine terms at the benchmark's size: twelve characters at the
+    # first step, then the two new ones per step, 12 + 2 * 191 = 394
+    # phase evaluations where each character every step took 12 * 192
+    calls = count_unit_phases(monkeypatch)
     clt_check(lacunary(6, 0.75), QMat([[2]]), n=192, orbits=160, seed=3)
+    assert len(calls) == 12 + 2 * 191
+
+
+def test_clt_computes_each_repeated_fractional_character_once(monkeypatch):
+    # the same six cosines with every mode divided by 3: the keys (D, K)
+    # of modes with denominators repeat as those of integer modes do,
+    # where computing each character every step took 12 * 192
+    calls = count_unit_phases(monkeypatch)
+    f = TrigFunction.build([(tuple(c / 3 for c in m), coeff)
+                            for m, coeff in lacunary(6, 0.75).terms], (3,))
+    clt_check(f, QMat([[2]]), n=192, orbits=160, seed=3)
     assert len(calls) == 12 + 2 * 191
 
 

@@ -154,8 +154,8 @@ UNENTERED_ALLOWLIST = {
         "solenoid.SolenoidPoint.xi_at", "solenoid.apply",
         "solenoid.apply_inverse", "solenoid.inverse_levels"],
     "criterion 10": [
-        "solenoid.clt_check", "solenoid.clt_check.character",
-        "solenoid._orbit_sampler_bits", "solenoid.CltReport"],
+        "solenoid.clt_check", "solenoid._orbit_sampler_bits",
+        "solenoid.CltReport"],
     "ROADMAP item 9": [
         "nilpotent.derived_series", "nilpotent.automorphism_action",
         "nilpotent.bracket_inclusion_check", "nilpotent.NilStructure.bracket",
