@@ -523,7 +523,7 @@ def cmd_mixing(args):
                    range(n_max + 1), low=0, high=most)
     # Monte Carlo rows only when the config has "mc" or the flag is given
     mc_samples = _get(mc, "samples", f"{where}: mc", _int,
-                      10000 if "mc" in config else None, low=1,
+                      10000 if "mc" in config else None, low=2,
                       high=_MAX_SAMPLES, flag=("--mc", args.mc))
 
     curve = mixing_curve(f, g, amat, n_max, fit_range=fit_range)

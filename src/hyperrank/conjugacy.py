@@ -329,15 +329,18 @@ def holder_estimate(field: ConjugacyField, pairs=3000,
     ts = [delta * _HOLDER_SPAN ** (b / (_HOLDER_BINS - 1))
           for b in range(_HOLDER_BINS)]
     count = per_bin * _HOLDER_BINS
-    draws, axes, signs = [], [], []
+    uniform, below = rng.random, rng.randrange
+    draws, axes, coins = [], [], []     # a sign is + when its coin is < 0.5
     for _ in range(count):
-        draws += [rng.random() for _ in range(d)]
-        axes.append(rng.randrange(d))
-        signs.append(1.0 if rng.random() < 0.5 else -1.0)
+        for _ in range(d):
+            draws.append(uniform())
+        axes.append(below(d))
+        coins.append(uniform())
     starts = np.array(draws, dtype=float).reshape(count, d).T
     # each pair steps by +-t along one axis, t the scale of its bin
     steps = np.zeros((d, count))
-    steps[axes, np.arange(count)] = np.array(signs) * np.repeat(ts, per_bin)
+    signs = np.where(np.array(coins) < 0.5, 1.0, -1.0)
+    steps[axes, np.arange(count)] = signs * np.repeat(ts, per_bin)
     ends = starts + steps
     gaps = np.abs(field.displacement_at(starts) - field.displacement_at(ends))
     scales, moduli = [], []

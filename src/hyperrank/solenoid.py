@@ -75,26 +75,31 @@ class SolenoidPoint:
         raise KeyError(f"no fiber coordinate for p = {p}")
 
 
-def haar_sample(count, dim, primes=(), seed=0, prec=_MIN_DIGITS):
+def haar_sample(count, dim, primes=(), seed=0, prec=_MIN_DIGITS, *,
+                columns=False):
     """Haar-distributed points: uniform 2^-32 torus coordinates and
     independent uniform residues in each fiber.
 
     Per point the torus coordinates are drawn first, then the residues prime
     by prime in the order given; the fibers are stored ascending in p, and a
-    prime given twice keeps its last draw."""
+    prime given twice keeps its last draw.  With columns=True the same draws
+    come back as integer columns instead of points: per torus axis the
+    numerators over 2^32, and {p: residues per axis} ascending in p."""
     randrange = random.Random(seed).randrange
     den = 1 << _GRID_BITS
-    mods = [p ** prec for p in primes]
     last = {p: i for i, p in enumerate(primes)}
-    order = [(p, last[p]) for p in sorted(last)]
-    axes = range(dim)
-    out = []
-    for _ in range(count):
-        xs = tuple([Fraction(randrange(den), den) for _ in axes])
-        res = [tuple([randrange(q) for _ in axes]) for q in mods]
-        out.append(SolenoidPoint(x=xs, xi=tuple([(p, prec, res[i])
-                                                 for p, i in order])))
-    return out
+    # each fiber's offset in a point's draws
+    order = [(p, dim * (1 + last[p])) for p in sorted(last)]
+    bounds = [den] * dim + [p ** prec for p in primes for _ in range(dim)]
+    w = len(bounds)
+    flat = [randrange(b) for _ in range(count) for b in bounds]
+    if columns:
+        cols = [flat[j::w] for j in range(w)]
+        return cols[:dim], {p: cols[o:o + dim] for p, o in order}
+    rows = [flat[k * w:(k + 1) * w] for k in range(count)]
+    return [SolenoidPoint(x=tuple([Fraction(u, den) for u in row[:dim]]),
+                          xi=tuple([(p, prec, tuple(row[o:o + dim]))
+                                    for p, o in order])) for row in rows]
 
 
 # --- the action and its inverse ---------------------------------------------
@@ -380,21 +385,18 @@ class McCorrelation:
     samples: int
 
 
-def _columns(pts):
-    """Haar points as integer columns, per torus axis the numerators over
+def _columns(torus, fibers):
+    """haar_sample's integer columns, per torus axis the numerators over
     2^32 and per prime of S its fiber residues per axis: once as object
     arrays of Python ints, once as uint64 arrays of the same values mod 2^64
     (the columns of _phases' wrapping path)."""
-    den = 1 << _GRID_BITS
-    torus = [np.array([c.numerator * (den // c.denominator) for c in axis],
-                      dtype=object) for axis in zip(*(pt.x for pt in pts))]
-    fibers = {slot[0][0]: [np.array(col, dtype=object) for col in
-                           zip(*(res for _, _, res in slot))]
-              for slot in zip(*(pt.xi for pt in pts))}
-    low = ([col.astype(np.uint64) for col in torus],
+    wide = ([np.array(col, dtype=object) for col in torus],
+            {p: [np.array(col, dtype=object) for col in cols]
+             for p, cols in fibers.items()})
+    low = ([np.array(col, dtype=np.uint64) for col in torus],
            {p: [(col & _LOW64).astype(np.uint64) for col in cols]
-            for p, cols in fibers.items()})
-    return (torus, fibers), low
+            for p, cols in wide[1].items()})
+    return wide, low
 
 
 def _combine(vec, cols, count):
@@ -524,9 +526,10 @@ def monte_carlo_correlation(f: TrigFunction, g: TrigFunction, a: QMat, n,
     """Haar-sampled estimate of the same functional exact_correlation
     computes; fibers carry as many digits as the modes evaluated need.
 
-    The points are drawn one by one and turned into integer columns, then
-    every character is evaluated on all of them at once from its exact
-    integer phase numerators: in wrapping uint64 when its phase modulus is
+    The points are drawn straight into integer columns (haar_sample with
+    columns=True, the same stream as its points), then every character is
+    evaluated on all of them at once from its exact integer phase
+    numerators: in wrapping uint64 when its phase modulus is
     2^b with b <= 64, in Python ints otherwise (see _phases).  A caller
     that estimates several lags may pass the same dict as draws to each
     call: it keeps the drawn points as columns, keyed by everything the
@@ -535,13 +538,17 @@ def monte_carlo_correlation(f: TrigFunction, g: TrigFunction, a: QMat, n,
     per point set.  The dict lives as long as the caller keeps it."""
     if f.primes != g.primes:
         raise ValueError("observables live on different solenoids")
+    if samples < 2:
+        raise ValueError(f"monte_carlo_correlation needs samples >= 2, got "
+                         f"samples = {samples}")
     fn = f.pushforward(a.power(n)) if n else f
     prec = max(_MIN_DIGITS, fn.fiber_digits(), g.fiber_digits())
     key = (samples, f.dim, f.primes, seed, prec)
     draws = {} if draws is None else draws
     if key not in draws:
-        draws[key] = (*_columns(haar_sample(samples, f.dim, primes=f.primes,
-                                            seed=seed, prec=prec)), {})
+        draws[key] = (*_columns(*haar_sample(samples, f.dim, primes=f.primes,
+                                             seed=seed, prec=prec,
+                                             columns=True)), {})
     wide, low, g_values = draws[key]
     if g not in g_values:
         g_values[g] = _evaluate(g, wide, low, samples)
@@ -554,7 +561,7 @@ def monte_carlo_correlation(f: TrigFunction, g: TrigFunction, a: QMat, n,
     # CPython's sequential sums: a numpy reduction rounds differently
     mean = sum(vals) / samples
     est = mean - f.mean() * g.mean()
-    var = sum(abs(v - mean) ** 2 for v in vals) / max(samples - 1, 1)
+    var = sum(abs(v - mean) ** 2 for v in vals) / (samples - 1)
     return McCorrelation(n=n, value=est, stderr=math.sqrt(var / samples),
                          samples=samples)
 

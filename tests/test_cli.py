@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from hyperrank import cli, ergodicity, spectra
+from hyperrank import cli, ergodicity, solenoid, spectra
 from hyperrank.cli import main
 from hyperrank.exact import padic
 from hyperrank.errors import PrecisionExhausted, RootFindingFailure
@@ -595,6 +595,27 @@ class TestMixing:
             ev = float(exact.split(",")[1])
             assert abs(row["re"] - ev) <= 5 * row["stderr"] + 1e-12
 
+    @pytest.mark.parametrize("name", ["cat_mixing.json",
+                                      "doubling_mixing.json"])
+    def test_monte_carlo_builds_no_points(self, capsys, tmp_path,
+                                          monkeypatch, name):
+        # the Haar draws go straight into integer columns, the fibred
+        # doubling map's too; the rows are those the points gave
+        def outputs(tag):
+            out_csv, summary = (tmp_path / f"{tag}.{ext}"
+                                for ext in ("csv", "json"))
+            code, _, _ = run(capsys, "mixing", fixture(name), "--mc", "200",
+                             "--out", str(out_csv), "--summary", str(summary))
+            assert code == 0
+            return out_csv.read_bytes(), summary.read_bytes()
+
+        def no_points(*args, **kwargs):
+            raise AssertionError("a SolenoidPoint was built")
+
+        plain = outputs("plain")
+        monkeypatch.setattr(solenoid, "SolenoidPoint", no_points)
+        assert outputs("patched") == plain
+
     def test_mc_deterministic_and_seed_sensitive(self, capsys, tmp_path,
                                                  monkeypatch):
         def curve(tag):
@@ -664,18 +685,24 @@ class TestMixing:
         assert out == ""
 
     @pytest.mark.parametrize("flag, value, message", [
-        ("--mc", "0", "--mc must be >= 1"),
-        ("--mc", "-5", "--mc must be >= 1"),
+        ("--mc", "0", "--mc must be >= 2"),
+        ("--mc", "-5", "--mc must be >= 2"),
+        # one sample has no sample variance: its stderr read 0.0
+        ("--mc", "1", "--mc must be >= 2"),
+        ("mc.samples", 1, "mc: samples must be >= 2"),
         ("--nmax", "0", "--nmax must be >= 1"),
         ("--nmax", "-1", "--nmax must be >= 1"),
     ])
-    def test_flags_obey_the_limits_of_their_keys(self, capsys, flag, value,
+    def test_flags_obey_the_limits_of_their_keys(self, capsys, tmp_path,
+                                                 monkeypatch, flag, value,
                                                  message):
-        code, out, err = run(capsys, "mixing", fixture("doubling_mixing.json"),
-                             flag, value)
-        assert code == 1
+        monkeypatch.setattr(cli, "mixing_curve", no_work)
+        cfg = json.loads((FIXTURES / "doubling_mixing.json").read_text())
+        argv = [flag, value]
+        if flag == "mc.samples":        # the key itself
+            cfg["mc"], argv = {"samples": value}, []
+        err = refused_without_output(capsys, tmp_path, "mixing", cfg, *argv)
         assert message in err
-        assert out == ""
 
     @pytest.mark.parametrize("source", ["flag", "key"])
     def test_monte_carlo_samples_capped(self, capsys, tmp_path, source):

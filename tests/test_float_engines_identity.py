@@ -83,8 +83,17 @@ def matrices(dim, low=-3, high=3):
 def test_haar_sample(dim, primes, prec):
     # residues are drawn in the order the primes are given and stored
     # ascending in p; a repeated prime keeps its last draw
-    assert_identical(haar_sample(30, dim, primes, seed=dim, prec=prec),
-                     scalar_haar_sample(30, dim, primes, seed=dim, prec=prec))
+    pts = haar_sample(30, dim, primes, seed=dim, prec=prec)
+    assert_identical(pts, scalar_haar_sample(30, dim, primes, seed=dim,
+                                             prec=prec))
+    # the columns are the integers of the same draws
+    torus = [[x.numerator * 2 ** 32 // x.denominator for x in axis]
+             for axis in zip(*(pt.x for pt in pts))]
+    fibers = {p: [list(axis) for axis in
+                  zip(*(pt.xi_at(p)[1] for pt in pts))]
+              for p in sorted(set(primes))}
+    assert_identical(haar_sample(30, dim, primes, seed=dim, prec=prec,
+                                 columns=True), (torus, fibers))
 
 
 def check_mc(terms_f, terms_g, primes, matrix, n, samples, seed):
@@ -100,7 +109,7 @@ def check_mc(terms_f, terms_g, primes, matrix, n, samples, seed):
 @SETTINGS
 @given(st.integers(1, 2).flatmap(lambda d: st.tuples(
     observables(d, st.integers(-6, 6)), observables(d, st.integers(-6, 6)),
-    matrices(d))), st.integers(0, 4), st.integers(1, 40),
+    matrices(d))), st.integers(0, 4), st.integers(2, 40),
     st.integers(0, 10 ** 6))
 def test_monte_carlo_torus(obs, n, samples, seed):
     terms_f, terms_g, matrix = obs
@@ -110,7 +119,7 @@ def test_monte_carlo_torus(obs, n, samples, seed):
 @SETTINGS
 @given(st.integers(1, 2).flatmap(lambda d: st.tuples(
     observables(d, s_adic(12)), observables(d, s_adic(12)),
-    matrices(d, -6, 6))), st.integers(0, 3), st.integers(1, 30),
+    matrices(d, -6, 6))), st.integers(0, 3), st.integers(2, 30),
     st.integers(0, 10 ** 6))
 def test_monte_carlo_s_adic(obs, n, samples, seed):
     # denominators up to 2^12 3^12 put D = 2^32 lcm below 2^53 some of the
@@ -121,7 +130,7 @@ def test_monte_carlo_s_adic(obs, n, samples, seed):
 
 @SETTINGS
 @given(observables(1, st.integers(-20, -1)), st.integers(0, 3),
-       st.integers(1, 30), st.integers(0, 10 ** 6))
+       st.integers(2, 30), st.integers(0, 10 ** 6))
 def test_monte_carlo_negative_modes(terms, n, samples, seed):
     check_mc(terms, terms, (), [[-3]], n, samples, seed)
 

@@ -454,6 +454,13 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             monte_carlo_correlation(f, g, DOUBLING, 1)
 
+    @pytest.mark.parametrize("samples", [1, 0])
+    def test_fewer_than_two_samples_refused(self, samples):
+        # one sample has no sample variance: its stderr read 0.0
+        with pytest.raises(ValueError, match="samples >= 2"):
+            monte_carlo_correlation(cosine((1,)), cosine((1,)), DOUBLING, 0,
+                                    samples=samples)
+
 
 class TestClt:
     def test_doubling_cosine_variance(self):
