@@ -193,17 +193,34 @@ class RankOneReport:
     culprit: SplitBlock = None
 
 
-def _block_spectra(action: ActionSpec, tol, padic_prec):
-    """[(SplitBlock, joint spectrum of its restricted action at tol and
-    padic_prec)].  The split is kept in action.cache, and each block's
-    spectra in its own; a lone block is the action itself and shares its
-    spectrum."""
+def block_actions(action: ActionSpec):
+    """[(SplitBlock, its restricted action)] of rational_splitting, kept in
+    action.cache.  A lone block is the action itself.  Each block of a split
+    action gets its own ActionSpec, whose split is set to the one block it
+    is in its own coordinates, so that it is never split again."""
     if "split" not in action.cache:
         split = rational_splitting(action)
-        action.cache["split"] = [(blk, action if len(split) == 1 else
-                                  ActionSpec(blk.matrices)) for blk in split]
+        if len(split) == 1:
+            action.cache["split"] = [(split[0], action)]
+        else:
+            action.cache["split"] = [(blk, _lone(blk)) for blk in split]
+    return action.cache["split"]
+
+
+def _lone(blk: SplitBlock):
+    act = ActionSpec(blk.matrices)
+    act.cache["split"] = [(SplitBlock(basis=QMat.identity(blk.dim),
+                                      matrices=blk.matrices,
+                                      field=blk.field), act)]
+    return act
+
+
+def _block_spectra(action: ActionSpec, tol, padic_prec):
+    """[(SplitBlock, joint spectrum of its restricted action at tol and
+    padic_prec)].  Each block's spectra are kept in its own cache; a lone
+    block shares the action's spectrum."""
     return [(blk, joint_spectrum(act, tol, padic_prec))
-            for blk, act in action.cache["split"]]
+            for blk, act in block_actions(action)]
 
 
 def _value_matrix(spec):

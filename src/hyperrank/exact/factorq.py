@@ -2,7 +2,9 @@
 and recombined over Z.
 
 Inputs here are characteristic polynomials of integer matrices, so everything
-is monic with integer coefficients.  Degrees are <= 10 at desk scale, which
+is monic with integer coefficients, and the whole chain (squarefree split,
+mod-p factors, lifts, trial divisions) runs on int coefficient lists; only
+factor_over_q's results are QPolys.  Degrees are <= 10 at desk scale, which
 keeps subset recombination trivial; candidate factor degrees are pruned by
 intersecting the attainable-degree sets of the mod-p patterns at three usable
 primes.
@@ -81,7 +83,7 @@ def _factor_squarefree_monic_int(ints):
 
     out = []
     pool = list(range(len(lifted)))
-    current = QPoly(ints)
+    current = ints
     size = 1
     while 2 * size <= len(pool):
         hit = None
@@ -92,21 +94,21 @@ def _factor_squarefree_monic_int(ints):
             prod = [1]
             for i in subset:
                 prod = modp.mul(prod, lifted[i], q)
-            cand = QPoly([_symmetric(c, q) for c in prod])
-            quo, rem = divmod(current, cand)
-            if rem.is_zero():
+            cand = [_symmetric(c, q) for c in prod]
+            quo, rem = modp.divmod_p(current, cand, None)
+            if not rem:
                 hit = (subset, cand, quo)
                 break
         if hit is None:
             size += 1
             continue
         subset, cand, quo = hit
-        out.append([int(c) for c in cand.coeffs])
+        out.append(cand)
         pool = [i for i in pool if i not in subset]
         current = quo
         size = 1
-    if current.degree > 0:
-        out.append([int(c) for c in current.coeffs])
+    if len(current) > 1:
+        out.append(current)
     return out
 
 
@@ -117,9 +119,8 @@ def factor_over_q(f: QPoly):
     The squarefree parts of a monic integer polynomial are monic integer
     polynomials, and so are their irreducible factors (Gauss's lemma).
     """
-    out = []
-    for g, m in squarefree_decomposition(f):
-        ints = [int(c) for c in g.coeffs]
-        out += [(QPoly(fac), m) for fac in _factor_squarefree_monic_int(ints)]
-    out.sort(key=lambda t: (t[0].degree, t[0].coeffs))
-    return out
+    out = [(fac, m) for g, m in squarefree_decomposition(
+        [c.numerator for c in f.coeffs])
+        for fac in _factor_squarefree_monic_int(g)]
+    out.sort(key=lambda t: (len(t[0]), t[0]))
+    return [(QPoly(fac), m) for fac, m in out]

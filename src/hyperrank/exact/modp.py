@@ -1,11 +1,13 @@
 """Polynomial arithmetic over Q or mod q, and factorization over F_p.
 
 Polynomials are ascending coefficient lists (f[i] multiplies x^i).  The ring
-kernels (add, sub, mul, scalar_mul, divmod_p, monic, derivative) are exact
-over Q, on int or Fraction coefficients, when the modulus is None; QPoly
-(poly.py) is a value type over them.  Otherwise they reduce each result into
-[0, q), from inputs that may be unreduced or negative.  q need not be prime
-so long as every leading coefficient inverted is a unit mod q, though
+kernels (add, sub, mul, scalar_mul, divmod_p, mod, monic, derivative) are
+exact over Q, on int or Fraction coefficients, when the modulus is None;
+QPoly (poly.py) is a value type over them.  A leading coefficient +-1 is
+its own inverse, so int lists divided by one stay int.  Otherwise they
+reduce each result into [0, q), from inputs that may be unreduced or
+negative; mod, the remainder alone, reduces at every step.  q need not be
+prime so long as every leading coefficient inverted is a unit mod q, though
 factoring needs a prime p: a monic input that is squarefree mod p factors by
 distinct-degree, then seeded equal-degree splitting (J. von zur Gathen and
 J. Gerhard, Modern Computer Algebra, ch. 14), so results are deterministic
@@ -32,7 +34,9 @@ def reduce_mod(coeffs, p):
 
 
 def _inverse(c, p):
-    return Fraction(1) / c if p is None else pow(c, -1, p)
+    if p is not None:
+        return pow(c, -1, p)
+    return c if c in (1, -1) else Fraction(1) / c
 
 
 def deg(f):
@@ -92,7 +96,26 @@ def divmod_p(f, g, p):
 
 
 def mod(f, g, p):
-    return divmod_p(f, g, p)[1]
+    """divmod_p's remainder, without the quotient; mod p, the coefficients
+    are reduced first and each one a step changes at once."""
+    if not g:
+        raise ZeroPolynomial("division by the zero polynomial")
+    r = list(f) if p is None else [c % p for c in f]
+    dg = deg(g)
+    if len(r) > dg:
+        inv_lead = _inverse(g[-1], p)
+        tail = g[:-1]
+        for k in range(len(r) - 1 - dg, -1, -1):
+            c = r.pop() * inv_lead
+            if p is None:
+                if c:
+                    for j, b in enumerate(tail):
+                        r[j + k] -= c * b
+            elif c % p:
+                c %= p
+                for j, b in enumerate(tail):
+                    r[j + k] = (r[j + k] - c * b) % p
+    return trim(r)
 
 
 def monic(f, p):
@@ -125,12 +148,13 @@ def ext_gcd(f, g, p):
 
 
 def pow_mod(f, n, g, p):
-    """f^n mod g."""
+    """f^n mod g.  mod reduces its input first, so the products are formed
+    without a reduction of their own."""
     out, base = [1], mod(f, g, p)
     while n:
         if n & 1:
-            out = mod(mul(out, base, p), g, p)
-        base = mod(mul(base, base, p), g, p)
+            out = mod(mul(out, base, None), g, p)
+        base = mod(mul(base, base, None), g, p)
         n >>= 1
     return out
 

@@ -1,11 +1,13 @@
 """Dense univariate polynomials over Q, exact throughout.
 
 QPoly is a value type over modp's list kernels, run with the modulus None:
-its ring operations, derivative and monic part are theirs.  Coefficients
-are ascending (coeffs[i] multiplies x^i) and stored as Fraction.  The zero
-polynomial has an empty coefficient tuple and degree -1.  Everything here
-is desk scale (degree <= a few dozen), so the quadratic algorithms are fine
-and favored for being auditable.
+its ring operations are theirs.  Coefficients are ascending (coeffs[i]
+multiplies x^i) and stored as Fraction.  The zero polynomial has an empty
+coefficient tuple and degree -1.  poly_gcd also takes plain coefficient
+lists, and squarefree_decomposition takes only those: on the monic integer
+charpolys that factoring feeds them, they stay in int and form no Fraction.
+Everything here is desk scale (degree <= a few dozen), so the quadratic
+algorithms are fine and favored for being auditable.
 """
 
 from __future__ import annotations
@@ -30,10 +32,6 @@ class QPoly:
     # --- constructors ---
 
     @classmethod
-    def zero(cls):
-        return cls(())
-
-    @classmethod
     def one(cls):
         return cls((1,))
 
@@ -54,11 +52,6 @@ class QPoly:
         if 0 <= i < len(self.coeffs):
             return self.coeffs[i]
         return Fraction(0)
-
-    def leading(self):
-        if not self.coeffs:
-            raise ZeroPolynomial("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
 
     # __bool__, __eq__, __hash__: without them truth is True, == identity
     def __bool__(self):
@@ -100,36 +93,6 @@ class QPoly:
             raise ValueError(f"{other.coeffs} does not divide {self.coeffs}")
         return q
 
-    # --- derivative and monic part ---
-
-    def derivative(self):
-        return QPoly(modp.derivative(self.coeffs, None))
-
-    def monic(self):
-        if self.leading() == 1:
-            return self
-        return QPoly(modp.monic(self.coeffs, None))
-
-    # --- integer normal forms ---
-
-    def denominator_lcm(self):
-        return math.lcm(*(c.denominator for c in self.coeffs))
-
-    def int_coeffs(self):
-        """Primitive integer coefficient list with positive leading coefficient.
-
-        Raises ZeroPolynomial on the zero polynomial.
-        """
-        if not self.coeffs:
-            raise ZeroPolynomial("zero polynomial has no primitive part")
-        d = self.denominator_lcm()
-        ints = [c.numerator * (d // c.denominator) for c in self.coeffs]
-        g = math.gcd(*ints)
-        ints = [v // g for v in ints]
-        if ints[-1] < 0:
-            ints = [-v for v in ints]
-        return ints
-
 
 def _coerce(x):
     if isinstance(x, QPoly):
@@ -137,24 +100,37 @@ def _coerce(x):
     return QPoly((x,))
 
 
-def poly_gcd(f: QPoly, g: QPoly) -> QPoly:
+def poly_gcd(f, g):
     """Monic gcd over Q; gcd(f, 0) = monic f; gcd(0, 0) raises BothZero.
 
-    Fraction-free: Euclid with pseudo-remainders on integer primitive parts,
-    each remainder reduced to its primitive part (primitive PRS).
+    f and g are both QPolys, or both trimmed ascending coefficient lists,
+    and the gcd comes back as the same kind.  Fraction-free: Euclid with
+    pseudo-remainders on integer primitive parts, each remainder reduced to
+    its primitive part (primitive PRS).  So from integer lists a gcd whose
+    primitive part is monic, as every divisor of a monic integer polynomial
+    is (Gauss's lemma), comes back with int coefficients.
     """
-    if f.is_zero() and g.is_zero():
+    qpoly = isinstance(f, QPoly)
+    a, b = (f.coeffs, g.coeffs) if qpoly else (f, g)
+    if not a and not b:
         raise BothZero("gcd(0, 0) is undefined")
-    if g.is_zero():
-        return f.monic()
-    if f.is_zero():
-        return g.monic()
-    a, b = f.int_coeffs(), g.int_coeffs()
-    while b:
-        r = _pseudo_rem(a, b)
-        content = math.gcd(*r)
-        a, b = b, [x // content for x in r]
-    return QPoly(a).monic()
+    if a and b:
+        a, b = _primitive(a), _primitive(b)
+        while b:
+            r = _pseudo_rem(a, b)
+            content = math.gcd(*r)
+            a, b = b, [x // content for x in r]
+    out = modp.monic(a or b, None)
+    return QPoly(out) if qpoly else out
+
+
+def _primitive(cs):
+    """Primitive integer multiple, with positive leading coefficient, of a
+    nonzero rational coefficient list."""
+    d = math.lcm(*(c.denominator for c in cs))
+    ints = [c.numerator * (d // c.denominator) for c in cs]
+    g = math.gcd(*ints)
+    return [v // g for v in ints] if ints[-1] > 0 else [-v // g for v in ints]
 
 
 def _pseudo_rem(a, b):
@@ -174,30 +150,42 @@ def _pseudo_rem(a, b):
     return a
 
 
-def squarefree_decomposition(f: QPoly):
-    """Yun's algorithm over Q: returns [(g_i, i)] with f = lc * prod g_i^i, g_i monic squarefree."""
-    if f.is_zero():
+def squarefree_decomposition(f):
+    """Yun's algorithm over Q on an ascending coefficient list: [(g_i, i)]
+    with f = lc * prod g_i^i, each g_i a monic squarefree list, i ascending.
+
+    On an integer list with leading coefficient +-1, as a charpoly has,
+    every step stays in int: every gcd and divisor is monic, by Gauss's
+    lemma, and the modulus-None kernels divide by a monic list in int.
+    """
+    f = modp.monic(modp.trim(list(f)), None)
+    if not f:
         raise ZeroPolynomial("zero polynomial")
-    f = f.monic()
-    out = []
-    if f.degree == 0:
-        return out
-    fp = f.derivative()
+    if len(f) == 1:
+        return []
+    fp = modp.derivative(f, None)
     a = poly_gcd(f, fp)
-    if a.degree == 0:
+    if len(a) == 1:
         return [(f, 1)]
-    b = f.exact_div(a)
-    c = fp.exact_div(a)
+    b, c = _exact_quotient(f, a), _exact_quotient(fp, a)
+    out = []
     i = 1
-    while b.degree > 0:
-        d = c - b.derivative()
-        g = poly_gcd(b, d) if not d.is_zero() else b.monic()
-        if g.degree > 0:
+    while len(b) > 1:
+        d = modp.sub(c, modp.derivative(b, None), None)
+        g = poly_gcd(b, d) if d else b
+        if len(g) > 1:
             out.append((g, i))
-        b = b.exact_div(g)
-        c = d.exact_div(g) if not d.is_zero() else QPoly.zero()
+        b = _exact_quotient(b, g)
+        c = _exact_quotient(d, g)
         i += 1
     return out
+
+
+def _exact_quotient(f, g):
+    q, r = modp.divmod_p(f, g, None)
+    if r:
+        raise ValueError(f"{g} does not divide {f}")
+    return q
 
 
 def euler_phi(n):

@@ -15,6 +15,11 @@ The joint spectrum is computed by sequential invariant-subspace refinement:
   Precision loss is tracked; PrecisionExhausted triggers a retry at doubled
   precision from the exact integer inputs.
 
+An action of rank >= 2 that splits into several rational invariant blocks
+(ergodicity.rational_splitting) refines each p-adic place once, per block:
+the blocks' functionals at p are merged into the action's.  Its real place
+is still refined on the whole action.
+
 Valuations are exact Fractions end to end; only the final functional values
 (v times log p, log moduli) are floats.
 """
@@ -28,8 +33,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import (CommutativityViolated, PrecisionExhausted, RankDeficient,
-                     RootFindingFailure)
+from .errors import (CommutativityViolated, HyperrankError,
+                     PrecisionExhausted, RankDeficient, RootFindingFailure)
 from .exact import QMat, QPoly, factor_int, primitive_vector, vp_int
 from .exact import modp
 from .exact.intmat import (berkowitz_charpoly_mod, mat_mod, mat_poly_mod,
@@ -403,6 +408,38 @@ def _padic_functionals(action, p, base_prec):
             prec *= 2
 
 
+def _merged_padic(action, primes, tol, padic_prec):
+    """{p: [(valuations, multiplicity)]} from the block spectra of an
+    action that splits into several rational blocks; None at rank 1 (a
+    split costs more than it saves there), with no prime, with one block,
+    or when a block raises.  The blocks are invariant over Q, so the joint
+    slope spaces at p are sums of theirs: equal valuation tuples add their
+    multiplicities, and a block whose determinants are p-units adds
+    (0, ..., 0) once per dimension.  Sorted descending, as _padic_refine
+    gives them: it splits by one generator after another, each into
+    descending slopes."""
+    if action.rank < 2 or not primes:
+        return None
+    from .ergodicity import block_actions   # it imports this module
+    try:
+        split = block_actions(action)
+        if len(split) == 1:
+            return None
+        blocks = [(act.dim, joint_spectrum(act, tol, padic_prec))
+                  for _, act in split]
+    except HyperrankError:
+        return None
+    merged = {p: {} for p in primes}
+    for dim, spec in blocks:
+        for p, mults in merged.items():
+            found = [(f.exact, f.multiplicity) for f in spec.functionals
+                     if f.place == p] or [((Fraction(0),) * action.rank, dim)]
+            for vals, mult in found:
+                mults[vals] = mults.get(vals, 0) + mult
+    return {p: sorted(mults.items(), reverse=True)
+            for p, mults in merged.items()}
+
+
 # --- the joint spectrum -----------------------------------------------------
 
 
@@ -410,10 +447,14 @@ def joint_spectrum(action: ActionSpec, tol=1e-9, padic_prec=32) -> LyapunovSpect
     """All joint Lyapunov functionals of the action, real and p-adic places.
 
     Real values are floats (clustered within tol); p-adic functionals carry
-    exact valuations.  The product-formula residual (sum of multiplicity
-    times value over all places, per generator) is checked exactly in the
-    p-adic part and within float tolerance overall.  The result is memoized
-    in action.cache under ("spectrum", tol, padic_prec).
+    exact valuations.  An action of rank >= 2 that ergodicity's rational
+    splitting cuts into several blocks takes its p-adic functionals from
+    the block spectra (_merged_padic), so each place is refined once, per
+    block; a block that fails leaves the refinement to the whole action.
+    The product-formula residual (sum of multiplicity times value over all
+    places, per generator) is checked exactly in the p-adic part and within
+    float tolerance overall.  The result is memoized in action.cache under
+    ("spectrum", tol, padic_prec).
     """
     key = ("spectrum", tol, padic_prec)
     if key in action.cache:
@@ -424,8 +465,11 @@ def joint_spectrum(action: ActionSpec, tol=1e-9, padic_prec=32) -> LyapunovSpect
             place="real", values=vals, multiplicity=mult))
     dets = action.dets()
     logdets = [math.log(abs(det)) for det in dets]
-    for p in action.primes():
-        blocks = _padic_functionals(action, p, padic_prec)
+    primes = action.primes()
+    merged = _merged_padic(action, primes, tol, padic_prec)
+    for p in primes:
+        blocks = (merged[p] if merged else
+                  _padic_functionals(action, p, padic_prec))
         for g in range(action.rank):
             total = sum(v[g] * mult for v, mult in blocks)
             expected = vp_int(dets[g], p)

@@ -66,6 +66,15 @@ def companion(e):
     return [[0, 0, 1], [1, 0, 10 ** e], [0, 1, -1]]
 
 
+# rank1_4 of hyperbench's spectra workload at seed 5: a block of (M5, I5)
+# and of (M5, M5^2) fails its real refinement, the whole action's does not
+M5 = [[0, -2511, 0, 0, -2510], [1, 1871, 1, 0, 1872], [1, 3757, 1, 0, 3757],
+      [0, 630, 1, 0, 631], [-1, -1871, -1, 1, -1872]]
+M5_SQUARED = [[sum(a * b for a, b in zip(row, col)) for col in zip(*M5)]
+              for row in M5]
+I5 = [[int(i == j) for j in range(5)] for i in range(5)]
+
+
 def run_quietly(capfd, *argv):
     """run() with every warning an error; stderr read at the descriptor."""
     with warnings.catch_warnings():
@@ -524,8 +533,9 @@ class TestAnalyze:
 
     def test_blocks_refine_at_the_configured_precision(self, capsys, tmp_path,
                                                         monkeypatch):
-        # diag(2, 1, 1) and diag(1, 1, 3): the report refines at 2 and 3,
-        # and so do the blocks of e_1 and e_3, all from base precision 16
+        # diag(2, 1, 1) and diag(1, 1, 3): the blocks of e_1 and e_3 refine
+        # at 2 and 3 from base precision 16, and the report's p-adic
+        # functionals are theirs, so the whole action refines no place
         config = json.loads(Path(fixture("double_split.json")).read_text())
         config["padic_precision"] = 16
         cfg = tmp_path / "c.json"
@@ -539,8 +549,29 @@ class TestAnalyze:
         monkeypatch.setattr(spectra, "_padic_functionals", recorded)
         code, _, _ = run(capsys, "analyze", str(cfg))
         assert code == 2
-        assert sorted(calls) == [(1, 2, 16), (1, 3, 16), (3, 2, 16),
-                                 (3, 3, 16)]
+        assert sorted(calls) == [(1, 2, 16), (1, 3, 16)]
+
+    @pytest.mark.parametrize("second", [I5, M5_SQUARED], ids=["I", "M^2"])
+    def test_failing_block_keeps_the_whole_action_spectrum(
+            self, capsys, tmp_path, monkeypatch, second):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"format": 1,
+                                   "generators": [M5, second]}))
+        reports = []
+        for merge in (True, False):
+            if not merge:   # the whole action refines its own places
+                monkeypatch.setattr(spectra, "_merged_padic",
+                                    lambda *args: None)
+            out = tmp_path / f"{merge}.json"
+            code, _, _ = run(capsys, "analyze", str(cfg), "--out", str(out))
+            assert code == 3
+            reports.append(out.read_bytes())
+        report = json.loads(reports[0])
+        assert "null space dimension 2" in report["error"]
+        for key in ("lyapunov", "coarse_classes", "weyl_chambers",
+                    "min_expansion_rate"):
+            assert key in report
+        assert reports[0] == reports[1]
 
 
 # --- mixing -----------------------------------------------------------------

@@ -25,7 +25,7 @@ def charpoly_oracle(m: QMat) -> QPoly:
     def det(rows):
         if len(rows) == 1:
             return rows[0][0]
-        total = QPoly.zero()
+        total = QPoly(())
         for j, top in enumerate(rows[0]):
             if top.is_zero():
                 continue

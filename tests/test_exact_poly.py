@@ -11,11 +11,16 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from hyperrank.errors import BothZero, ZeroPolynomial
-from hyperrank.exact import cyclotomic, euler_phi, poly_gcd
-from hyperrank.exact.poly import (QPoly, cyclotomic_indices_up_to_degree,
+from hyperrank.exact import cyclotomic, euler_phi, modp, poly_gcd
+from hyperrank.exact.poly import (QPoly, _primitive,
+                                  cyclotomic_indices_up_to_degree,
                                   squarefree_decomposition)
+
+X = sympy.Symbol("x")
 
 
 def random_poly(rng, max_deg, lo=-5, hi=5, monic=False):
@@ -57,7 +62,7 @@ def test_arithmetic_roundtrip():
 
 def test_divmod_by_zero_raises():
     with pytest.raises(ZeroPolynomial):
-        divmod(QPoly((1, 2)), QPoly.zero())
+        divmod(QPoly((1, 2)), QPoly(()))
 
 
 def test_gcd_properties():
@@ -69,7 +74,7 @@ def test_gcd_properties():
         if f.is_zero() and g.is_zero():
             continue
         d = poly_gcd(f, g)
-        assert d.leading() == 1
+        assert d.coeffs[-1] == 1
         if not f.is_zero():
             assert divmod(f, d)[1].is_zero()
         if not g.is_zero():
@@ -80,7 +85,14 @@ def test_gcd_properties():
 
 def test_gcd_both_zero_raises():
     with pytest.raises(BothZero):
-        poly_gcd(QPoly.zero(), QPoly.zero())
+        poly_gcd(QPoly(()), QPoly(()))
+
+
+def list_power(g, m):
+    out = [1]
+    for _ in range(m):
+        out = modp.mul(out, g, None)
+    return out
 
 
 def test_squarefree_decomposition_rebuilds():
@@ -94,17 +106,40 @@ def test_squarefree_decomposition_rebuilds():
             f = math.prod([g] * rng.randrange(1, 4), start=f)
         if f.degree == 0:
             continue
-        parts = squarefree_decomposition(f)
-        rebuilt = QPoly.one()
+        ints = [int(c) for c in f.coeffs]
+        parts = squarefree_decomposition(ints)
+        rebuilt = [1]
         for g, m in parts:
-            assert g.leading() == 1
-            rebuilt = math.prod([g] * m, start=rebuilt)
-        assert rebuilt == f.monic()
+            assert g[-1] == 1
+            assert all(type(c) is int for c in g)
+            rebuilt = modp.mul(rebuilt, list_power(g, m), None)
+        assert rebuilt == ints
         # parts pairwise coprime and squarefree
         for i, (g, _) in enumerate(parts):
-            assert poly_gcd(g, g.derivative()).degree == 0
+            assert poly_gcd(g, modp.derivative(g, None)) == [1]
             for h, _ in parts[i + 1:]:
-                assert poly_gcd(g, h).degree == 0
+                assert poly_gcd(g, h) == [1]
+
+
+# monic integer factors of degree 1 to 3, each to a power up to 5
+_factor_powers = st.lists(
+    st.tuples(st.lists(st.integers(-4, 4), min_size=1, max_size=3),
+              st.integers(1, 5)), min_size=1, max_size=4)
+
+
+@seed(20163)
+@settings(max_examples=150, deadline=None)
+@given(_factor_powers)
+def test_squarefree_decomposition_matches_sympy(factor_powers):
+    f = [1]
+    for tail, m in factor_powers:
+        if len(f) - 1 + len(tail) * m <= 12:
+            f = modp.mul(f, list_power(tail + [1], m), None)
+    want = sympy.sqf_list(sympy.Poly(list(reversed(f)), X))[1]
+    got = squarefree_decomposition(f)
+    assert got == [([int(c) for c in reversed(g.all_coeffs())], m)
+                   for g, m in want]
+    assert all(type(c) is int for g, _ in got for c in g)
 
 
 KNOWN_CYCLOTOMICS = {
@@ -162,5 +197,6 @@ def test_cyclotomic_indices_complete():
 
 
 def test_int_coeffs_primitive():
-    f = QPoly((Fraction(2, 3), Fraction(4, 3), Fraction(-2)))
-    assert f.int_coeffs() == [-1, -2, 3]
+    f = (Fraction(2, 3), Fraction(4, 3), Fraction(-2))
+    assert _primitive(f) == [-1, -2, 3]
+    assert _primitive([-4, 6, 2]) == [-2, 3, 1]

@@ -61,9 +61,9 @@ def test_product_property_random_coeffs():
         got = factor_over_q(f)
         rebuilt = QPoly.one()
         for h, m in got:
-            assert h.leading() == 1
+            assert h.coeffs[-1] == 1
             rebuilt = math.prod([h] * m, start=rebuilt)
-        assert rebuilt == f.monic()
+        assert rebuilt == f
         for i, (h, _) in enumerate(got):
             for g, _ in got[i + 1:]:
                 assert poly_gcd(h, g).degree == 0

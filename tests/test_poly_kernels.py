@@ -103,6 +103,28 @@ def test_divide_by_zero_polynomial_raises():
     for q in (None, 9):
         with pytest.raises(ZeroPolynomial):
             modp.divmod_p([1, 2, 1], [], q)
+        with pytest.raises(ZeroPolynomial):
+            modp.mod([1, 2, 1], [], q)
+
+
+@seed(SEED)
+@SETTINGS
+@given(polys, nonzero_polys)
+def test_mod_is_the_remainder_over_q(f, g):
+    assert modp.mod(f, trimmed(g), None) == modp.divmod_p(f, trimmed(g),
+                                                          None)[1]
+
+
+@seed(SEED)
+@SETTINGS
+@given(st.lists(ints, max_size=8), st.lists(ints, max_size=5),
+       st.sampled_from([1, -1]))
+def test_unit_leading_coefficients_stay_in_int(f, g, lead):
+    # 1 / +-1 is +-1: dividing int lists by such a divisor forms no Fraction
+    g = g + [lead]
+    quo, rem = modp.divmod_p(f, g, None)
+    assert modp.mod(f, g, None) == rem
+    assert all(type(c) is int for c in quo + rem + modp.monic(g, None))
 
 
 # --- mod q, q a prime or a prime power -------------------------------------
@@ -135,3 +157,23 @@ def test_divmod_and_monic_mod_q_reduce_the_exact_result(case):
     assert rem == reduced(unsym(want_r), q)
     assert modp.monic(h, q) == reduced(unsym(sym(h).monic()), q)
     assert all(0 <= c < q for c in quo + rem)
+
+
+@seed(SEED)
+@SETTINGS
+@given(modulus_and_polys())
+def test_mod_is_the_remainder_mod_q(case):
+    # prime and composite q, unreduced and negative f and h
+    q, f, _, h = case
+    assert modp.mod(f, h, q) == modp.divmod_p(f, h, q)[1]
+    assert modp.mod(f + [0, -q], h, q) == modp.divmod_p(f, h, q)[1]
+
+
+@seed(SEED)
+@SETTINGS
+@given(modulus_and_polys(), st.integers(0, 9))
+def test_pow_mod_reduces_the_exact_power(case, n):
+    q, f, _, h = case
+    h = [0] + h     # degree >= 1, as every caller's modulus polynomial
+    want = sympy.rem(sym(f) ** n, sym(h), domain=sympy.QQ)
+    assert modp.pow_mod(f, n, h, q) == reduced(unsym(want), q)

@@ -223,6 +223,97 @@ class TestJointSpectrum:
         assert len(calls) == 2 and not act.cache
 
 
+def _companion(tail):
+    """Companion matrix of the monic x^n - tail[n-1] x^(n-1) - ... - tail[0]."""
+    n = len(tail)
+    return [[int(r == c + 1) if c < n - 1 else tail[r] for c in range(n)]
+            for r in range(n)]
+
+
+def _split_action(rng):
+    """(A, B) = P (A_1 + ... + A_k, B_1 + ... + B_k) P^-1: k = 2 or 3 blocks,
+    A_i a companion matrix with constant term from {+-1, +-2, 3, 4, -6, 12,
+    8} (shared primes, p-unit blocks, x^2 - 2 and x^3 - 4 with fractional
+    slopes, equal valuation tuples in different blocks), B_i = c I + e A_i
+    (+ A_i^2), and P a product of elementary unimodular matrices."""
+    dets = [1, -1, 2, -2, 3, 4, -6, 12, 8]
+    blocks = []
+    for _ in range(rng.choice([2, 2, 3])):
+        n = rng.choice([1, 1, 2, 2, 3])
+        a = QMat(_companion([rng.choice(dets)]
+                            + [rng.randint(-2, 2) for _ in range(n - 1)]))
+        b = (QMat.identity(n).scalar(rng.randint(-3, 3))
+             + a.scalar(rng.choice([-2, -1, 1, 2])))
+        if rng.random() < 0.3:
+            b = b + a @ a
+        if b.det() == 0:
+            b = b + QMat.identity(n)
+        blocks.append((a, b))
+    d = sum(a.shape[0] for a, _ in blocks)
+
+    def block_sum(mats):
+        out = [[0] * d for _ in range(d)]
+        at = 0
+        for m in mats:
+            for i, row in enumerate(m.int_rows()):
+                out[at + i][at:at + len(row)] = row
+            at += len(row)
+        return QMat(out)
+
+    p = QMat.identity(d)
+    for _ in range(3):
+        i, j = rng.sample(range(d), 2) if d > 1 else (0, 0)
+        if i != j:
+            e = [[int(r == c) for c in range(d)] for r in range(d)]
+            e[i][j] = rng.choice([-1, 1])
+            p = p @ QMat(e)
+    pinv = p.inverse()
+    return [p @ block_sum(ms) @ pinv for ms in zip(*blocks)]
+
+
+class TestBlockMerge:
+    def test_report_spectrum_is_the_whole_action_refinement(self):
+        # the p-adic functionals a split action takes from its blocks are,
+        # field for field and in order, the ones a refinement of the whole
+        # action gives, on split actions with shared primes, p-unit blocks,
+        # fractional slopes and one valuation tuple in several blocks
+        from hyperrank.ergodicity import block_actions
+        rng = random.Random(3001)
+        seen = dict.fromkeys(["split", "shared", "unit", "fraction", "equal"],
+                             0)
+        for _ in range(250):
+            gens = _split_action(rng)
+            if any(g.det() == 0 for g in gens):
+                continue
+            action = ActionSpec(gens)
+            try:
+                spec = joint_spectrum(action)
+            except (RootFindingFailure, RankDeficient):
+                continue
+            parts = block_actions(action)
+            want = []
+            for p in action.primes():
+                logp = math.log(p)
+                want += [LyapunovFunctional(
+                    place=p, values=tuple(-float(v) * logp for v in vals),
+                    multiplicity=mult, exact=tuple(vals))
+                    for vals, mult in spectra._padic_functionals(action, p,
+                                                                 32)]
+                if len(parts) == 1:
+                    continue
+                per_block = [[f.exact for f in joint_spectrum(a).functionals
+                              if f.place == p] for _, a in parts]
+                seen["shared"] += sum(map(bool, per_block)) > 1
+                seen["unit"] += not all(per_block)
+                seen["fraction"] += any(v.denominator > 1 for fs in per_block
+                                        for vals in fs for v in vals)
+                tuples = [t for fs in per_block for t in fs]
+                seen["equal"] += len(set(tuples)) < len(tuples)
+            assert [f for f in spec.functionals if f.place != "real"] == want
+            seen["split"] += len(parts) > 1
+        assert seen["split"] >= 200 and min(seen.values()) > 0, seen
+
+
 def _merge(out, pairs, tol=1e-6):
     for v, m in pairs:
         for key in out:
