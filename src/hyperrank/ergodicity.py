@@ -28,7 +28,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import NoErgodicSubgroupFound, RankDeficient
-from .exact import (QMat, QPoly, cyclotomic, cyclotomic_indices_up_to_degree,
+from .exact import (QMat, cyclotomic, cyclotomic_indices_up_to_degree,
                     hnf_rows, poly_gcd)
 from .exact.intmat import (kernel_lattice, mat_mul_mod, mat_poly_mod,
                            mat_pow_mod, restrict_rows)
@@ -60,9 +60,9 @@ def is_ergodic(matrix) -> ErgodicityCertificate:
     cp = m.charpoly()
     if cp[0] == 0:
         raise RankDeficient("singular matrix: no invertible dual action")
-    g = poly_gcd(cp, QPoly(reversed(cp.coeffs)))
-    for idx in cyclotomic_indices_up_to_degree(g.degree):
-        if poly_gcd(g, cyclotomic(idx)).degree > 0:
+    g = poly_gcd(cp, cp[::-1])
+    for idx in cyclotomic_indices_up_to_degree(len(g) - 1):
+        if len(poly_gcd(g, cyclotomic(idx))) > 1:
             fixed = m.transpose().power(idx) - QMat.identity(d)
             kern = fixed.kernel()
             if not kern:
@@ -95,16 +95,16 @@ class SplitBlock:
         return self.basis.shape[0]
 
 
-def _polynomial_on_kernel(f: QPoly, m, mats) -> bool:
+def _polynomial_on_kernel(f, m, mats) -> bool:
     """Is every matrix of mats, restricted to V0 = ker f(m), a polynomial in
     m there?  f is the minimal polynomial of m on V0, so 1, m, ...,
     m^(deg f - 1) are independent on V0 and the coefficients are unique
     when they exist; QMat.solve finds them or proves there are none."""
     m = m.int_rows()
-    kern = kernel_lattice(mat_poly_mod(f.coeffs, m), len(m))
+    kern = kernel_lattice(mat_poly_mod(f, m), len(m))
     m0 = _restrict_hnf(kern, m)
     powers = [mat_pow_mod(m0, 0)]
-    while len(powers) < f.degree:
+    while len(powers) < len(f) - 1:
         powers.append(mat_mul_mod(powers[-1], m0))
     basis = QMat(list(zip(*([x for r in p for x in r] for p in powers))))
     for g in mats:
@@ -173,8 +173,7 @@ def rational_splitting(action: ActionSpec):
             continue
         m, facs = found[0].int_rows(), found[1]
         for f, e in facs:
-            kern = kernel_lattice(mat_pow_mod(mat_poly_mod(f.coeffs, m), e),
-                                  len(m))
+            kern = kernel_lattice(mat_pow_mod(mat_poly_mod(f, m), e), len(m))
             sat = hnf_rows(mat_mul_mod(kern, basis))
             todo.append((sat, [QMat(_restrict_hnf(sat, g)) for g in ints]))
     if sum(len(b) for b, _, _ in blocks) != d:

@@ -3,11 +3,11 @@ and recombined over Z.
 
 Inputs here are characteristic polynomials of integer matrices, so everything
 is monic with integer coefficients, and the whole chain (squarefree split,
-mod-p factors, lifts, trial divisions) runs on int coefficient lists; only
-factor_over_q's results are QPolys.  Degrees are <= 10 at desk scale, which
-keeps subset recombination trivial; candidate factor degrees are pruned by
-intersecting the attainable-degree sets of the mod-p patterns at three usable
-primes.
+mod-p factors, lifts, trial divisions) runs on int coefficient lists;
+factor_over_q takes and gives int coefficient tuples (poly.py).  Degrees are
+<= 10 at desk scale, which keeps subset recombination trivial; candidate
+factor degrees are pruned by intersecting the attainable-degree sets of the
+mod-p patterns at three usable primes.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from ..errors import FactorSearchInconclusive
 from . import modp
 from .modp import hensel_lift
 from .padic import is_prime
-from .poly import QPoly, squarefree_decomposition
+from .poly import squarefree_decomposition
 
 
 def _usable_primes(ints, count=3, limit=500):
@@ -112,15 +112,13 @@ def _factor_squarefree_monic_int(ints):
     return out
 
 
-def factor_over_q(f: QPoly):
-    """[(monic irreducible QPoly, multiplicity)] of a monic integer
-    polynomial, canonically sorted.
+def factor_over_q(f):
+    """[(monic irreducible factor, multiplicity)] of a monic integer
+    polynomial, as int coefficient tuples, canonically sorted.
 
     The squarefree parts of a monic integer polynomial are monic integer
     polynomials, and so are their irreducible factors (Gauss's lemma).
     """
-    out = [(fac, m) for g, m in squarefree_decomposition(
-        [c.numerator for c in f.coeffs])
-        for fac in _factor_squarefree_monic_int(g)]
-    out.sort(key=lambda t: (len(t[0]), t[0]))
-    return [(QPoly(fac), m) for fac, m in out]
+    return sorted(((tuple(fac), m) for g, m in squarefree_decomposition(f)
+                   for fac in _factor_squarefree_monic_int(g)),
+                  key=lambda t: (len(t[0]), t[0]))

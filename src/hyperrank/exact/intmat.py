@@ -24,7 +24,6 @@ import operator
 from fractions import Fraction
 
 from ..errors import RankDeficient
-from .poly import QPoly
 
 
 class QMat:
@@ -99,7 +98,8 @@ class QMat:
         return QMat(list(zip(*self.rows)))
 
     def det(self):
-        """(-1)^n times the constant term of the characteristic polynomial."""
+        """(-1)^n times the constant term of the characteristic polynomial:
+        an int for an integer matrix."""
         if not self.is_square():
             raise ValueError("det of non-square matrix")
         return self.charpoly()[0] * (-1) ** len(self.rows)
@@ -111,8 +111,7 @@ class QMat:
             raise ValueError("inverse of non-square matrix")
         n = len(self.rows)
         lcm, ints = self._scaled()
-        cp = [int(c * lcm ** (n - k))
-              for k, c in enumerate(self.charpoly().coeffs)]
+        cp = [int(c * lcm ** (n - k)) for k, c in enumerate(self.charpoly())]
         if cp[0] == 0:
             raise RankDeficient("matrix is singular")
         return _divided([[lcm * x for x in r]
@@ -135,18 +134,19 @@ class QMat:
         lcm, ints = base._scaled()
         return _divided(mat_pow_mod(ints, abs(e)), lcm ** abs(e))
 
-    def charpoly(self) -> QPoly:
-        """det(xI - A), monic: Berkowitz over Z on L*A, L the lcm of the
-        denominators, then the x^k coefficient is divided by L^(n-k).
-        Computed once per matrix."""
+    def charpoly(self) -> tuple:
+        """det(xI - A), monic, as an ascending coefficient tuple: Berkowitz
+        over Z on L*A, L the lcm of the denominators, then the x^k
+        coefficient is divided by L^(n-k).  Ints for an integer matrix (L =
+        1), Fractions otherwise.  Computed once per matrix."""
         if self._charpoly is None:
             if not self.is_square():
                 raise ValueError("charpoly of non-square matrix")
             n = len(self.rows)
             lcm, ints = self._scaled()
             coeffs = berkowitz_charpoly_mod(ints, None)
-            self._charpoly = QPoly([Fraction(c, lcm ** (n - k))
-                                    for k, c in enumerate(coeffs)])
+            self._charpoly = tuple(coeffs) if lcm == 1 else tuple(
+                Fraction(c, lcm ** (n - k)) for k, c in enumerate(coeffs))
         return self._charpoly
 
     def _rref(self):
@@ -302,7 +302,7 @@ def mat_poly_mod(coeffs, m, q=None):
     for c in reversed(coeffs):
         out = mat_mul_mod(out, m, q)
         for i in range(n):
-            out[i][i] += int(c)
+            out[i][i] += c
     return mat_mod(out, q)
 
 

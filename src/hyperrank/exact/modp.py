@@ -1,10 +1,11 @@
 """Polynomial arithmetic over Q or mod q, and factorization over F_p.
 
-Polynomials are ascending coefficient lists (f[i] multiplies x^i).  The ring
-kernels (add, sub, mul, scalar_mul, divmod_p, mod, monic, derivative) are
-exact over Q, on int or Fraction coefficients, when the modulus is None;
-QPoly (poly.py) is a value type over them.  A leading coefficient +-1 is
-its own inverse, so int lists divided by one stay int.  Otherwise they
+Polynomials are ascending coefficient sequences (f[i] multiplies x^i); the
+kernels take lists or tuples and return lists.  The ring kernels (add, sub,
+mul, scalar_mul, divmod_p, mod, monic, derivative) are exact over Q, on int
+or Fraction coefficients, when the modulus is None; they are the package's
+polynomial arithmetic over Q (poly.py).  A leading coefficient +-1 is its
+own inverse, so int lists divided by one stay int.  Otherwise they
 reduce each result into [0, q), from inputs that may be unreduced or
 negative; mod, the remainder alone, reduces at every step.  q need not be
 prime so long as every leading coefficient inverted is a unit mod q, though
@@ -149,8 +150,9 @@ def ext_gcd(f, g, p):
 
 def pow_mod(f, n, g, p):
     """f^n mod g.  mod reduces its input first, so the products are formed
-    without a reduction of their own."""
-    out, base = [1], mod(f, g, p)
+    without a reduction of their own; f^0 is 1 mod g, which is 0 when g is
+    a constant."""
+    out, base = mod([1], g, p), mod(f, g, p)
     while n:
         if n & 1:
             out = mod(mul(out, base, None), g, p)

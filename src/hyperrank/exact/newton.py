@@ -4,6 +4,8 @@ For f = sum a_i x^i the polygon is the lower convex hull of the points
 (i, v_p(a_i)) over the support.  A hull segment from (i1, y1) to (i2, y2)
 certifies i2 - i1 roots of valuation -(y2 - y1)/(i2 - i1), exactly.  Roots at
 zero (a trailing x^r factor) are split off first and reported separately.
+f is a trimmed ascending coefficient sequence of ints or Fractions, or a
+QPoly, as acceptance criterion 3 builds it.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from fractions import Fraction
 
 from ..errors import ZeroPolynomial
 from .padic import vp_fraction
-from .poly import QPoly
 
 
 @dataclass(frozen=True)
@@ -46,10 +47,10 @@ def lower_hull(points):
     return hull
 
 
-def newton_polygon(f: QPoly, p: int) -> NewtonPolygon:
-    if f.is_zero():
+def newton_polygon(f, p: int) -> NewtonPolygon:
+    coeffs = f if isinstance(f, (list, tuple)) else f.coeffs
+    if not coeffs:
         raise ZeroPolynomial("Newton polygon of the zero polynomial")
-    coeffs = f.coeffs
     zero_roots = 0
     while coeffs[zero_roots] == 0:
         zero_roots += 1

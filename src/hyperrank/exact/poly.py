@@ -1,13 +1,15 @@
-"""Dense univariate polynomials over Q, exact throughout.
+"""Polynomials over Q, exact throughout: gcd, squarefree parts, cyclotomics.
 
-QPoly is a value type over modp's list kernels, run with the modulus None:
-its ring operations are theirs.  Coefficients are ascending (coeffs[i]
-multiplies x^i) and stored as Fraction.  The zero polynomial has an empty
-coefficient tuple and degree -1.  poly_gcd also takes plain coefficient
-lists, and squarefree_decomposition takes only those: on the monic integer
-charpolys that factoring feeds them, they stay in int and form no Fraction.
-Everything here is desk scale (degree <= a few dozen), so the quadratic
-algorithms are fine and favored for being auditable.
+A polynomial is an ascending tuple of coefficients (f[i] multiplies x^i),
+trimmed of trailing zeros, so the zero polynomial is ().  The coefficients
+are ints, or Fractions where a denominator is real, as in the charpoly of a
+rational matrix.  The ring operations are modp's list kernels, run with the
+modulus None; on the monic integer charpolys that factoring feeds them, they
+stay in int and form no Fraction.  QPoly is the value type of acceptance
+criterion 3, which builds Newton polygon inputs with it: construction,
+monomial, * and coeffs.  Everything here is desk scale (degree <= a few
+dozen), so the quadratic algorithms are fine and favored for being
+auditable.
 """
 
 from __future__ import annotations
@@ -29,99 +31,32 @@ class QPoly:
             cs.pop()
         self.coeffs = tuple(cs)
 
-    # --- constructors ---
-
-    @classmethod
-    def one(cls):
-        return cls((1,))
-
     @classmethod
     def monomial(cls, k, c=1):
         return cls((0,) * k + (c,))
 
-    # --- basics ---
-
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def __getitem__(self, i):
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return Fraction(0)
-
-    # __bool__, __eq__, __hash__: without them truth is True, == identity
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def __eq__(self, other):
-        if isinstance(other, QPoly):
-            return self.coeffs == other.coeffs
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    # --- ring ops, on the kernels of modp with the modulus None ---
-
-    def __add__(self, other):
-        return QPoly(modp.add(self.coeffs, _coerce(other).coeffs, None))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return QPoly(modp.scalar_mul(-1, self.coeffs, None))
-
-    def __sub__(self, other):
-        return self + (-_coerce(other))
-
     def __mul__(self, other):
-        return QPoly(modp.mul(self.coeffs, _coerce(other).coeffs, None))
-
-    __rmul__ = __mul__
-
-    def __divmod__(self, other):
-        q, r = modp.divmod_p(self.coeffs, _coerce(other).coeffs, None)
-        return QPoly(q), QPoly(r)
-
-    def exact_div(self, other):
-        q, r = divmod(self, other)
-        if not r.is_zero():
-            raise ValueError(f"{other.coeffs} does not divide {self.coeffs}")
-        return q
-
-
-def _coerce(x):
-    if isinstance(x, QPoly):
-        return x
-    return QPoly((x,))
+        return QPoly(modp.mul(self.coeffs, other.coeffs, None))
 
 
 def poly_gcd(f, g):
-    """Monic gcd over Q; gcd(f, 0) = monic f; gcd(0, 0) raises BothZero.
+    """Monic gcd over Q, of trimmed ascending coefficient sequences, as a
+    tuple; gcd(f, 0) = monic f; gcd(0, 0) raises BothZero.
 
-    f and g are both QPolys, or both trimmed ascending coefficient lists,
-    and the gcd comes back as the same kind.  Fraction-free: Euclid with
-    pseudo-remainders on integer primitive parts, each remainder reduced to
-    its primitive part (primitive PRS).  So from integer lists a gcd whose
-    primitive part is monic, as every divisor of a monic integer polynomial
-    is (Gauss's lemma), comes back with int coefficients.
+    Fraction-free: Euclid with pseudo-remainders on integer primitive parts,
+    each remainder reduced to its primitive part (primitive PRS).  So a gcd
+    whose primitive part is monic, as every divisor of a monic integer
+    polynomial is (Gauss's lemma), comes back with int coefficients.
     """
-    qpoly = isinstance(f, QPoly)
-    a, b = (f.coeffs, g.coeffs) if qpoly else (f, g)
-    if not a and not b:
+    if not f and not g:
         raise BothZero("gcd(0, 0) is undefined")
-    if a and b:
-        a, b = _primitive(a), _primitive(b)
-        while b:
-            r = _pseudo_rem(a, b)
+    if f and g:
+        f, g = _primitive(f), _primitive(g)
+        while g:
+            r = _pseudo_rem(f, g)
             content = math.gcd(*r)
-            a, b = b, [x // content for x in r]
-    out = modp.monic(a or b, None)
-    return QPoly(out) if qpoly else out
+            f, g = g, [x // content for x in r]
+    return tuple(modp.monic(f or g, None))
 
 
 def _primitive(cs):
@@ -151,11 +86,12 @@ def _pseudo_rem(a, b):
 
 
 def squarefree_decomposition(f):
-    """Yun's algorithm over Q on an ascending coefficient list: [(g_i, i)]
-    with f = lc * prod g_i^i, each g_i a monic squarefree list, i ascending.
+    """Yun's algorithm over Q on an ascending coefficient sequence:
+    [(g_i, i)] with f = lc * prod g_i^i, each g_i a monic squarefree tuple,
+    i ascending.
 
-    On an integer list with leading coefficient +-1, as a charpoly has,
-    every step stays in int: every gcd and divisor is monic, by Gauss's
+    On integer coefficients with leading coefficient +-1, as a charpoly
+    has, every step stays in int: every gcd and divisor is monic, by Gauss's
     lemma, and the modulus-None kernels divide by a monic list in int.
     """
     f = modp.monic(modp.trim(list(f)), None)
@@ -166,7 +102,7 @@ def squarefree_decomposition(f):
     fp = modp.derivative(f, None)
     a = poly_gcd(f, fp)
     if len(a) == 1:
-        return [(f, 1)]
+        return [(tuple(f), 1)]
     b, c = _exact_quotient(f, a), _exact_quotient(fp, a)
     out = []
     i = 1
@@ -174,7 +110,7 @@ def squarefree_decomposition(f):
         d = modp.sub(c, modp.derivative(b, None), None)
         g = poly_gcd(b, d) if d else b
         if len(g) > 1:
-            out.append((g, i))
+            out.append((tuple(g), i))
         b = _exact_quotient(b, g)
         c = _exact_quotient(d, g)
         i += 1
@@ -205,15 +141,15 @@ def euler_phi(n):
 
 
 @functools.lru_cache(maxsize=None)
-def cyclotomic(m: int) -> QPoly:
+def cyclotomic(m: int) -> tuple:
     """The m-th cyclotomic polynomial, by exact division of x^m - 1."""
     if m < 1:
         raise ValueError("cyclotomic index must be >= 1")
-    num = QPoly.monomial(m) - QPoly.one()
+    num = [-1] + [0] * (m - 1) + [1]
     for d in range(1, m):
         if m % d == 0:
-            num = num.exact_div(cyclotomic(d))
-    return num
+            num = _exact_quotient(num, cyclotomic(d))
+    return tuple(num)
 
 
 def cyclotomic_indices_up_to_degree(d: int):

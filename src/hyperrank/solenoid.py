@@ -129,7 +129,7 @@ def inverse_levels(a: QMat):
     """Per-prime branching level l_p = v_p(det) - min_ij v_p(adj_ij): the
     inverse needs the fiber coordinate mod p^{l_p} to pick its integer
     translate."""
-    det = int(a.det())
+    det = a.det()
     adj = a.adjugate()
     out = {}
     for p in factor_int(det):
@@ -147,7 +147,7 @@ def apply_inverse(a: QMat, pt: SolenoidPoint) -> SolenoidPoint:
     then x' = a^{-1}(x + n) exactly and xi'_p = a^{-1}(xi_p - n) with l_p
     digits of precision spent at each prime dividing det.
     """
-    det = int(a.det())
+    det = a.det()
     if det == 0:
         raise NotAnAutomorphism("singular matrix")
     have = set(pt.primes)

@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import (CommutativityViolated, HyperrankError,
                      PrecisionExhausted, RankDeficient, RootFindingFailure)
-from .exact import QMat, QPoly, factor_int, primitive_vector, vp_int
+from .exact import QMat, factor_int, primitive_vector, vp_int
 from .exact import modp
 from .exact.intmat import (berkowitz_charpoly_mod, mat_mod, mat_poly_mod,
                            mat_pow_mod, restrict_rows)
@@ -49,8 +49,9 @@ class ActionSpec:
     its solenoid extension when determinants are not +-1)."""
 
     generators: tuple
-    # derived data kept per action: joint spectra by (tol, padic_prec) and
-    # block spectra, where a lone block shares the action's joint spectrum
+    # derived data kept per action: joint spectra, or the error one raised,
+    # by (tol, padic_prec) and block spectra, where a lone block shares the
+    # action's joint spectrum
     cache: dict = field(default_factory=dict, init=False, repr=False,
                         compare=False)
 
@@ -81,7 +82,7 @@ class ActionSpec:
         return len(self.generators)
 
     def dets(self):
-        return [int(g.det()) for g in self.generators]
+        return [g.det() for g in self.generators]
 
     def primes(self):
         """Primes dividing any generator determinant, ascending."""
@@ -216,13 +217,13 @@ _MIN_PREC = 4  # digits below which saturation results are not trusted
 
 
 def _polygon_classes(coeffs, p, W):
-    """Slope classes [(valuation Fraction >= 0, multiplicity)] of a monic
-    polynomial known mod p^W.  Raises PrecisionExhausted when a coefficient
-    indistinguishable from zero could cut the hull."""
+    """Slope classes ((valuation Fraction >= 0, multiplicity), ...) of a
+    monic polynomial known mod p^W.  Raises PrecisionExhausted when a
+    coefficient indistinguishable from zero could cut the hull."""
     if coeffs[0] == 0:
         raise PrecisionExhausted(
             "constant term is 0 mod p^W; determinant valuation >= precision")
-    poly = newton_polygon(QPoly(coeffs), p)
+    poly = newton_polygon(coeffs, p)
     hull = poly.vertices
     for i, c in enumerate(coeffs[1:-1], 1):
         if c != 0:
@@ -236,7 +237,7 @@ def _polygon_classes(coeffs, p, W):
     if any(v < 0 for v, _ in poly.slopes):
         raise PrecisionExhausted("negative slope from a p-integral matrix: "
                                  "precision artifact")
-    return list(poly.slopes)
+    return poly.slopes
 
 
 def _slope_class_factors(F, p, W):
@@ -453,12 +454,22 @@ def joint_spectrum(action: ActionSpec, tol=1e-9, padic_prec=32) -> LyapunovSpect
     block; a block that fails leaves the refinement to the whole action.
     The product-formula residual (sum of multiplicity times value over all
     places, per generator) is checked exactly in the p-adic part and within
-    float tolerance overall.  The result is memoized in action.cache under
-    ("spectrum", tol, padic_prec).
+    float tolerance overall.  The result, or the HyperrankError raised, is
+    memoized in action.cache under ("spectrum", tol, padic_prec), so a block
+    that failed in the merge is not refined again.
     """
     key = ("spectrum", tol, padic_prec)
-    if key in action.cache:
-        return action.cache[key]
+    if key not in action.cache:
+        try:
+            action.cache[key] = _spectrum(action, tol, padic_prec)
+        except HyperrankError as exc:
+            action.cache[key] = exc
+    if isinstance(action.cache[key], HyperrankError):
+        raise action.cache[key]
+    return action.cache[key]
+
+
+def _spectrum(action, tol, padic_prec):
     functionals = []
     for vals, mult in _real_refine(action, tol):
         functionals.append(LyapunovFunctional(
@@ -493,10 +504,9 @@ def joint_spectrum(action: ActionSpec, tol=1e-9, padic_prec=32) -> LyapunovSpect
         if abs(real_sum - logdets[g]) > 1e-6 * max(1.0, action.dim):
             raise RootFindingFailure(
                 f"real exponents sum to {real_sum}, want log|det| = {logdets[g]}")
-    action.cache[key] = LyapunovSpectrum(dim=action.dim, rank=action.rank,
-                                         functionals=tuple(functionals),
-                                         product_residual=residual)
-    return action.cache[key]
+    return LyapunovSpectrum(dim=action.dim, rank=action.rank,
+                            functionals=tuple(functionals),
+                            product_residual=residual)
 
 
 # --- coarse classes and Weyl chambers ---------------------------------------

@@ -23,7 +23,7 @@ from hyperrank.ergodicity import ErgodicityCertificate, SplitBlock
 from hyperrank.errors import (DegenerateField, NoConvergence,
                               NotAnAutomorphism, PrecisionExhausted,
                               RankDeficient)
-from hyperrank.exact import (QMat, QPoly, crt_integers, cyclotomic,
+from hyperrank.exact import (QMat, crt_integers, cyclotomic,
                              cyclotomic_indices_up_to_degree, factor_int,
                              hnf_rows, modp, poly_gcd, vp_int)
 from hyperrank.exact.factorq import factor_over_q
@@ -522,7 +522,7 @@ def scalar_is_ergodic(matrix) -> ErgodicityCertificate:
     if cp[0] == 0:
         raise RankDeficient("singular matrix: no invertible dual action")
     for idx in cyclotomic_indices_up_to_degree(d):
-        if poly_gcd(cp, cyclotomic(idx)).degree > 0:
+        if len(poly_gcd(cp, cyclotomic(idx))) > 1:
             fixed = m.transpose().power(idx) - QMat.identity(d)
             z = tuple(int(x) for x in fixed.kernel()[0])
             return ErgodicityCertificate(ergodic=False, period=idx, witness=z)
@@ -542,9 +542,9 @@ def gauss_jordan_inverse(m: QMat) -> QMat:
 # --- the rational splitting over QMat, and the one-digit Hensel lift --------
 
 
-def _scalar_poly_at(f: QPoly, m: QMat) -> QMat:
+def _scalar_poly_at(f, m: QMat) -> QMat:
     out = QMat([[0] * m.shape[1] for _ in range(m.shape[0])])
-    for c in reversed(f.coeffs):
+    for c in reversed(f):
         out = out @ m + QMat.identity(m.shape[0]).scalar(c)
     return out
 
@@ -568,7 +568,7 @@ def _scalar_polynomial_on_kernel(f, m, mats):
     kern = QMat(_scalar_poly_at(f, m).kernel())
     m0 = scalar_restrict_rows(kern, m)
     powers = [QMat.identity(m0.shape[0])]
-    while len(powers) < f.degree:
+    while len(powers) < len(f) - 1:
         powers.append(powers[-1] @ m0)
     basis = QMat(list(zip(*(sum(p.rows, ()) for p in powers))))
     for g in mats:

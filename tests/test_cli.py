@@ -573,6 +573,23 @@ class TestAnalyze:
             assert key in report
         assert reports[0] == reports[1]
 
+    def test_failing_block_is_refined_once(self, capsys, tmp_path,
+                                           monkeypatch):
+        # the whole action, then the blocks of dims 2 and 3 in the merge;
+        # the rank-one check gets the dim-3 block's failure from its cache
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"format": 1, "generators": [M5, I5]}))
+        dims = []
+        real_refine = spectra._real_refine
+
+        def recorded(action, tol):
+            dims.append(action.dim)
+            return real_refine(action, tol)
+        monkeypatch.setattr(spectra, "_real_refine", recorded)
+        code, _, _ = run(capsys, "analyze", str(cfg))
+        assert code == 3
+        assert dims == [5, 2, 3]
+
 
 # --- mixing -----------------------------------------------------------------
 

@@ -20,7 +20,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from hyperrank.errors import FactorSearchInconclusive
-from hyperrank.exact import QMat, QPoly, factor_int, hnf_rows
+from hyperrank.exact import QMat, factor_int, hnf_rows, modp
 from hyperrank.exact.intmat import kernel_lattice
 from hyperrank.exact.factorq import factor_over_q
 
@@ -126,9 +126,9 @@ def sympy_monic_factors(ints):
     for f, m in facs:
         coeffs = sympy.Poly(f, X).all_coeffs()
         lead = coeffs[0]
-        out.append((QPoly([Fraction(int(c), int(lead))
-                           for c in reversed(coeffs)]), m))
-    out.sort(key=lambda t: (t[0].degree, t[0].coeffs))
+        out.append((tuple(Fraction(int(c), int(lead))
+                          for c in reversed(coeffs)), m))
+    out.sort(key=lambda t: (len(t[0]), t[0]))
     return out
 
 
@@ -136,11 +136,10 @@ def sympy_monic_factors(ints):
 @given(st.lists(monic, min_size=1, max_size=4))
 def test_factor_over_q_matches_sympy(factors):
     assume(sum(len(f) - 1 for f in factors) <= 8)
-    prod = QPoly.one()
+    prod = [1]
     for f in factors:
-        prod = prod * QPoly(f)
-    ints = [int(c) for c in prod.coeffs]
-    assert factor_over_q(prod) == sympy_monic_factors(ints)
+        prod = modp.mul(prod, f, None)
+    assert factor_over_q(tuple(prod)) == sympy_monic_factors(prod)
 
 
 # --- factor_int -------------------------------------------------------------

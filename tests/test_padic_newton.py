@@ -11,8 +11,8 @@ from fractions import Fraction
 
 import pytest
 
-from hyperrank.exact import (QPoly, crt_integers, newton_polygon, vp_fraction,
-                             vp_int)
+from hyperrank.exact import (QPoly, crt_integers, modp, newton_polygon,
+                             vp_fraction, vp_int)
 
 
 def hull_oracle(points):
@@ -74,24 +74,26 @@ def test_crt_rejects_common_factor():
 
 def test_newton_polygon_frozen_example():
     # x^2 - 6x + 4 at p = 2: both roots have valuation 1
-    np2 = newton_polygon(QPoly((4, -6, 1)), 2)
+    np2 = newton_polygon((4, -6, 1), 2)
     assert np2.valuations() == [Fraction(1), Fraction(1)]
     assert np2.zero_roots == 0
     assert np2.vertices == ((0, 2), (2, 0))
+    # the QPoly that acceptance criterion 3 passes gives the same polygon
+    assert newton_polygon(QPoly((4, -6, 1)), 2) == np2
 
 
 def test_newton_polygon_simple_cases():
     # x - p: single root of valuation 1
-    assert newton_polygon(QPoly((-5, 1)), 5).valuations() == [Fraction(1)]
+    assert newton_polygon((-5, 1), 5).valuations() == [Fraction(1)]
     # x - 3: unit root at p=5
-    assert newton_polygon(QPoly((-3, 1)), 5).valuations() == [Fraction(0)]
+    assert newton_polygon((-3, 1), 5).valuations() == [Fraction(0)]
     # x^2 - p: ramified, valuation 1/2 twice
-    assert newton_polygon(QPoly((-5, 0, 1)), 5).valuations() == [
+    assert newton_polygon((-5, 0, 1), 5).valuations() == [
         Fraction(1, 2), Fraction(1, 2)]
 
 
 def test_newton_polygon_zero_roots_split():
-    f = QPoly((0, 0, 12, 1))  # x^2 (x + 12)
+    f = (0, 0, 12, 1)  # x^2 (x + 12)
     np2 = newton_polygon(f, 2)
     assert np2.zero_roots == 2
     assert np2.valuations() == [Fraction(2)]
@@ -100,7 +102,7 @@ def test_newton_polygon_zero_roots_split():
 def test_newton_polygon_mixed_slopes():
     # (x - p)(x - p^3) = x^2 - (p + p^3) x + p^4 at p = 3
     p = 3
-    f = QPoly((p ** 4, -(p + p ** 3), 1))
+    f = (p ** 4, -(p + p ** 3), 1)
     poly = newton_polygon(f, p)
     assert poly.valuations() == [Fraction(1), Fraction(3)]
 
@@ -110,12 +112,13 @@ def test_newton_polygon_product_construction():
     for _ in range(60):
         p = rng.choice([2, 3, 5])
         expected = []
-        f = QPoly.one()
+        f = [1]
         for _ in range(rng.randrange(1, 4)):
             e = rng.randrange(1, 4)
             h = rng.randrange(0, 4)
             c = rng.choice([c for c in range(1, p)] or [1])
-            f = f * (QPoly.monomial(e) - QPoly((c * p ** h,)))
+            # x^e - c p^h
+            f = modp.mul(f, [-c * p ** h] + [0] * (e - 1) + [1], None)
             expected.extend([Fraction(h, e)] * e)
         got = newton_polygon(f, p).valuations()
         assert sorted(got) == sorted(expected)
@@ -132,8 +135,7 @@ def test_newton_polygon_hull_matches_gift_wrapping_oracle():
         coeffs = [c if rng.random() < 0.8 else 0 for c in coeffs[:-1]] + [1]
         if coeffs[0] == 0:
             coeffs[0] = p ** rng.randrange(0, 4)
-        f = QPoly(coeffs)
-        got = newton_polygon(f, p)
+        got = newton_polygon(coeffs, p)
         pts = [(i, Fraction(vp_int(int(c), p))) for i, c in enumerate(coeffs) if c != 0]
         assert list(got.vertices) == hull_oracle(pts)
 
@@ -145,12 +147,11 @@ def test_newton_polygon_valuation_sum_is_constant_term_valuation():
         d = rng.randrange(1, 6)
         coeffs = [rng.randrange(1, 50) for _ in range(d + 1)]
         coeffs[-1] = 1
-        f = QPoly(coeffs)
-        poly = newton_polygon(f, p)
+        poly = newton_polygon(coeffs, p)
         assert sum(poly.valuations()) == vp_int(coeffs[0], p)
 
 
 def test_newton_polygon_rational_coefficients():
     # rational matrix charpolys can carry negative valuations
-    f = QPoly((Fraction(1, 4), 1)) # root -1/4, valuation -2 at p=2
+    f = (Fraction(1, 4), 1)  # root -1/4, valuation -2 at p=2
     assert newton_polygon(f, 2).valuations() == [Fraction(-2)]

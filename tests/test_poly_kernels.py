@@ -1,7 +1,7 @@
 """The polynomial list kernels of exact/modp.py against sympy.
 
 With the modulus None the kernels compute over Q on int and Fraction
-coefficients; QPoly's ring operations are these calls.  Mod q, for primes
+coefficients; they are the package's polynomial arithmetic over Q.  Mod q, for primes
 and composite prime powers alike, they must return the exact integer result
 reduced into [0, q) afterwards, on unreduced and negative inputs too.  The
 exact results come from sympy's polynomials over QQ, a test-only dependency.
@@ -171,9 +171,21 @@ def test_mod_is_the_remainder_mod_q(case):
 
 @seed(SEED)
 @SETTINGS
-@given(modulus_and_polys(), st.integers(0, 9))
-def test_pow_mod_reduces_the_exact_power(case, n):
+@given(modulus_and_polys(), st.integers(0, 9), st.booleans(), st.booleans())
+def test_pow_mod_reduces_the_exact_power(case, n, constant, exact):
+    # a constant modulus polynomial too, where every power is 0, f^0
+    # included; and the modulus None, where the power is exact over Q
     q, f, _, h = case
-    h = [0] + h     # degree >= 1, as every caller's modulus polynomial
-    want = sympy.rem(sym(f) ** n, sym(h), domain=sympy.QQ)
-    assert modp.pow_mod(f, n, h, q) == reduced(unsym(want), q)
+    h = h[-1:] if constant else [0] + h
+    want = unsym(sympy.rem(sym(f) ** n, sym(h), domain=sympy.QQ))
+    if exact:
+        assert modp.pow_mod(f, n, h, None) == want
+    else:
+        assert modp.pow_mod(f, n, h, q) == reduced(want, q)
+
+
+def test_pow_mod_zero_power_of_a_constant_modulus():
+    # 1 mod a nonzero constant is 0
+    assert modp.pow_mod([3, 1], 0, [1], None) == []
+    assert modp.pow_mod([3, 1], 0, [2], 5) == []
+    assert modp.pow_mod([3, 1], 0, [0, 1], 5) == [1]

@@ -209,7 +209,9 @@ class TestJointSpectrum:
         assert sorted(k for k in act.cache if k[0] == "spectrum") == [
             ("spectrum", 1e-9, 32), ("spectrum", 1e-6, 32)]
 
-    def test_failed_refinement_is_not_memoized(self, monkeypatch):
+    def test_failed_refinement_is_memoized(self, monkeypatch):
+        # the error is kept under the spectrum's key and raised again, so a
+        # block that failed once is not refined again; another key refines
         calls = []
 
         def fail(*args, **kwargs):
@@ -217,10 +219,16 @@ class TestJointSpectrum:
             raise RootFindingFailure("clusters not separated")
         monkeypatch.setattr(spectra, "_real_refine", fail)
         act = ActionSpec(([[3, 1], [1, 2]],))
+        raised = []
         for _ in range(2):
-            with pytest.raises(RootFindingFailure):
+            with pytest.raises(RootFindingFailure) as info:
                 joint_spectrum(act)
-        assert len(calls) == 2 and not act.cache
+            raised.append(info.value)
+        assert len(calls) == 1 and raised[0] is raised[1]
+        assert act.cache == {("spectrum", 1e-9, 32): raised[0]}
+        with pytest.raises(RootFindingFailure):
+            joint_spectrum(act, tol=1e-6)
+        assert len(calls) == 2
 
 
 def _companion(tail):
