@@ -132,7 +132,7 @@ def perturbed_map(lin, q=None, dq_bound=None) -> PerturbedMap:
     rows, cols = m.shape
     if rows != cols:
         raise ValueError("linear part must be square")
-    if any(c.denominator != 1 for row in m.rows for c in row):
+    if not m.is_integer():
         raise ValueError("linear part must be an integer matrix to act on "
                          "the torus")
     if q is None:

@@ -1,8 +1,10 @@
-"""Exact matrices over Q (Fraction entries) plus integer kernels.
+"""Exact matrices over Q plus integer kernels.
 
 QMat is a small immutable dense matrix type: desk scale (dim <= ~10), so the
-cubic algorithms with exact arithmetic are the right trade.  The integer
-kernels on int rows live alongside, the package's one copy of each job:
+cubic algorithms with exact arithmetic are the right trade.  It holds int
+rows over one denominator: its product, power, charpoly and inverse run on
+the integer kernels below, its rank, solve and kernel on one fraction-free
+Gauss-Jordan elimination over Z.  The kernels, one copy of each job:
 
 * hnf_rows, the Hermite normal form, and kernel_lattice, the saturated
   integer kernel from one HNF;
@@ -12,9 +14,8 @@ kernels on int rows live alongside, the package's one copy of each job:
 * berkowitz_charpoly_mod, the one characteristic polynomial, which also
   gives QMat's inverse by Cayley-Hamilton over Z.
 
-Each is exact over Z when q is None, as for QMat's product, power,
-charpoly and inverse and for the rational splitting, and works mod q
-otherwise, as for the p-adic refinement.
+Each is exact over Z when q is None, as for QMat and for the rational
+splitting, and works mod q otherwise, as for the p-adic refinement.
 """
 
 from __future__ import annotations
@@ -27,95 +28,105 @@ from ..errors import RankDeficient
 
 
 class QMat:
-    __slots__ = ("rows", "_charpoly")
+    """A matrix over Q as int rows _num over one denominator _den > 0 in
+    lowest terms, gcd(_den, every entry) = 1, so equal matrices hold equal
+    data.  Only this module reads _num and _den; rows is a read-only view
+    of the entries as Fractions, built on first use."""
+
+    __slots__ = ("_num", "_den", "_rows", "_charpoly")
 
     def __init__(self, rows):
-        self.rows = tuple(tuple(c if type(c) is Fraction else Fraction(c)
-                                for c in r) for r in rows)
-        self._charpoly = None   # memo of charpoly(); rows never change
-        if self.rows:
-            n = len(self.rows[0])
-            if any(len(r) != n for r in self.rows):
-                raise ValueError("ragged rows")
+        num, den = tuple(map(tuple, rows)), 1
+        if not all(type(c) is int for r in num for c in r):
+            fracs = [[Fraction(c) for c in r] for r in num]
+            den = math.lcm(*(c.denominator for r in fracs for c in r))
+            num = tuple(tuple(c.numerator * (den // c.denominator) for c in r)
+                        for r in fracs)
+        if any(len(r) != len(num[0]) for r in num):
+            raise ValueError("ragged rows")
+        self._num, self._den = num, den
+        self._rows = self._charpoly = None
 
     @classmethod
     def identity(cls, n):
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls([[int(i == j) for j in range(n)] for i in range(n)])
+
+    @property
+    def rows(self):
+        if self._rows is None:
+            self._rows = tuple(tuple(Fraction(x, self._den) for x in r)
+                               for r in self._num)
+        return self._rows
 
     @property
     def shape(self):
-        return (len(self.rows), len(self.rows[0]) if self.rows else 0)
+        return (len(self._num), len(self._num[0]) if self._num else 0)
 
     def is_square(self):
         m, n = self.shape
         return m == n
 
     def is_integer(self):
-        return all(c.denominator == 1 for r in self.rows for c in r)
+        return self._den == 1
 
     def int_rows(self):
-        if not self.is_integer():
+        if self._den != 1:
             raise ValueError("matrix has non-integer entries")
-        return [[int(c) for c in r] for r in self.rows]
+        return [list(r) for r in self._num]
 
     def __eq__(self, other):
         if isinstance(other, QMat):
-            return self.rows == other.rows
+            return self._den == other._den and self._num == other._num
         return NotImplemented
 
     def __add__(self, other):       # __sub__'s partner, for test oracles
-        return QMat([[a + b for a, b in zip(ra, rb)]
-                     for ra, rb in zip(self.rows, other.rows)])
+        return self - other.scalar(-1)
 
     def __sub__(self, other):
-        return QMat([[a - b for a, b in zip(ra, rb)]
-                     for ra, rb in zip(self.rows, other.rows)])
+        den = math.lcm(self._den, other._den)
+        fa, fb = den // self._den, den // other._den
+        return _reduced([[fa * x - fb * y for x, y in zip(ra, rb)]
+                         for ra, rb in zip(self._num, other._num)], den)
 
     def scalar(self, c):
         c = Fraction(c)
-        return QMat([[c * a for a in r] for r in self.rows])
+        return _reduced([[c.numerator * x for x in r] for r in self._num],
+                        c.denominator * self._den)
 
     def __matmul__(self, other):
         m, k = self.shape
         k2, n = other.shape
         if k != k2:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
-        la, a = self._scaled()
-        lb, b = other._scaled()
-        return _divided(mat_mul_mod(a, b), la * lb)
-
-    def _scaled(self):
-        """(L, L * rows as ints) with L the lcm of the entry denominators."""
-        lcm = math.lcm(*(c.denominator for r in self.rows for c in r))
-        return lcm, [[c.numerator * (lcm // c.denominator) for c in r]
-                     for r in self.rows]
+        return _reduced(mat_mul_mod(self._num, other._num),
+                        self._den * other._den)
 
     def matvec(self, v):
-        return tuple(sum(a * Fraction(x) for a, x in zip(row, v))
-                     for row in self.rows)
+        v = [Fraction(x) for x in v]
+        return tuple(sum(map(operator.mul, r, v)) / self._den
+                     for r in self._num)
 
     def transpose(self):
-        return QMat(list(zip(*self.rows)))
+        return _reduced(list(zip(*self._num)), self._den)
 
     def det(self):
         """(-1)^n times the constant term of the characteristic polynomial:
         an int for an integer matrix."""
         if not self.is_square():
             raise ValueError("det of non-square matrix")
-        return self.charpoly()[0] * (-1) ** len(self.rows)
+        return self.charpoly()[0] * (-1) ** len(self._num)
 
     def inverse(self):
-        """Cayley-Hamilton over Z: A = B/L, B integer with charpoly c_k =
-        L^(n-k) c_k(A), gives A^-1 = -L (sum_{k>=1} c_k B^(k-1)) / c_0."""
+        """Cayley-Hamilton over Z: A = N/D with N's charpoly c gives A^-1 =
+        -D (sum_{k>=1} c_k N^(k-1)) / c_0."""
         if not self.is_square():
             raise ValueError("inverse of non-square matrix")
-        n = len(self.rows)
-        lcm, ints = self._scaled()
-        cp = [int(c * lcm ** (n - k)) for k, c in enumerate(self.charpoly())]
+        self.charpoly()
+        cp = self._charpoly
         if cp[0] == 0:
             raise RankDeficient("matrix is singular")
-        return _divided([[lcm * x for x in r]
-                         for r in mat_poly_mod(cp[1:], ints)], -cp[0])
+        return _reduced([[-self._den * x for x in r]
+                         for r in mat_poly_mod(cp[1:], self._num)], cp[0])
 
     def adjugate(self):
         """det * inverse, exact; inverse_levels reads its valuations."""
@@ -129,98 +140,105 @@ class QMat:
         if not self.is_square():
             raise ValueError("power of non-square matrix")
         base = self if e >= 0 else self.inverse()
-        if abs(e) == 1:     # no product, so no entry to rebuild
+        if abs(e) == 1:     # no product, so nothing to reduce
             return base
-        lcm, ints = base._scaled()
-        return _divided(mat_pow_mod(ints, abs(e)), lcm ** abs(e))
+        return _reduced(mat_pow_mod(base._num, abs(e)), base._den ** abs(e))
 
     def charpoly(self) -> tuple:
         """det(xI - A), monic, as an ascending coefficient tuple: Berkowitz
-        over Z on L*A, L the lcm of the denominators, then the x^k
-        coefficient is divided by L^(n-k).  Ints for an integer matrix (L =
-        1), Fractions otherwise.  Computed once per matrix."""
+        over Z on N, A = N/D, then the x^k coefficient is divided by
+        D^(n-k).  Ints for an integer matrix, Fractions otherwise.  N's
+        charpoly is computed once per matrix."""
         if self._charpoly is None:
             if not self.is_square():
                 raise ValueError("charpoly of non-square matrix")
-            n = len(self.rows)
-            lcm, ints = self._scaled()
-            coeffs = berkowitz_charpoly_mod(ints, None)
-            self._charpoly = tuple(coeffs) if lcm == 1 else tuple(
-                Fraction(c, lcm ** (n - k)) for k, c in enumerate(coeffs))
-        return self._charpoly
-
-    def _rref(self):
-        """Reduced row echelon form (Gauss-Jordan over Fraction): (rows,
-        pivot columns).  It is unique, so every caller's result is too."""
-        a = [list(r) for r in self.rows]
-        m, n = self.shape
-        pivots = []
-        for col in range(n):
-            r = len(pivots)
-            piv = next((i for i in range(r, m) if a[i][col] != 0), None)
-            if piv is None:
-                continue
-            a[r], a[piv] = a[piv], a[r]
-            inv = 1 / a[r][col]
-            a[r] = [x * inv for x in a[r]]
-            for i in range(m):
-                if i != r and a[i][col] != 0:
-                    f = a[i][col]
-                    a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-            pivots.append(col)
-            if len(pivots) == m:
-                break
-        return a, pivots
+            self._charpoly = tuple(berkowitz_charpoly_mod(self._num, None))
+        n, den = len(self._num), self._den
+        return self._charpoly if den == 1 else tuple(
+            Fraction(c, den ** (n - k)) for k, c in enumerate(self._charpoly))
 
     def rank(self):
-        return len(self._rref()[1])
+        return len(_rref(self._num)[1])
 
     def solve(self, rhs: "QMat") -> "QMat":
         """Solve self @ X = rhs exactly; raises RankDeficient if inconsistent
-        or underdetermined (callers here always have unique solutions)."""
+        or underdetermined (callers here always have unique solutions).  For
+        self = N/D, rhs = M/E, [N | M] reduces to p [I | X E/D]."""
         n = self.shape[1]
-        a, pivots = QMat([list(r) + list(b)
-                          for r, b in zip(self.rows, rhs.rows)])._rref()
+        a, pivots = _rref([r + b for r, b in zip(self._num, rhs._num)])
         if pivots and pivots[-1] >= n:
             raise RankDeficient("inconsistent system")
         if len(pivots) < n:
             raise RankDeficient("underdetermined system")
-        return QMat([r[n:] for r in a[:n]])
+        return _reduced([[self._den * x for x in r[n:]] for r in a[:n]],
+                        rhs._den * (a[0][0] if n else 1))
 
     def kernel(self):
         """Primitive integer basis of the rational null space (list of tuples)."""
         n = self.shape[1]
-        a, pivots = self._rref()
+        a, pivots = _rref(self._num)
         basis = []
         for col in range(n):
             if col in pivots:
                 continue
-            v = [Fraction(0)] * n
-            v[col] = Fraction(1)
+            v = [0] * n
+            v[col] = a[0][pivots[0]] if pivots else 1
             for prow, pcol in enumerate(pivots):
                 v[pcol] = -a[prow][col]
             basis.append(primitive_vector(v))
         return basis
 
 
-def _divided(ints, den):
-    """The QMat of int rows divided by den."""
-    return QMat([[Fraction(x, den) for x in r] for r in ints])
+def _reduced(num, den):
+    """The QMat of int rows num over den != 0, in lowest terms."""
+    if den != 1:
+        g = math.gcd(den, *(x for r in num for x in r))
+        g = -g if den < 0 else g
+        if g != 1:
+            num, den = [[x // g for x in r] for r in num], den // g
+    m = object.__new__(QMat)
+    m._num, m._den = tuple(map(tuple, num)), den
+    m._rows = m._charpoly = None
+    return m
+
+
+def _rref(a):
+    """Fraction-free Gauss-Jordan on int rows: (p * RREF, pivot columns),
+    p the last pivot.  Every row is updated at every pivot, so each entry
+    stays a minor of a and every division by the previous pivot is exact
+    (E. H. Bareiss, Math. Comp. 22, 1968).  The RREF is unique, so every
+    caller's result is too."""
+    a = [list(r) for r in a]
+    m, n = len(a), len(a[0]) if a else 0
+    pivots, prev = [], 1
+    for col in range(n):
+        r = len(pivots)
+        piv = next((i for i in range(r, m) if a[i][col]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        p, row = a[r][col], a[r]
+        for i in range(m):
+            if i != r:
+                f = a[i][col]
+                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], row)]
+        pivots.append(col)
+        prev = p
+        if len(pivots) == m:
+            break
+    return a, pivots
 
 
 def primitive_vector(v):
-    """Scale a rational vector to a primitive integer vector, first nonzero > 0."""
-    v = [Fraction(x) for x in v]
-    if all(x == 0 for x in v):
+    """Scale a rational vector (ints or Fractions) to a primitive integer
+    vector, first nonzero > 0."""
+    if not any(v):
         raise ValueError("zero vector has no primitive form")
     den = math.lcm(*(x.denominator for x in v))
-    ints = [int(x * den) for x in v]
+    ints = [x.numerator * (den // x.denominator) for x in v]
     g = math.gcd(*ints)
-    ints = [x // g for x in ints]
-    lead = next(x for x in ints if x != 0)
-    if lead < 0:
-        ints = [-x for x in ints]
-    return tuple(ints)
+    g = -g if next(x for x in ints if x) < 0 else g
+    return tuple(x // g for x in ints)
 
 
 def hnf_rows(rows):

@@ -15,6 +15,7 @@ import random
 from fractions import Fraction
 
 import numpy as np
+import sympy
 
 from hyperrank.conjugacy import (_HOLDER_BINS, _HOLDER_SPAN, ConjugacyField,
                                  HolderEstimate, ResidualReport,
@@ -530,13 +531,15 @@ def scalar_is_ergodic(matrix) -> ErgodicityCertificate:
 
 
 def gauss_jordan_inverse(m: QMat) -> QMat:
-    """The inverse from the reduced row echelon form of [m | I]."""
-    n = m.shape[0]
-    a, pivots = QMat([list(r) + [int(i == j) for j in range(n)]
-                      for i, r in enumerate(m.rows)])._rref()
-    if pivots != list(range(n)):
+    """The inverse by sympy's Gaussian elimination over Q, which shares no
+    code with QMat."""
+    s = sympy.Matrix([[sympy.Rational(c.numerator, c.denominator) for c in r]
+                      for r in m.rows])
+    if s.rank() < s.rows:
         raise RankDeficient("matrix is singular")
-    return QMat([r[n:] for r in a])
+    inv = s.inv(method="GE")
+    return QMat([[Fraction(int(c.p), int(c.q)) for c in inv.row(i)]
+                 for i in range(s.rows)])
 
 
 # --- the rational splitting over QMat, and the one-digit Hensel lift --------

@@ -6,15 +6,22 @@ modulus None (a different algorithm from the Berkowitz implementation under
 test).
 """
 
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from helpers import gauss_jordan_inverse
+from hyperrank.ergodicity import is_ergodic, rational_splitting
 from hyperrank.errors import RankDeficient
-from hyperrank.exact import QMat, berkowitz_charpoly_mod, hnf_rows, modp
+from hyperrank.exact import (QMat, berkowitz_charpoly_mod, hnf_rows, intmat,
+                             modp)
 from hyperrank.exact.intmat import mat_mul_mod, mat_pow_mod, primitive_vector
+from hyperrank.spectra import ActionSpec
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def charpoly_oracle(m: QMat) -> tuple:
@@ -144,8 +151,35 @@ def test_entries_are_plain_fractions_whatever_the_input():
         assert m.rows == want
         assert all(type(c) is Fraction for r in m.rows for c in r)
         assert m == QMat(want)
-    f = Fraction(3, 7)
-    assert QMat([[f]]).rows[0][0] is f   # kept, not re-wrapped
+    f = _Half(3, 7)
+    (c,), = QMat([[f]]).rows
+    assert c == f and type(c) is Fraction
+
+
+class _NoFraction:
+    """Stands in for intmat's Fraction: building one fails the test."""
+
+    def __init__(self, *args):
+        raise AssertionError(f"Fraction{args} built for an integer matrix")
+
+
+def test_integer_matrices_never_enter_fraction(monkeypatch):
+    # an integer matrix is its int rows over 1, so no operation on one
+    # needs a Fraction; the rational view rows is not read here
+    monkeypatch.setattr(intmat, "Fraction", _NoFraction)
+    m = QMat([[2, 1, 0], [1, 1, 0], [0, 0, 3]])
+    n = QMat([[1, 2, 3], [2, 4, 6], [1, 0, 1]])
+    assert (m @ n).int_rows() == mat_mul_mod(m.int_rows(), n.int_rows())
+    assert m.power(0) == QMat.identity(3) and m.power(5) == m @ m.power(4)
+    assert m.det() == 3 and m.charpoly() == (-3, 10, -6, 1)
+    assert m.transpose() @ m - m @ m.transpose() == QMat([[0] * 3] * 3)
+    assert (n - m).is_integer() and n.rank() == 2
+    assert n.kernel() == [(1, 1, -1)]
+    cert = is_ergodic(QMat([[0, -1], [1, 0]]))
+    assert not cert.ergodic and cert.period == 4
+    gens = json.loads((FIXTURES / "double_split.json").read_text())
+    split = rational_splitting(ActionSpec(gens["generators"]))
+    assert sorted(b.dim for b in split) == [1, 1, 1]
 
 
 def test_mat_mul_and_pow_exact_over_z():

@@ -112,6 +112,22 @@ def test_qpoly_is_named_only_where_it_is_defined():
     assert not found, f"QPoly named outside poly.py: {found}"
 
 
+def test_qmat_storage_is_read_only_in_intmat():
+    # a QMat is int rows _num over one denominator _den; every other module
+    # goes through its methods or the rational view rows, so the format
+    # can change in one place
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        where = path.relative_to(SRC)
+        if where == Path("hyperrank/exact/intmat.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) and node.attr in ("_num",
+                                                                 "_den"):
+                found.append(f"{where}:{node.lineno} .{node.attr}")
+    assert not found, f"QMat storage read outside intmat.py: {found}"
+
+
 # functools caches in src/, as "path:function".  A cache outlives the call
 # that fills it, so one keyed on input values would let a repeated input
 # run faster than a new one, in every benchmark pass after the first.
