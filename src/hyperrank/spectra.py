@@ -6,14 +6,19 @@ The joint spectrum is computed by sequential invariant-subspace refinement:
   the restricted generator (numpy eigenvalues; group subspaces are null
   spaces of the group's own characteristic factor evaluated on the block).
 
-* p-adic places: exact, mod p^K.  A block is split by the Newton-polygon
-  slope classes of the restricted generator: powering by the lcm of slope
-  denominators makes the valuations integral without changing the invariant
-  subspaces, then slope-class factors are peeled off by Hensel-splitting the
-  unit part and shifting x -> p x, and each class subspace is realized as the
-  saturated column span of the complementary factors evaluated on the block.
-  Precision loss is tracked; PrecisionExhausted triggers a retry at doubled
-  precision from the exact integer inputs.
+* p-adic places: exact, mod p^K.  Every generator but the last splits the
+  blocks by the Newton-polygon slope classes of the restricted generator:
+  powering by the lcm of slope denominators makes the valuations integral
+  without changing the invariant subspaces, then slope-class factors are
+  peeled off by Hensel-splitting the unit part and shifting x -> p x, and
+  each class subspace is realized as the saturated column span of the
+  complementary factors evaluated on the block.  Nothing splits a block
+  after the last generator, so its classes and their multiplicities are
+  read off the Newton polygon of its block charpoly, with no subspace
+  built.  The root block (the whole action, while no generator has split
+  it) reads the generators' memoized exact charpolys, so a rank-1 action
+  needs no precision at all.  Precision loss is tracked; PrecisionExhausted
+  triggers a retry at doubled precision from the exact integer inputs.
 
 An action of rank >= 2 that splits into several rational invariant blocks
 (ergodicity.rational_splitting) refines each p-adic place once, per block:
@@ -134,7 +139,8 @@ def real_lyapunov(matrix, tol=1e-9):
     m = matrix if isinstance(matrix, QMat) else QMat(matrix)
     if m.det() == 0:
         raise RankDeficient("singular matrix has a -infinity exponent")
-    arr = np.array([[float(c) for c in row] for row in m.rows])
+    arr = (np.array(m.int_rows(), dtype=float) if m.is_integer() else
+           np.array([[float(c) for c in row] for row in m.rows]))
     logm = np.sort(_log_moduli(np.linalg.eigvals(arr)))
     out = []
     for v in logm:
@@ -160,9 +166,10 @@ def _log_moduli(eigs):
 
 
 def _matpoly(coeffs_desc, M):
+    eye = np.eye(M.shape[0])
     out = np.zeros_like(M)
     for c in coeffs_desc:
-        out = out @ M + c * np.eye(M.shape[0])
+        out = out @ M + c * eye
     return out
 
 
@@ -181,7 +188,8 @@ def _real_refine(action: ActionSpec, tol):
     d = action.dim
     gens = [np.array(g.int_rows(), dtype=float) for g in action.generators]
     blocks = [(np.eye(d), [])]
-    for A in gens:
+    for gi, A in enumerate(gens):
+        last = gi == len(gens) - 1
         nxt = []
         for Q, vals in blocks:
             Ar = Q.T @ A @ Q
@@ -201,7 +209,9 @@ def _real_refine(action: ActionSpec, tol):
                 q = np.real(np.poly(eigs[grp]))  # conjugates share |.|, so real
                 P = _matpoly(q, Ar)
                 null = _nullspace(P, len(grp), f"block split at |eig| group")
-                Qg, _ = np.linalg.qr(Q @ null)
+                # nothing splits a block after the last generator: only the
+                # null space's dimension is read, so no subspace is built
+                Qg = null if last else np.linalg.qr(Q @ null)[0]
                 nxt.append((Qg, vals + [float(np.mean(logm[grp]))]))
         blocks = nxt
     out = [(tuple(vals), Q.shape[1]) for Q, vals in blocks]
@@ -325,12 +335,33 @@ def _saturate_columns(cols, p, W, expect_dim):
     return basis, pivots, W
 
 
+def _block_charpoly(blk, gi, p):
+    """Generator gi's charpoly on the block, mod p^W: the root reduces the
+    generator's memoized exact charpoly, a split block runs Berkowitz."""
+    q = p ** blk["W"]
+    if "exact" in blk:
+        return [c % q for c in blk["exact"][gi].charpoly()]
+    return berkowitz_charpoly_mod(blk["gens"][gi], q)
+
+
+def _last_classes(blk, gi, p):
+    """Slope classes of the last generator gi on the block, descending, as
+    _slope_class_factors orders its factors.  Nothing splits the block
+    after it, so its classes and their multiplicities are the Newton slopes
+    of its block charpoly; the root reads them exactly, with no precision."""
+    if "exact" in blk:
+        classes = newton_polygon(blk["exact"][gi].charpoly(), p).slopes
+    else:
+        classes = _polygon_classes(_block_charpoly(blk, gi, p), p, blk["W"])
+    return classes[::-1]
+
+
 def _split_block(blk, gi, p):
     W = blk["W"]
     R = blk["gens"][gi]
     m = len(R)
     q = p ** W
-    cp = berkowitz_charpoly_mod(R, q)
+    cp = _block_charpoly(blk, gi, p)
     classes = _polygon_classes(cp, p, W)
     if len(classes) == 1:
         blk["vals"].append(classes[0][0])
@@ -375,14 +406,16 @@ def _padic_refine(action: ActionSpec, p, prec):
     q = p ** prec
     root = dict(W=prec,
                 gens=[mat_mod(g.int_rows(), q) for g in action.generators],
-                vals=[])
+                vals=[], exact=action.generators)
     blocks = [root]
-    for gi in range(action.rank):
+    last = action.rank - 1
+    for gi in range(last):
         nxt = []
         for blk in blocks:
             nxt.extend(_split_block(blk, gi, p))
         blocks = nxt
-    out = [(tuple(blk["vals"]), len(blk["gens"][0])) for blk in blocks]
+    out = [(tuple(blk["vals"] + [v]), mult) for blk in blocks
+           for v, mult in _last_classes(blk, last, p)]
     if sum(m for _, m in out) != action.dim:
         raise PrecisionExhausted(f"p = {p}: blocks do not span Q_p^d")
     return out
@@ -390,11 +423,14 @@ def _padic_refine(action: ActionSpec, p, prec):
 
 def _padic_functionals(action, p, base_prec):
     """p-adic refinement, doubling the precision from base_prec until it
-    succeeds or has run at a bound from the determinants.  Per generator g,
-    with e the lcm of the slope denominators, the slope shifts need up to
-    dim e v_p(det g) spare digits, and the shifts and saturation pivots use
-    up to (dim + 1) e v_p(det g).  The bound takes e <= dim, which fails only
-    when one block mixes slope denominators with a larger lcm."""
+    succeeds or has run at a bound from the determinants.  Per splitting
+    generator g, with e the lcm of the slope denominators, the slope shifts
+    need up to dim e v_p(det g) spare digits, and the shifts and saturation
+    pivots use up to (dim + 1) e v_p(det g).  The bound takes e <= dim,
+    which fails only when one block mixes slope denominators with a larger
+    lcm.  The last generator only needs its block charpolys' Newton
+    polygons resolved, and an unsplit root reads its polygon exactly, so a
+    rank-1 action succeeds at the first attempt."""
     dim = action.dim
     need = _MIN_PREC + (2 * dim + 1) * dim * sum(
         vp_int(det, p) for det in action.dets())
@@ -418,7 +454,8 @@ def _merged_padic(action, primes, tol, padic_prec):
     multiplicities, and a block whose determinants are p-units adds
     (0, ..., 0) once per dimension.  Sorted descending, as _padic_refine
     gives them: it splits by one generator after another, each into
-    descending slopes."""
+    descending slopes, and lists the last generator's slope classes of
+    each block in descending order too."""
     if action.rank < 2 or not primes:
         return None
     from .ergodicity import block_actions   # it imports this module

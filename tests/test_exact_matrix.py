@@ -19,7 +19,7 @@ from hyperrank.errors import RankDeficient
 from hyperrank.exact import (QMat, berkowitz_charpoly_mod, hnf_rows, intmat,
                              modp)
 from hyperrank.exact.intmat import mat_mul_mod, mat_pow_mod, primitive_vector
-from hyperrank.spectra import ActionSpec
+from hyperrank.spectra import ActionSpec, real_lyapunov
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -175,6 +175,7 @@ def test_integer_matrices_never_enter_fraction(monkeypatch):
     assert m.transpose() @ m - m @ m.transpose() == QMat([[0] * 3] * 3)
     assert (n - m).is_integer() and n.rank() == 2
     assert n.kernel() == [(1, 1, -1)]
+    assert [mult for _, mult in real_lyapunov(m)] == [1, 1, 1]
     cert = is_ergodic(QMat([[0, -1], [1, 0]]))
     assert not cert.ergodic and cert.period == 4
     gens = json.loads((FIXTURES / "double_split.json").read_text())

@@ -203,7 +203,11 @@ def test_failed_restriction_retries_at_doubled_precision(monkeypatch):
 
 
 def test_restriction_failing_at_every_precision_is_reported(monkeypatch):
-    action = ActionSpec([[[0, -2], [1, 3]]])
+    # the first generator splits at p = 2, so its blocks are restricted; a
+    # rank-1 action restricts nothing, as its last generator only counts
+    # slopes
+    action = ActionSpec([[[0, -2, 0], [1, 3, 0], [0, 0, 1]],
+                         [[1, 0, 0], [0, 1, 0], [0, 0, -1]]])
 
     def always_fail(basis, pivots, m, q=None):
         raise RankDeficient("inconsistent system")

@@ -1,8 +1,10 @@
 """Joint Lyapunov spectra: real and p-adic refinement, chambers, expansion.
 
 Oracles: hand-computed eigenvalue data for the frozen fixtures, diagonal
-models conjugated by unimodular matrices for the subspace engine, and
-per-generator marginals (single-matrix spectra) for random commuting pairs.
+models conjugated by unimodular matrices for the subspace engine,
+per-generator marginals (single-matrix spectra) for random commuting pairs,
+sympy's charpoly for rank-1 p-adic places, and the generators' order for
+the p-adic refinement (metamorphic).
 """
 
 import itertools
@@ -13,6 +15,7 @@ import numpy as np
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from hyperrank import spectra
 from hyperrank.errors import (CommutativityViolated, RankDeficient,
@@ -320,6 +323,92 @@ class TestBlockMerge:
             assert [f for f in spec.functionals if f.place != "real"] == want
             seen["split"] += len(parts) > 1
         assert seen["split"] >= 200 and min(seen.values()) > 0, seen
+
+
+def _sympy_newton_slopes(matrix, p):
+    """{root valuation: multiplicity} of sympy's charpoly of the matrix,
+    from the lower convex envelope N of the points (i, v_p(a_i)), evaluated
+    at every integer by brute force: the root between i and i + 1 has
+    valuation N(i) - N(i + 1)."""
+    coeffs = sympy.Matrix(matrix).charpoly().all_coeffs()[::-1]
+    pts = [(i, sympy.multiplicity(p, int(c))) for i, c in enumerate(coeffs)
+           if c != 0]
+
+    def envelope(x):
+        return min(y1 if x1 == x2 else
+                   y1 + Fraction(y2 - y1, x2 - x1) * (x - x1)
+                   for x1, y1 in pts for x2, y2 in pts if x1 <= x <= x2)
+    out = {}
+    for i in range(len(coeffs) - 1):
+        v = envelope(i) - envelope(i + 1)
+        out[v] = out.get(v, 0) + 1
+    return out
+
+
+class TestLastGenerator:
+    def test_rank_one_reads_the_exact_polygon_in_one_attempt(self,
+                                                             monkeypatch):
+        # nothing splits a block after the last generator, so a rank-1
+        # action neither factors, saturates nor restricts, and its deep
+        # valuations need no precision retry, even from 4 digits
+        def never(*args, **kwargs):
+            raise AssertionError("the last generator split a block")
+        for name in ("hensel_lift", "_saturate_columns", "restrict_rows",
+                     "_slope_class_factors"):
+            monkeypatch.setattr(spectra, name, never)
+        attempts = []
+        refine = spectra._padic_refine
+
+        def counted(action, p, prec):
+            attempts.append(prec)
+            return refine(action, p, prec)
+        monkeypatch.setattr(spectra, "_padic_refine", counted)
+        mats = [[[2 ** 40, 0], [0, 3]]]
+        for p, k in [(2, 9), (2, 40), (3, 7), (5, 5), (7, 30)]:
+            for b in (0, 1, -3, p, p ** 2, -p ** 3, p ** (k // 2)):
+                for sign in (1, -1):
+                    mats.append(_companion([-sign * p ** k, -b]))
+        for m in mats:
+            action = ActionSpec([m])
+            for p in action.primes():
+                attempts.clear()
+                got = spectra._padic_functionals(action, p, 4)
+                assert attempts == [4], (m, p)
+                want = _sympy_newton_slopes(m, p)
+                assert got == [((v,), mult) for v, mult
+                               in sorted(want.items(), reverse=True)], (m, p)
+
+    def test_reversed_generators_give_reversed_tuples(self, monkeypatch):
+        # the joint slope spaces at p do not depend on the generators'
+        # order, while the refinement splits by all but the last one
+        rng = random.Random(3303)
+        split_by = set()
+        split_block = spectra._split_block
+
+        def recorded(blk, gi, p):
+            split_by.add(gi)
+            return split_block(blk, gi, p)
+        monkeypatch.setattr(spectra, "_split_block", recorded)
+        pairs = 0
+        for rank in (2, 2, 3):
+            for _ in range(80):
+                gens = _split_action(rng)
+                if rank == 3:
+                    third = gens[0] + gens[1]
+                    gens.append(third if third.det() else gens[0] @ gens[1])
+                if any(g.det() == 0 for g in gens):
+                    continue
+                action = ActionSpec(gens)
+                flipped = ActionSpec(gens[::-1])
+                for p in action.primes():
+                    split_by.clear()
+                    want = dict(spectra._padic_functionals(action, p, 32))
+                    got = dict(spectra._padic_functionals(flipped, p, 32))
+                    assert {vals[::-1]: mult for vals, mult in got.items()} \
+                        == want, (gens, p)
+                    assert all(gi < rank - 1 for gi in split_by)
+                    pairs += 1
+        assert pairs >= 600, pairs
 
 
 def _merge(out, pairs, tol=1e-6):
