@@ -95,7 +95,7 @@ _MAX_MODE_DIGITS = 4300
 # correlation values are then at most 2 ||f^||_1 ||g^||_1 <= 2e150 in
 # modulus, the Monte Carlo variance sums at most _MAX_SAMPLES squares of
 # 4e150, and conjugate's derivative bound stays finite.  Perturbation modes
-# pair with points in doubles, and past 2^53 float(k) is not k.
+# stay within 2^53, where the derivative bound's float(k) is still k.
 _MAX_COEFF_L1 = 1e75
 _MAX_MODE = 1 << 53
 # the p-adic digits analyze starts its refinement with; it doubles them

@@ -17,9 +17,9 @@ of A^{-1} lies inside the unit disc.  The sweep is a sup-norm contraction
 at rate ||A^{-1}||_inf only when that norm is below 1, which expansion does
 not imply: the norm is 2 for [[0, -10^6], [1, 10^6]].
 
-Everything here is floating point; the exactness story lives in the other
-modules, and this one is honest about being numerics: residuals are
-measured, logged, and re-verified off-grid.
+The sweep is floating point, and honest about being numerics: residuals
+are measured, logged, and re-verified off-grid.  Only the perturbation's
+phases <k, x> mod 1 are exact, rounded once by solenoid's phase kernel.
 """
 
 from __future__ import annotations
@@ -35,9 +35,8 @@ import numpy as np
 from .errors import (DegenerateField, NoConvergence, NotExpanding,
                      RootFindingFailure)
 from .exact import QMat
+from .solenoid import characters_at
 from .spectra import real_lyapunov
-
-TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -51,15 +50,10 @@ class TrigPerturbation:
     def at(self, xs):
         """q at the columns of a (dim, count) array, as a (dim, count)
         array; rounded as the scalar sum of Re(c e^{2 pi i <k, x>}) over
-        the terms in order, with <k, x> summed left to right."""
+        the terms in order, each from its exact phase (characters_at)."""
         out = np.zeros((self.dim, xs.shape[1]))
-        for k, coeffs in self.terms:
-            s = np.zeros(xs.shape[1])
-            for a, row in zip(k, xs):
-                s = s + a * row
-            z = np.zeros(xs.shape[1], dtype=complex)
-            z.imag = TWO_PI * s
-            e = np.exp(z)
+        chars = characters_at([k for k, _ in self.terms], xs)
+        for (_, coeffs), e in zip(self.terms, chars):
             for j, c in enumerate(coeffs):
                 out[j] = out[j] + (c.real * e.real - c.imag * e.imag)
         return out
@@ -70,7 +64,7 @@ class TrigPerturbation:
         total = 0.0
         for j in range(self.dim):
             for l in range(self.dim):
-                m = sum(TWO_PI * abs(k[l]) * abs(coeffs[j])
+                m = sum(2 * math.pi * abs(k[l]) * abs(coeffs[j])
                         for k, coeffs in self.terms)
                 total += m * m
         return math.sqrt(total)

@@ -15,14 +15,14 @@ exactly on the rational phases, which is what the exact correlation and the
 inverse-branch arithmetic lean on.
 
 Phases are exact rationals end to end; floats appear only inside the final
-complex exponential and in Monte Carlo and Birkhoff averaging.  Monte Carlo
-and the CLT check share one phase kernel: each character is evaluated on
-all points at once from integer phase numerators N over a common
-denominator D (summed mod 2^64 when D = 2^b with b <= 64, which is all
-such a phase needs), and N mod D / D is rounded once, as the scalar
-Fraction evaluation (float of the phase, then cmath.exp) rounds.  The CLT
-check steps its orbits at once on exact integer states, and its Birkhoff
-sums round as the one-orbit-at-a-time loop's would.
+complex exponential and in Monte Carlo and Birkhoff averaging.  Monte Carlo,
+the CLT check and conjugacy's perturbation share one phase kernel: each
+character is evaluated on all points at once from integer phase numerators
+N over a common denominator D (summed mod 2^64 when D = 2^b with b <= 64,
+which is all such a phase needs), and N mod D / D is rounded once, as the
+scalar Fraction evaluation (float of the phase, then cmath.exp) rounds.
+The CLT check steps its orbits at once on exact integer states, and its
+Birkhoff sums round as the one-orbit-at-a-time loop's would.
 """
 
 from __future__ import annotations
@@ -495,6 +495,21 @@ def _cis(theta):
     z = np.zeros(len(theta), dtype=complex)
     z.imag = 2 * math.pi * theta
     return np.exp(z)
+
+
+def characters_at(modes, xs):
+    """exp(2 pi i <k, x>) for each integer mode k at the columns of a
+    finite float array, from integer columns over 2^b (a double is dyadic)."""
+    s = xs * 2.0 ** 64
+    if np.all((s >= 0) & (s < 2.0 ** 64) & (s == np.floor(s))):
+        den, cols = 1 << 64, list(s.astype(np.uint64))
+    else:               # x = m 2^e with m 2^53 an integer
+        m, e = np.frexp(xs)
+        b = max(53 - int(e.min()), 0)
+        cols = (m * 2.0 ** 53).astype(np.int64).astype(object)
+        den, cols = 1 << b, list(cols << (e + b - 53).astype(object))
+    return (_cis(_phases((den, k, ()), (cols, {}), (cols, {}), xs.shape[1]))
+            for k in modes)
 
 
 def _character_sum(terms, count):

@@ -279,7 +279,11 @@ def scalar_q(q, x):
         return q(x)
     out = [0.0] * q.dim
     for k, coeffs in q.terms:
-        phase = cmath.exp(2j * math.pi * sum(a * b for a, b in zip(k, x)))
+        # every double is a dyadic rational: <k, x> mod 1 exactly, rounded
+        # once, as character_value rounds a Monte Carlo phase
+        theta = sum((Fraction(a) * Fraction(b) for a, b in zip(k, x)),
+                    Fraction(0)) % 1
+        phase = cmath.exp(2j * math.pi * float(theta))
         for j, c in enumerate(coeffs):
             out[j] += (c * phase).real
     return tuple(out)

@@ -7,6 +7,7 @@ Holder-1/2 function for the exponent estimator.
 
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -48,6 +49,27 @@ class TestTrigPerturbation:
         with pytest.raises(ValueError):
             trig_perturbation(2, [((1,), (1.0, 0.0))])
 
+    @pytest.mark.parametrize("k", [2 ** 20, -2 ** 40, 2 ** 53, -2 ** 53])
+    def test_large_modes_match_exact_phases(self, k):
+        # <k, x> mod 1 of a double x is exact, while a sum in doubles loses
+        # every bit of it at k = 2^53 (cos at x = 0.1234567 is 6e-17)
+        rng = random.Random(7)
+        groups = [
+            [i / 4096 for i in range(0, 4096, 97)],
+            [i / 1000 for i in range(1000)],
+            [rng.random() for _ in range(200)] + [0.1234567],
+            # non-dyadic doubles below 2^-12 have denominators past 2^64,
+            # so the whole group takes Python-int columns
+            [1 / 5000, 7 / 5000, 1e-5, 3e-7, 1e-300, 0.1234567],
+            [-1.5, 2.75, -0.1234567, 2.0 ** 60]]          # outside [0, 1)
+        q = trig_perturbation(2, [((k, 0), (1.0, 0.0)), ((0, k), (0.0, -1j))])
+        for xs in groups:
+            got = q.at(np.array([xs, xs]))
+            for x, c, s in zip(xs, *got):
+                theta = float(Fraction(k) * Fraction(x) % 1)
+                assert abs(c - math.cos(2 * math.pi * theta)) <= 1e-15
+                assert abs(s - math.sin(2 * math.pi * theta)) <= 1e-15
+
 
 class TestPerturbedMap:
     def test_tau_wraps(self):
@@ -78,7 +100,6 @@ class TestPerturbedMap:
             perturbed_map([[0]]).check_expanding()
 
     def test_integer_matrix_required(self):
-        from fractions import Fraction
         with pytest.raises(ValueError, match="integer"):
             perturbed_map([[Fraction(3, 2)]])
         with pytest.raises(ValueError, match="square"):

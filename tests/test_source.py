@@ -128,6 +128,33 @@ def test_qmat_storage_is_read_only_in_intmat():
     assert not found, f"QMat storage read outside intmat.py: {found}"
 
 
+def test_complex_exponentials_only_in_the_phase_kernel():
+    # every character value comes from an exact phase rounded once, through
+    # solenoid._cis; an np.exp or a cmath elsewhere would form a phase in
+    # floating point
+    found, kernel = [], set()
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        where = path.relative_to(SRC)
+        for node in ast.walk(tree):
+            if (where == Path("hyperrank/solenoid.py")
+                    and isinstance(node, ast.FunctionDef)
+                    and node.name == "_cis"):
+                kernel.update(ast.walk(node))
+        for node in ast.walk(tree):
+            if node in kernel:
+                continue
+            if ((isinstance(node, ast.Attribute) and node.attr == "exp"
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id in ("np", "numpy"))
+                    or (isinstance(node, ast.Name) and node.id == "cmath")
+                    or (isinstance(node, ast.alias)
+                        and node.name.split(".")[0] == "cmath")):
+                found.append(f"{where}:{getattr(node, 'lineno', '?')}")
+    assert kernel, "solenoid._cis is gone"
+    assert not found, f"complex exponential outside solenoid._cis: {found}"
+
+
 # functools caches in src/, as "path:function".  A cache outlives the call
 # that fills it, so one keyed on input values would let a repeated input
 # run faster than a new one, in every benchmark pass after the first.
