@@ -2,7 +2,7 @@
 linear part.
 
 tau(x) = Ax + q(x) mod 1 with A an expanding integer matrix and q a small
-periodic perturbation.  The conjugacy phi = id + h with phi o tau = A o phi
+trigonometric series.  The conjugacy phi = id + h with phi o tau = A o phi
 has displacement h solving the cohomological equation A h = q + h o tau, and
 the sweep
 
@@ -83,11 +83,11 @@ def trig_perturbation(dim, terms) -> TrigPerturbation:
 
 @dataclass(frozen=True)
 class PerturbedMap:
-    """tau(x) = lin x + q(x) mod 1; build through perturbed_map()."""
+    """tau(x) = lin x + q(x) mod 1, the expansion check reading q's
+    derivative bound; build through perturbed_map()."""
 
     lin: QMat
-    q: object             # TrigPerturbation, or 1-periodic callable R^d -> R^d
-    dq_bound: float
+    q: TrigPerturbation
 
     @property
     def dim(self):
@@ -109,19 +109,20 @@ class PerturbedMap:
             raise NotExpanding(
                 f"smallest eigenvalue modulus {lam:.6g} is not > 1; "
                 "the linear part does not expand")
-        if self.dq_bound >= lam - 1.0:
+        dq_bound = self.q.deriv_bound()
+        if dq_bound >= lam - 1.0:
             raise NotExpanding(
-                f"perturbation derivative bound {self.dq_bound:.6g} reaches "
+                f"perturbation derivative bound {dq_bound:.6g} reaches "
                 f"the expansion margin {lam - 1.0:.6g}")
 
     def tau_at(self, xs):
         """tau at the columns of a (dim, count) array."""
-        return (_linear(self.lin, xs) + _q_at(self.q, xs)) % 1.0
+        return (_linear(self.lin, xs) + self.q.at(xs)) % 1.0
 
 
-def perturbed_map(lin, q=None, dq_bound=None) -> PerturbedMap:
-    """Validated constructor.  q may be a TrigPerturbation (derivative bound
-    derived) or any periodic callable (derivative bound must be supplied)."""
+def perturbed_map(lin, q=None) -> PerturbedMap:
+    """Validated constructor; q is a TrigPerturbation of the linear part's
+    dimension, zero if omitted."""
     m = lin if isinstance(lin, QMat) else QMat(lin)
     rows, cols = m.shape
     if rows != cols:
@@ -131,15 +132,12 @@ def perturbed_map(lin, q=None, dq_bound=None) -> PerturbedMap:
                          "the torus")
     if q is None:
         q = trig_perturbation(rows, [])
-    if isinstance(q, TrigPerturbation):
-        if q.dim != rows:
-            raise ValueError("perturbation dimension disagrees with the "
-                             "linear part")
-        if dq_bound is None:
-            dq_bound = q.deriv_bound()
-    elif dq_bound is None:
-        raise ValueError("callable perturbations need an explicit dq_bound")
-    return PerturbedMap(lin=m, q=q, dq_bound=float(dq_bound))
+    if not isinstance(q, TrigPerturbation):
+        raise ValueError("perturbation must be a TrigPerturbation")
+    if q.dim != rows:
+        raise ValueError("perturbation dimension disagrees with the linear "
+                         "part")
+    return PerturbedMap(lin=m, q=q)
 
 
 # --- array helpers ----------------------------------------------------------
@@ -157,14 +155,6 @@ def _linear(m: QMat, xs):
         for c, t in zip(row, xs):
             out[i] = out[i] + float(c) * t
     return out
-
-
-def _q_at(q, xs):
-    if isinstance(q, TrigPerturbation):
-        return q.at(xs)
-    # any other periodic callable is called point by point
-    return np.array([q(tuple(x)) for x in xs.T.tolist()],
-                    dtype=float).reshape(xs.shape[1], len(xs)).T
 
 
 def _corners(xs, n):
@@ -230,8 +220,8 @@ def solve_conjugacy(pmap: PerturbedMap, grid, tol=1e-8,
     expanding, each sweep by at most ||A^{-1}||_inf when that is below 1.
 
     tau, q and the interpolation corners of tau's grid images are fixed
-    across sweeps, so they are built once; a sweep is 2^dim gathers and a
-    dim x dim combination."""
+    across sweeps, so they are built once, q evaluated on the grid once for
+    both; a sweep is 2^dim gathers and a dim x dim combination."""
     pmap.check_expanding()
     if grid < 2:
         raise ValueError("grid resolution must be at least 2")
@@ -242,8 +232,9 @@ def solve_conjugacy(pmap: PerturbedMap, grid, tol=1e-8,
     rate = float(max(sum(abs(c) for c in row) for row in ainv.rows))
     # grid points, row-major with the last axis fastest
     pts = np.indices((grid,) * d).reshape(d, -1) / grid
-    qx = _q_at(pmap.q, pts)
-    corners = _corners(pmap.tau_at(pts), grid)
+    qx = pmap.q.at(pts)
+    # tau_at's operations on the q just evaluated, so the same bits
+    corners = _corners((_linear(pmap.lin, pts) + qx) % 1.0, grid)
     h = np.zeros((d, grid ** d))
     history = []
     for _ in range(budget):

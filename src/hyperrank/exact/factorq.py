@@ -22,11 +22,11 @@ from .padic import is_prime
 from .poly import squarefree_decomposition
 
 
-def _usable_primes(ints, count=3, limit=500):
-    """Primes where the reduction of the monic ints stays squarefree."""
+def _usable_primes(ints):
+    """First three primes below 500 keeping the monic ints squarefree."""
     out = []
     p = 2
-    while len(out) < count and p < limit:
+    while len(out) < 3 and p < 500:
         if is_prime(p):
             fbar = modp.reduce_mod(ints, p)
             if modp.is_one(modp.gcd(fbar, modp.derivative(fbar, p), p)):

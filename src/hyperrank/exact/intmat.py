@@ -129,7 +129,7 @@ class QMat:
                          for r in mat_poly_mod(cp[1:], self._num)], cp[0])
 
     def adjugate(self):
-        """det * inverse, exact; inverse_levels reads its valuations."""
+        """det * inverse, exact."""
         d = self.det()
         if d == 0:
             raise RankDeficient("adjugate via inverse needs a nonsingular matrix")

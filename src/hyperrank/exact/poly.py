@@ -32,8 +32,8 @@ class QPoly:
         self.coeffs = tuple(cs)
 
     @classmethod
-    def monomial(cls, k, c=1):
-        return cls((0,) * k + (c,))
+    def monomial(cls, k):
+        return cls((0,) * k + (1,))
 
     def __mul__(self, other):
         return QPoly(modp.mul(self.coeffs, other.coeffs, None))

@@ -111,33 +111,22 @@ def apply(a: QMat, pt: SolenoidPoint) -> SolenoidPoint:
     The integer part dropped when the torus coordinate is reduced mod 1 is
     added to every fiber, keeping the pair a single representative.
     """
-    rows = a.int_rows()
-    raw = [sum(Fraction(rows[i][j]) * pt.x[j] for j in range(pt.dim))
-           for i in range(pt.dim)]
-    x = tuple(r % 1 for r in raw)
-    carry = [int(r - r % 1) for r in raw]
-    xi = []
-    for p, prec, res in pt.xi:
-        q = p ** prec
-        xi.append((p, prec, tuple(
-            (sum(rows[i][j] * res[j] for j in range(pt.dim)) + carry[i]) % q
-            for i in range(pt.dim))))
-    return SolenoidPoint(x=x, xi=tuple(xi))
+    if not a.is_integer():
+        raise ValueError("matrix has non-integer entries")
+    return _affine_step(a, [0] * pt.dim, pt, {})
 
 
 def inverse_levels(a: QMat):
-    """Per-prime branching level l_p = v_p(det) - min_ij v_p(adj_ij): the
-    inverse needs the fiber coordinate mod p^{l_p} to pick its integer
-    translate."""
-    det = a.det()
-    adj = a.adjugate()
-    out = {}
-    for p in factor_int(det):
-        d = vp_int(det, p)
-        m0 = min(vp_int(int(c), p) if c != 0 else d
-                 for row in adj.rows for c in row)
-        out[p] = d - min(m0, d)
-    return out
+    """Per-prime branching level l_p = v_p(D), D the common denominator of
+    a^{-1} in lowest terms: the inverse needs the fiber coordinate mod
+    p^{l_p} to pick its integer translate.  As adj = det a^{-1}, l_p is
+    v_p(det) - min_ij v_p(adj_ij), and every prime of det divides D."""
+    return _denominator_levels(a.inverse())
+
+
+def _denominator_levels(m: QMat):
+    return factor_int(math.lcm(*(c.denominator for row in m.rows
+                                 for c in row)))
 
 
 def apply_inverse(a: QMat, pt: SolenoidPoint) -> SolenoidPoint:
@@ -147,38 +136,38 @@ def apply_inverse(a: QMat, pt: SolenoidPoint) -> SolenoidPoint:
     then x' = a^{-1}(x + n) exactly and xi'_p = a^{-1}(xi_p - n) with l_p
     digits of precision spent at each prime dividing det.
     """
-    det = a.det()
-    if det == 0:
+    if a.det() == 0:
         raise NotAnAutomorphism("singular matrix")
-    have = set(pt.primes)
-    for p in factor_int(det):
-        if p not in have:
+    ainv = a.inverse()
+    levels = _denominator_levels(ainv)
+    for p in levels:
+        if p not in pt.primes:
             raise NotAnAutomorphism(
                 f"determinant prime {p} is not inverted in this solenoid")
-    levels = inverse_levels(a)
     for p, l in levels.items():
         prec, _ = pt.xi_at(p)
         if prec < l:
             raise PrecisionExhausted(
                 f"need {l} digits at p = {p}, have {prec}")
-    n = []
-    for i in range(pt.dim):
-        pairs = []
-        for p, l in sorted(levels.items()):
-            if l > 0:
-                _, res = pt.xi_at(p)
-                pairs.append((res[i] % p ** l, p ** l))
-        n.append(crt_integers(pairs)[0] if pairs else 0)
-    ainv = a.inverse()
-    raw = [sum(ainv.rows[i][j] * (pt.x[j] + n[j]) for j in range(pt.dim))
-           for i in range(pt.dim)]
+    n = [crt_integers([(pt.xi_at(p)[1][i] % p ** l, p ** l)
+                       for p, l in levels.items()])[0]
+         for i in range(pt.dim)]
+    return _affine_step(ainv, n, pt, levels)
+
+
+def _affine_step(m: QMat, n, pt: SolenoidPoint, levels) -> SolenoidPoint:
+    """x' = m(x + n) mod 1 and xi'_p = m(xi_p - n) + carry mod
+    p^(prec - l_p), exact, with carry the integer part of m(x + n), so the
+    pair stays one representative.  m(xi_p - n) must be p-integral."""
+    raw = [sum(c * (t + k) for c, t, k in zip(row, pt.x, n))
+           for row in m.rows]
     x = tuple(r % 1 for r in raw)
     carry = [int(r - r % 1) for r in raw]
     xi = []
     for p, prec, res in pt.xi:
         new_prec = prec - levels.get(p, 0)
-        v = [sum(ainv.rows[i][j] * (res[j] - n[j]) for j in range(pt.dim))
-             for i in range(pt.dim)]
+        v = [sum(c * (r - k) for c, r, k in zip(row, res, n))
+             for row in m.rows]
         if any(c.denominator % p == 0 for c in v):
             raise PrecisionExhausted(
                 "branch translate failed to clear the level")

@@ -12,7 +12,8 @@ The joint spectrum is computed by sequential invariant-subspace refinement:
   without changing the invariant subspaces, then slope-class factors are
   peeled off by Hensel-splitting the unit part and shifting x -> p x, and
   each class subspace is realized as the saturated column span of the
-  complementary factors evaluated on the block.  Nothing splits a block
+  complementary factors evaluated on the block, on which only the later
+  generators are restricted.  Nothing splits a block
   after the last generator, so its classes and their multiplicities are
   read off the Newton polygon of its block charpoly, with no subspace
   built.  The root block (the whole action, while no generator has split
@@ -134,17 +135,16 @@ class LyapunovSpectrum:
 # --- single-matrix spectra --------------------------------------------------
 
 
-def real_lyapunov(matrix, tol=1e-9):
-    """[(log|lambda|, multiplicity)] ascending, clustered within tol."""
+def real_lyapunov(matrix):
+    """[(log|lambda|, multiplicity)] ascending, clustered within 1e-9."""
     m = matrix if isinstance(matrix, QMat) else QMat(matrix)
     if m.det() == 0:
         raise RankDeficient("singular matrix has a -infinity exponent")
-    arr = (np.array(m.int_rows(), dtype=float) if m.is_integer() else
-           np.array([[float(c) for c in row] for row in m.rows]))
-    logm = np.sort(_log_moduli(np.linalg.eigvals(arr)))
+    logm = np.sort(_log_moduli(np.linalg.eigvals(
+        np.array(m.int_rows(), dtype=float))))
     out = []
     for v in logm:
-        if out and v - out[-1][0] <= max(tol, 1e-10):
+        if out and v - out[-1][0] <= 1e-9:
             val, mult = out[-1]
             out[-1] = ((val * mult + v) / (mult + 1), mult + 1)
         else:
@@ -335,36 +335,37 @@ def _saturate_columns(cols, p, W, expect_dim):
     return basis, pivots, W
 
 
-def _block_charpoly(blk, gi, p):
-    """Generator gi's charpoly on the block, mod p^W: the root reduces the
-    generator's memoized exact charpoly, a split block runs Berkowitz."""
+def _block_charpoly(blk, p):
+    """The block's first generator's charpoly on the block, mod p^W: the
+    root reduces its memoized exact charpoly, a split block runs Berkowitz."""
     q = p ** blk["W"]
-    if "exact" in blk:
-        return [c % q for c in blk["exact"][gi].charpoly()]
-    return berkowitz_charpoly_mod(blk["gens"][gi], q)
+    if blk["exact"]:
+        return [c % q for c in blk["exact"][0].charpoly()]
+    return berkowitz_charpoly_mod(blk["gens"][0], q)
 
 
-def _last_classes(blk, gi, p):
-    """Slope classes of the last generator gi on the block, descending, as
-    _slope_class_factors orders its factors.  Nothing splits the block
-    after it, so its classes and their multiplicities are the Newton slopes
-    of its block charpoly; the root reads them exactly, with no precision."""
-    if "exact" in blk:
-        classes = newton_polygon(blk["exact"][gi].charpoly(), p).slopes
+def _last_classes(blk, p):
+    """Slope classes of the last generator, all the block has left,
+    descending, as _slope_class_factors orders its factors.  Nothing splits
+    the block after it, so its classes and their multiplicities are the
+    Newton slopes of its block charpoly, which the root reads exactly."""
+    if blk["exact"]:
+        classes = newton_polygon(blk["exact"][0].charpoly(), p).slopes
     else:
-        classes = _polygon_classes(_block_charpoly(blk, gi, p), p, blk["W"])
+        classes = _polygon_classes(_block_charpoly(blk, p), p, blk["W"])
     return classes[::-1]
 
 
-def _split_block(blk, gi, p):
+def _split_block(blk, p):
     W = blk["W"]
-    R = blk["gens"][gi]
+    R, rest = blk["gens"][0], blk["gens"][1:]
     m = len(R)
     q = p ** W
-    cp = _block_charpoly(blk, gi, p)
+    cp = _block_charpoly(blk, p)
     classes = _polygon_classes(cp, p, W)
     if len(classes) == 1:
         blk["vals"].append(classes[0][0])
+        blk["gens"], blk["exact"] = rest, blk["exact"][1:]
         return [blk]
     e = 1
     for v, _ in classes:
@@ -393,11 +394,11 @@ def _split_block(blk, gi, p):
                                               expect_dim=len(coeffs_v) - 1)
         try:
             gens_r = [restrict_rows(basis, pivots, g, p ** Wn)
-                      for g in blk["gens"]]
+                      for g in rest]
         except RankDeficient:
             raise PrecisionExhausted(
                 "restricted image leaves the subspace at working precision")
-        out.append(dict(W=Wn, gens=gens_r,
+        out.append(dict(W=Wn, gens=gens_r, exact=(),
                         vals=blk["vals"] + [Fraction(vint, e)]))
     return out
 
@@ -408,14 +409,13 @@ def _padic_refine(action: ActionSpec, p, prec):
                 gens=[mat_mod(g.int_rows(), q) for g in action.generators],
                 vals=[], exact=action.generators)
     blocks = [root]
-    last = action.rank - 1
-    for gi in range(last):
+    for _ in range(action.rank - 1):
         nxt = []
         for blk in blocks:
-            nxt.extend(_split_block(blk, gi, p))
+            nxt.extend(_split_block(blk, p))
         blocks = nxt
     out = [(tuple(blk["vals"] + [v]), mult) for blk in blocks
-           for v, mult in _last_classes(blk, last, p)]
+           for v, mult in _last_classes(blk, p)]
     if sum(m for _, m in out) != action.dim:
         raise PrecisionExhausted(f"p = {p}: blocks do not span Q_p^d")
     return out

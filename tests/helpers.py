@@ -33,7 +33,7 @@ from hyperrank.nilpotent import NilElement, nil_element
 from hyperrank.solenoid import (_CLT_BINS, _CLT_REF_TERMS, _GRID_BITS,
                                 _MIN_DIGITS, CltReport, McCorrelation,
                                 SolenoidPoint, TrigFunction,
-                                _orbit_sampler_bits, inverse_levels)
+                                _orbit_sampler_bits)
 
 
 def padic_lyapunov(matrix, p):
@@ -152,6 +152,20 @@ def scalar_haar_sample(count, dim, primes=(), seed=0, prec=_MIN_DIGITS):
     return out
 
 
+def adjugate_levels(a: QMat):
+    """The branching levels l_p = v_p(det) - min_ij v_p(adj_ij) at the
+    primes of det, read off the adjugate."""
+    det = a.det()
+    adj = a.adjugate()
+    out = {}
+    for p in factor_int(det):
+        d = vp_int(det, p)
+        m0 = min(vp_int(int(c), p) if c != 0 else d
+                 for row in adj.rows for c in row)
+        out[p] = d - min(m0, d)
+    return out
+
+
 def scalar_apply_inverse(a: QMat, pt: SolenoidPoint) -> SolenoidPoint:
     """solenoid.apply_inverse through the adjugate: each fibre divides the
     adjugate by p^m0 and multiplies by the inverse of det's unit part."""
@@ -163,7 +177,7 @@ def scalar_apply_inverse(a: QMat, pt: SolenoidPoint) -> SolenoidPoint:
         if p not in have:
             raise NotAnAutomorphism(
                 f"determinant prime {p} is not inverted in this solenoid")
-    levels = inverse_levels(a)
+    levels = adjugate_levels(a)
     for p, l in levels.items():
         prec, _ = pt.xi_at(p)
         if prec < l:
@@ -274,9 +288,7 @@ def scalar_clt_check(f: TrigFunction, a: QMat, n=1024, orbits=200,
                                 tuple(map(int, counts))))
 
 
-def scalar_q(q, x):
-    if not isinstance(q, TrigPerturbation):
-        return q(x)
+def scalar_q(q: TrigPerturbation, x):
     out = [0.0] * q.dim
     for k, coeffs in q.terms:
         # every double is a dyadic rational: <k, x> mod 1 exactly, rounded

@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 from hyperrank.conjugacy import (ConjugacyField, HolderEstimate,
-                                 PerturbedMap, ResidualReport, field_to_csv,
+                                 PerturbedMap, ResidualReport,
+                                 TrigPerturbation, field_to_csv,
                                  holder_estimate, perturbed_map,
                                  solve_conjugacy, trig_perturbation,
                                  verify_conjugacy)
@@ -105,11 +106,28 @@ class TestPerturbedMap:
         with pytest.raises(ValueError, match="square"):
             perturbed_map([[2, 0]])
 
-    def test_callable_needs_bounds(self):
-        with pytest.raises(ValueError, match="bound"):
-            perturbed_map([[2]], lambda x: (0.0,))
-        pm = perturbed_map([[2]], lambda x: (0.0,), dq_bound=0.0)
-        assert isinstance(pm, PerturbedMap)
+    def test_only_trig_perturbations(self):
+        # the derivative bound the expansion check reads is q's closed form
+        for q in (lambda x: (0.0,), (0.0,), np.zeros((1, 1))):
+            with pytest.raises(ValueError, match="TrigPerturbation"):
+                perturbed_map([[2]], q)
+        with pytest.raises(ValueError, match="dimension"):
+            perturbed_map([[2]], trig_perturbation(2, []))
+        assert isinstance(perturbed_map([[2]], SIN), PerturbedMap)
+
+    def test_one_grid_evaluation_per_solve(self, monkeypatch):
+        # solve_conjugacy evaluates q once on the grid, for both the sweep's
+        # q and tau's grid images; verification once on its samples
+        sizes = []
+        at = TrigPerturbation.at
+
+        def counted(self, xs):
+            sizes.append(xs.shape[1])
+            return at(self, xs)
+        monkeypatch.setattr(TrigPerturbation, "at", counted)
+        field = solve_conjugacy(DOUBLING_SIN, 64)
+        verify_conjugacy(DOUBLING_SIN, field, samples=10)
+        assert sizes == [64, 10]
 
 
 class TestSolve:
@@ -260,21 +278,6 @@ class TestEquivariance:
         f2 = solve_conjugacy(pm2, 64, tol=1e-10)
         assert max(abs(a - b)
                    for a, b in zip(f1.values[0], f2.values[0])) < 2e-10
-
-    def test_doubled_time_sine(self):
-        # grid-level agreement needs tol above the interpolation floor
-        tol = 1e-4
-        f1 = solve_conjugacy(DOUBLING_SIN, 4096, tol=tol)
-
-        def q2(x):
-            xs = np.array([x])
-            return (2 * SIN.at(xs).item()
-                    + SIN.at(DOUBLING_SIN.tau_at(xs)).item(),)
-
-        pm2 = perturbed_map([[4]], q2, dq_bound=2.95)
-        f2 = solve_conjugacy(pm2, 4096, tol=tol)
-        diff = max(abs(a - b) for a, b in zip(f1.values[0], f2.values[0]))
-        assert diff <= 2 * tol
 
 
 class TestHomeomorphism:

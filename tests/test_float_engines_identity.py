@@ -532,15 +532,6 @@ def test_conjugacy_constant_perturbation(matrix, shift):
     check_conjugacy(perturbed_map(matrix, q), 8, 3)
 
 
-def test_conjugacy_callable_perturbation():
-    sin = trig_perturbation(1, [((1,), (-0.1j,))])
-
-    def q(x):
-        return (0.5 * sin.at(np.array([x]).T).item() + 0.01,)
-
-    check_conjugacy(perturbed_map([[3]], q, dq_bound=0.4), 40, 11)
-
-
 def test_no_convergence_history():
     pmap = perturbed_map([[2]], trig_perturbation(1, [((1,), (-0.1j,))]))
     got = outcome(solve_conjugacy, pmap, 64, tol=1e-12, budget=5)

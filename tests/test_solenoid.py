@@ -15,6 +15,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, seed, settings
+from hypothesis import strategies as st
 
 from hyperrank.errors import (DegenerateFit, LeavesDualLattice,
                               NotAnAutomorphism, PrecisionExhausted)
@@ -25,8 +27,8 @@ from hyperrank.solenoid import (CorrelationRow, SolenoidPoint, TrigFunction,
                                 haar_sample, inverse_levels, mixing_curve,
                                 monte_carlo_correlation)
 
-from helpers import (character_phase, character_value, cosine, evaluate,
-                     scalar_apply_inverse, solenoid_point)
+from helpers import (adjugate_levels, character_phase, character_value,
+                     cosine, evaluate, scalar_apply_inverse, solenoid_point)
 
 CAT = QMat([[2, 1], [1, 1]])
 DOUBLING = QMat([[2]])
@@ -187,6 +189,18 @@ class TestDynamics:
         assert pt.xi_at(2)[0] == 0
         with pytest.raises(PrecisionExhausted):
             apply_inverse(DOUBLING, pt)
+
+    @seed(3600)
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 5).flatmap(lambda d: st.lists(
+        st.lists(st.integers(-12, 12), min_size=d, max_size=d),
+        min_size=d, max_size=d)))
+    def test_inverse_levels_match_the_adjugate(self, rows):
+        # adj = det a^{-1}, so v_p(det) - min v_p(adj_ij) is v_p of the
+        # inverse's denominator, and every prime of det divides it
+        a = QMat(rows)
+        assume(a.det() != 0)
+        assert inverse_levels(a) == adjugate_levels(a)
 
     def test_inverse_matches_the_scalar_oracle(self):
         # whole inverse orbits, step by step until an exception, against the

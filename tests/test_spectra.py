@@ -385,9 +385,13 @@ class TestLastGenerator:
         split_by = set()
         split_block = spectra._split_block
 
-        def recorded(blk, gi, p):
+        def recorded(blk, p):
+            # a block has one value per generator it was split by, and
+            # carries only the generators still to split by
+            gi = len(blk["vals"])
+            assert len(blk["gens"]) == rank - gi
             split_by.add(gi)
-            return split_block(blk, gi, p)
+            return split_block(blk, p)
         monkeypatch.setattr(spectra, "_split_block", recorded)
         pairs = 0
         for rank in (2, 2, 3):
